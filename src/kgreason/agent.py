@@ -378,12 +378,10 @@ class LLMPolicy:
             f"{start}: {serialize_relation_path(p)}" for start, p in sorted(obs.relation_paths)
         ]
         evid = [f"Evidence: {serialize_reasoning_path(c)}" for c in sorted(obs.reasoning_paths)]
-        truncated = False
         for name, items in (("relation paths", rel), ("reasoning paths", evid)):
             if len(items) > self.max_paths:
                 items.sort(key=lambda s: (-self._rank_overlap(s), s))
                 del items[self.max_paths :]
-                truncated = True
                 self.events.append(f"truncated {name} to {self.max_paths} in state message")
         parts = [
             "Tool: relation_path_mining\n" + EXPLORATION_TOOL_PROMPT,
@@ -396,7 +394,6 @@ class LLMPolicy:
             "Frontier entities: " + (", ".join(obs.frontier) if obs.frontier else "(none)"),
             TOOL_CALL_SCHEMA,
         ]
-        _ = truncated
         return "\n\n".join(parts)
 
     def _ask(self, messages: list[dict]) -> Action:
@@ -501,7 +498,9 @@ def _execute(g: KnowledgeGraph, action: Action, state: AgentState, cfg: EnvConfi
     return outcome, payload
 
 
-def _fallback_prediction(state: AgentState, question: str) -> tuple[list[str], list[str]]:
+def _fallback_prediction(
+    state: AgentState, question: str
+) -> tuple[list[str], tuple[ReasoningPath, ...]]:
     """Budget exhausted: terminal entities of the reasoning paths that best
     overlap the question tokens; empty when nothing overlaps."""
     q_tokens = content_tokens(question)
@@ -512,10 +511,10 @@ def _fallback_prediction(state: AgentState, question: str) -> tuple[list[str], l
     scored = [(score(c), c) for c in state.C]
     best = max((s for s, _ in scored), default=0)
     if best == 0:
-        return [], []
-    chains = sorted(c for s, c in scored if s == best)
+        return [], ()
+    chains = tuple(sorted(c for s, c in scored if s == best))
     answers = sorted({c[-1][2] for c in chains})
-    return answers, [serialize_reasoning_path(c) for c in chains]
+    return answers, chains
 
 
 def run_episode(
@@ -537,6 +536,7 @@ def run_episode(
     topic = question["topic"]
     trace = EpisodeTrace(question_id=qid, topic=topic, question=qtext)
     state = AgentState.initial(topic)
+    chains: tuple[ReasoningPath, ...] = ()   # the selected reasoning paths
     started = time.monotonic()
 
     for i in range(budget.max_actions):
@@ -592,16 +592,17 @@ def run_episode(
         if action.kind == "synthesize":
             trace.prediction = list(action.answers)
             trace.supporting_paths = list(action.selected)
+            chains = outcome.selected
             trace.termination = "synthesized"
             break
 
     if trace.termination != "synthesized" and trace.termination != "aborted":
-        trace.prediction, trace.supporting_paths = _fallback_prediction(state, qtext)
+        trace.prediction, chains = _fallback_prediction(state, qtext)
+        trace.supporting_paths = [serialize_reasoning_path(c) for c in chains]
         trace.fallback = True
     trace.out_of_graph = sorted(set(trace.prediction) - set(state.E))
-    trace.unjustified = sorted(
-        a for a in trace.prediction if not any(a in p for p in trace.supporting_paths)
-    )
+    support = {e for c in chains for s, _, o in c for e in (s, o)}
+    trace.unjustified = sorted(a for a in trace.prediction if a not in support)
     return trace
 
 

@@ -43,7 +43,7 @@ def _stable_rng(seed: int, *tags) -> random.Random:
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
-def _sha256_file(path: str | Path) -> str:
+def sha256_file(path: str | Path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 16), b""):
@@ -540,8 +540,8 @@ def build_bundle(
     manifest = {
         "config": cfg.to_json(),
         "inputs": {
-            "kg": {"path": str(kg_path), "sha256": _sha256_file(kg_path)},
-            "rules": {"path": str(rules_path), "sha256": _sha256_file(rules_path)},
+            "kg": {"path": str(kg_path), "sha256": sha256_file(kg_path)},
+            "rules": {"path": str(rules_path), "sha256": sha256_file(rules_path)},
         },
         "counts": {
             "complete_triples": len(complete),

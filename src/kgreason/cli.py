@@ -8,7 +8,6 @@ CLI flag > KGREASON_<NAME> env var > --config JSON file > built-in default.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import logging
 import os
@@ -22,14 +21,6 @@ from .kg import KnowledgeGraph
 from .llm import ENDPOINT_URL_VAR, LLMClient
 
 log = logging.getLogger("kgreason")
-
-
-def _sha256_file(path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 16), b""):
-            h.update(chunk)
-    return h.hexdigest()
 
 
 class _Resolver:
@@ -88,7 +79,7 @@ def cmd_mine(args: argparse.Namespace) -> int:
     manifest = {
         "command": "mine",
         "config": res.resolved,
-        "inputs": {"kg": {"path": str(args.kg), "sha256": _sha256_file(args.kg)}},
+        "inputs": {"kg": {"path": str(args.kg), "sha256": bench.sha256_file(args.kg)}},
         "outputs": {"rules": str(args.out), "count": len(mined)},
         "rule_type_histogram": hist,
     }
@@ -183,7 +174,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         },
         "inputs": {
             "bundle": str(args.bundle),
-            "questions_sha256": _sha256_file(Path(args.bundle) / "questions.jsonl"),
+            "questions_sha256": bench.sha256_file(Path(args.bundle) / "questions.jsonl"),
         },
         "outputs": {"predictions": str(args.out), "count": len(traces)},
     }

@@ -12,11 +12,27 @@ import json
 import logging
 import random
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 log = logging.getLogger(__name__)
 
 Triple = tuple[str, str, str]
+
+
+class HandleIndex(NamedTuple):
+    """A graph's indices over integer handles: entity and predicate handles
+    are positions in `entities` / `predicates`, and index values are sorted
+    tuples."""
+
+    tri: frozenset   # (s, p, o)
+    sp: dict         # (s, p) -> objects
+    op: dict         # (o, p) -> subjects
+    byp: dict        # p -> (s, o) pairs
+    out: dict        # s -> (p, o) pairs
+    inc: dict        # o -> (p, s) pairs
+    eid: dict        # entity id -> handle
+    pid: dict        # predicate -> handle
+    ents: tuple      # handle -> entity id
 
 
 class KnowledgeGraph:
@@ -27,7 +43,7 @@ class KnowledgeGraph:
 
     __slots__ = (
         "_ents", "_eid", "_preds", "_pid", "_tri",
-        "_out", "_in", "_sp", "_op", "_byp", "duplicates_collapsed",
+        "_out", "_in", "_sp", "_op", "_byp", "_pair_preds", "duplicates_collapsed",
     )
 
     def __init__(self, triples: Iterable[Triple], duplicates_collapsed: int = 0):
@@ -65,6 +81,7 @@ class KnowledgeGraph:
         self._sp = {k: tuple(sorted(v)) for k, v in sp.items()}
         self._op = {k: tuple(sorted(v)) for k, v in op.items()}
         self._byp = {k: tuple(sorted(v)) for k, v in byp.items()}
+        self._pair_preds: dict[tuple[int, int], tuple[int, ...]] | None = None
 
     # -- construction ------------------------------------------------------
 
@@ -125,6 +142,25 @@ class KnowledgeGraph:
     @property
     def predicates(self) -> tuple[str, ...]:
         return self._preds
+
+    @property
+    def handles(self) -> HandleIndex:
+        """The integer-handle indices, for the rule miner; read-only."""
+        return HandleIndex(
+            self._tri, self._sp, self._op, self._byp, self._out, self._in,
+            self._eid, self._pid, self._ents,
+        )
+
+    @property
+    def pair_predicates(self) -> dict[tuple[int, int], tuple[int, ...]]:
+        """(subject, object) handles -> predicate handles linking them;
+        built on first use, read-only."""
+        if self._pair_preds is None:
+            pp: dict[tuple[int, int], list] = {}
+            for s, p, o in self._tri:
+                pp.setdefault((s, o), []).append(p)
+            self._pair_preds = {k: tuple(sorted(v)) for k, v in pp.items()}
+        return self._pair_preds
 
     def triples(self) -> Iterator[Triple]:
         """All triples in lexicographic order."""

@@ -11,6 +11,13 @@ The join engine runs on the graph's interned integer handles with a join
 order fixed once per rule (bound atoms first). Handles are assigned in
 lexicographic id order, so integer ordering doubles as the deterministic
 lexicographic ordering the public contracts promise.
+
+The head-coverage gate that decides which refinements enter the queue counts
+set-at-a-time (the count-query rewriting of AMIE+ and AMIE 3): each distinct
+body is projected once onto the head variables -- an (X, Y) pair set, or X
+and Y value sets for bodies whose components hold only one of them -- and one
+pass over the smallest projection yields the support of every head
+predicate. Only those per-body counts are memoised, never the projections.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
-from .kg import KnowledgeGraph
+from .kg import HandleIndex, KnowledgeGraph
 from .rules import (
     Atom,
     HornRule,
@@ -94,20 +101,6 @@ class MinerConfig:
 # (-2 marks a constant absent from the graph, which can never match)
 
 
-class _GraphView(NamedTuple):
-    tri: frozenset
-    sp: dict
-    op: dict
-    byp: dict
-    eid: dict
-    pid: dict
-    ents: tuple
-
-
-def _view(g: KnowledgeGraph) -> _GraphView:
-    return _GraphView(g._tri, g._sp, g._op, g._byp, g._eid, g._pid, g._ents)
-
-
 class _Compiled(NamedTuple):
     head: tuple
     body: tuple
@@ -115,7 +108,7 @@ class _Compiled(NamedTuple):
     var_names: tuple
 
 
-def _compile(gv: _GraphView, rule: HornRule) -> _Compiled:
+def _compile(gv: HandleIndex, rule: HornRule) -> _Compiled:
     names = rule.variables()
     vidx = {n: i for i, n in enumerate(names)}
 
@@ -226,39 +219,32 @@ def _head_grounding_count(gv, chead) -> int:
     return n
 
 
-def _scan_pairs(gv, c: _Compiled, stop_on_missing_covered: bool = False):
-    """Walk the body join collecting distinct head-argument pairs.
+def _project(gv, plan, nvars, proj, keep=None, visit=None) -> set:
+    """Distinct projections of the groundings of plan onto proj.
 
-    Returns (body_pairs, support_pairs, covered, stopped): covered is whether
-    any pair's subject has a head-predicate fact; with stop_on_missing_covered
-    the walk aborts at the first covered pair whose head triple is absent
-    (which proves PCA confidence < 1.0), leaving the sets partial.
+    proj holds one argspec (keys are its values) or two (keys are value
+    pairs). A key is recorded once the walk has bound it and the remaining
+    atoms hold existentially. Keys outside `keep`, when given, are dropped
+    without that check. `visit(key)` sees each new key and stops the walk by
+    returning True, leaving the set partial.
     """
-    h_p, h1, h2 = c.head
-    plan = _make_plan(c.body, ())
+    h1 = proj[0]
+    h2 = proj[-1]
+    as_pair = len(proj) == 2
     n = len(plan)
-    binding = [None] * c.nvars
-    body_pairs: set = set()
-    support_pairs: set = set()
-    state = {"covered": False, "stopped": False}
+    binding = [None] * nvars
+    keys: set = set()
 
     def dfs(k) -> bool:
         p1 = binding[h1[1]] if h1[0] else h1[1]
         p2 = binding[h2[1]] if h2[0] else h2[1]
         if p1 is not None and p2 is not None:
-            pair = (p1, p2)
-            if pair in body_pairs:
+            key = (p1, p2) if as_pair else p1
+            if key in keys or (keep is not None and key not in keep):
                 return False
             if _exists(gv, plan, k, binding):
-                body_pairs.add(pair)
-                present = (p1, h_p, p2) in gv.tri
-                if present:
-                    support_pairs.add(pair)
-                if (p1, h_p) in gv.sp:
-                    state["covered"] = True
-                    if stop_on_missing_covered and not present:
-                        state["stopped"] = True
-                        return True
+                keys.add(key)
+                return visit is not None and visit(key)
             return False
         if k == n:
             return False
@@ -308,46 +294,92 @@ def _scan_pairs(gv, c: _Compiled, stop_on_missing_covered: bool = False):
         return False
 
     dfs(0)
-    return body_pairs, support_pairs, state["covered"], state["stopped"]
+    return keys
 
 
-def _count_support(gv, c: _Compiled, stop_at: int | None = None) -> int:
-    """Head-predicate facts whose body is satisfiable under the head binding;
-    optionally stops counting once stop_at is reached."""
-    h_p, a1, a2 = c.head
-    plan = _make_plan(c.body, {a[1] for a in (a1, a2) if a[0]})
-    same_var = a1[0] and a2[0] and a1[1] == a2[1]
-    binding = [None] * c.nvars
-    support = 0
-    for s, o in gv.byp.get(h_p, ()):
-        if not a1[0] and s != a1[1]:
-            continue
-        if not a2[0] and o != a2[1]:
-            continue
-        if same_var and s != o:
-            continue
-        if a1[0]:
-            binding[a1[1]] = s
-        if a2[0]:
-            binding[a2[1]] = o
-        if _exists(gv, plan, 0, binding):
-            support += 1
-        if a1[0]:
-            binding[a1[1]] = None
-        if a2[0]:
-            binding[a2[1]] = None
-        if stop_at is not None and support >= stop_at:
-            break
-    return support
+def _components(body) -> list[tuple[set, list]]:
+    """(variables, atoms) of each connected component of a compiled body.
+    Atoms connect through shared variables, head variables included;
+    constants do not connect."""
+    groups: list[tuple[set, list]] = []
+    for atom in body:
+        vs = {a[1] for a in atom[1:] if a[0]}
+        atoms = [atom]
+        rest = []
+        for gvars, gatoms in groups:
+            if gvars & vs:
+                vs |= gvars
+                atoms = gatoms + atoms
+            else:
+                rest.append((gvars, gatoms))
+        groups = rest + [(vs, atoms)]
+    return groups
+
+
+def _head_supports(gv, pair_preds, c: _Compiled) -> dict[int, int]:
+    """Support of `body => h(X, Y)` for every head predicate h at once.
+
+    c's head must hold two distinct variables X and Y; only its body is
+    read. Each connected body component is projected onto the head
+    variables it mentions: (X, Y) pairs, X values or Y values. A component
+    with neither only has to hold once. One pass over the smallest
+    projection then counts, per predicate, the facts that fall inside it.
+    This is the count-query rewriting of AMIE+.
+    """
+    _, hx, hy = c.head
+    pairs = xs = ys = None
+    for vs, atoms in _components(c.body):
+        plan = _make_plan(atoms, ())
+        if hx[1] in vs and hy[1] in vs:
+            pairs = _project(gv, plan, c.nvars, (hx, hy), keep=pair_preds)
+            found = bool(pairs)
+        elif hx[1] in vs:
+            xs = _project(gv, plan, c.nvars, (hx,), keep=gv.out)
+            found = bool(xs)
+        elif hy[1] in vs:
+            ys = _project(gv, plan, c.nvars, (hy,), keep=gv.inc)
+            found = bool(ys)
+        else:
+            found = _exists(gv, plan, 0, [None] * c.nvars)
+        if not found:
+            return {}
+    counts: dict[int, int] = {}
+    if pairs is not None:
+        for pair in pairs:
+            for p in pair_preds[pair]:
+                counts[p] = counts.get(p, 0) + 1
+    elif xs is not None and (ys is None or len(xs) <= len(ys)):
+        for s in xs:
+            for p, o in gv.out[s]:
+                if ys is None or o in ys:
+                    counts[p] = counts.get(p, 0) + 1
+    elif ys is not None:
+        for o in ys:
+            for p, s in gv.inc[o]:
+                if xs is None or s in xs:
+                    counts[p] = counts.get(p, 0) + 1
+    else:
+        # the body holds whatever X and Y are: every fact is supported
+        counts = {p: len(facts) for p, facts in gv.byp.items()}
+    return counts
 
 
 def _pca_below_one(gv, c: _Compiled) -> bool:
     """Whether PCA confidence is strictly below 1.0, with early exit on the
     first covered-but-missing head pair."""
-    _, _, covered, stopped = _scan_pairs(gv, c, stop_on_missing_covered=True)
-    if stopped:
-        return True
-    return not covered  # empty PCA denominator means PCA confidence 0
+    h_p, h1, h2 = c.head
+    covered = missing = False
+
+    def visit(pair) -> bool:
+        nonlocal covered, missing
+        s, o = pair
+        if (s, h_p) in gv.sp:
+            covered = True
+            missing = (s, h_p, o) not in gv.tri
+        return missing
+
+    _project(gv, _make_plan(c.body, ()), c.nvars, (h1, h2), visit=visit)
+    return missing or not covered  # empty PCA denominator means PCA confidence 0
 
 
 def _empty_body_metrics(g: KnowledgeGraph, gv, chead) -> RuleMetrics:
@@ -372,37 +404,70 @@ def _empty_body_metrics(g: KnowledgeGraph, gv, chead) -> RuleMetrics:
     return RuleMetrics(heads, hc, conf, pca)
 
 
+class _HeadCoverageGate:
+    """Whether a canonical candidate's head coverage reaches the threshold.
+
+    Rule keys read "<body> => <head>". Canonical bodies do not depend on the
+    head predicate (canonicalize puts the head p(X,Y) first), so each body's
+    support for every head predicate is counted once and kept; the
+    projections behind the counts are not.
+    """
+
+    def __init__(self, g: KnowledgeGraph, min_head_coverage: float):
+        self.gv = g.handles
+        self.pair_preds = g.pair_predicates
+        self.min_head_coverage = min_head_coverage
+        self.supports: dict[str, dict[int, int]] = {}
+        self.heads: dict[str, tuple[int, int, int]] = {}
+
+    def _head(self, head: Atom) -> tuple[int, int, int]:
+        """(predicate handle, support needed or 0 for never, key suffix length)"""
+        chead = _compile(self.gv, HornRule(head)).head
+        heads = _head_grounding_count(self.gv, chead)
+        stop = 0
+        if heads:
+            # smallest support whose ratio clears the threshold, with
+            # guards against float rounding either way
+            stop = max(1, math.ceil(self.min_head_coverage * heads))
+            while stop / heads < self.min_head_coverage:
+                stop += 1
+            while stop > 1 and (stop - 1) / heads >= self.min_head_coverage:
+                stop -= 1
+        return chead[0], stop, len(f" => {head!r}")
+
+    def __call__(self, rule: HornRule, key: str | None = None) -> bool:
+        """`key` is rule.key(), passed in when the caller has it already."""
+        h = rule.head.predicate
+        if h not in self.heads:
+            self.heads[h] = self._head(rule.head)
+        pid, stop, cut = self.heads[h]
+        if not stop:
+            return False
+        body_key = (key or rule.key())[:-cut]
+        supports = self.supports.get(body_key)
+        if supports is None:
+            supports = _head_supports(self.gv, self.pair_preds, _compile(self.gv, rule))
+            self.supports[body_key] = supports
+        return supports.get(pid, 0) >= stop
+
+
 # -- public operations -------------------------------------------------------
 
 
 def compute_metrics(g: KnowledgeGraph, rule: HornRule) -> RuleMetrics:
-    gv = _view(g)
+    gv = g.handles
     c = _compile(gv, rule)
     if not rule.body:
         return _empty_body_metrics(g, gv, c.head)
-    body_pairs, support_pairs, _, _ = _scan_pairs(gv, c)
-    support = len(support_pairs)
+    h_p, h1, h2 = c.head
+    body_pairs = _project(gv, _make_plan(c.body, ()), c.nvars, (h1, h2))
+    support = sum(1 for s, o in body_pairs if (s, h_p, o) in gv.tri)
     confidence = support / len(body_pairs) if body_pairs else 0.0
-    h_p = c.head[0]
     pca_den = sum(1 for x, _ in body_pairs if (x, h_p) in gv.sp)
     pca = support / pca_den if pca_den else 0.0
     heads = _head_grounding_count(gv, c.head)
     hc = support / heads if heads else 0.0
     return RuleMetrics(support, hc, confidence, pca)
-
-
-def _support_and_hc(g: KnowledgeGraph, rule: HornRule) -> tuple[int, float]:
-    """Support and head coverage only, by scanning head-predicate facts and
-    checking the body existentially."""
-    gv = _view(g)
-    c = _compile(gv, rule)
-    if not rule.body:
-        heads = _head_grounding_count(gv, c.head)
-        return heads, (1.0 if heads else 0.0)
-    heads = _head_grounding_count(gv, c.head)
-    support = _count_support(gv, c)
-    hc = support / heads if heads else 0.0
-    return support, hc
 
 
 def enumerate_groundings(
@@ -417,7 +482,7 @@ def enumerate_groundings(
     """
     if cap is not None and cap <= 0:
         return []
-    gv = _view(g)
+    gv = g.handles
     c = _compile(gv, rule)
     plan = _make_plan(c.body, ())
     n = len(plan)
@@ -506,7 +571,7 @@ def body_holds_with_head_binding(
     s, p, o = head_triple
     if p != rule.head.predicate:
         return False
-    gv = _view(g)
+    gv = g.handles
     c = _compile(gv, rule)
     binding = [None] * c.nvars
     for t, val in ((c.head[1], gv.eid.get(s, -2)), (c.head[2], gv.eid.get(o, -2))):
@@ -577,7 +642,7 @@ def mine(g: KnowledgeGraph, cfg: MinerConfig | None = None) -> list[MinedRule]:
     cfg = cfg or MinerConfig()
     if len(g) == 0:
         raise ValueError("empty graph")
-    gv = _view(g)
+    gv = g.handles
 
     x, y = Term.var(variable_symbol(0)), Term.var(variable_symbol(1))
     queue: deque = deque()
@@ -588,31 +653,13 @@ def mine(g: KnowledgeGraph, cfg: MinerConfig | None = None) -> list[MinedRule]:
         seen.add(rule.key())
 
     metrics_memo: dict[str, RuleMetrics] = {}
-    gate_memo: dict[str, bool] = {}
+    hc_gate = _HeadCoverageGate(g, cfg.min_head_coverage)
 
     def full_metrics(rule: HornRule) -> RuleMetrics:
         k = rule.key()
         if k not in metrics_memo:
             metrics_memo[k] = compute_metrics(g, rule)
         return metrics_memo[k]
-
-    def hc_gate(rule: HornRule) -> bool:
-        k = rule.key()
-        if k not in gate_memo:
-            c = _compile(gv, rule)
-            heads = _head_grounding_count(gv, c.head)
-            if heads == 0:
-                gate_memo[k] = False
-            else:
-                # smallest support whose ratio clears the threshold, with
-                # guards against float rounding either way
-                stop = max(1, math.ceil(cfg.min_head_coverage * heads))
-                while stop / heads < cfg.min_head_coverage:
-                    stop += 1
-                while stop > 1 and (stop - 1) / heads >= cfg.min_head_coverage:
-                    stop -= 1
-                gate_memo[k] = _count_support(gv, c, stop_at=stop) >= stop
-        return gate_memo[k]
 
     def criterion_conf(m: RuleMetrics) -> float:
         return m.pca_confidence if cfg.ancestor_metric == "pca" else m.confidence
@@ -644,7 +691,7 @@ def mine(g: KnowledgeGraph, cfg: MinerConfig | None = None) -> list[MinedRule]:
                     k = cand.key()
                     if k in seen:
                         continue
-                    if hc_gate(cand):
+                    if hc_gate(cand, k):
                         seen.add(k)
                         queue.append((cand, child_conf))
 

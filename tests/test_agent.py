@@ -225,6 +225,24 @@ class TestLLMPolicyEpisodes:
         assert "Ground relation paths" in user
         assert "Complete the knowledge graph exploration" in user
 
+    def test_unjustified_compares_whole_entities(self):
+        # "p1" is a substring of "p12" but no entity of the selected path
+        g = KnowledgeGraph([("a", "r", "p12"), ("b", "r", "p1")])
+        client = ScriptedClient(
+            [
+                '{"tool":"relation_path_mining","entity":"a","max_hops":1}',
+                '{"tool":"path_grounding","entity":"a","relation_paths":["r"]}',
+                '{"tool":"complete_task","explored_reasoning_paths":'
+                '["(a, r, p12)"],"answer_entities":["p1","p12"]}',
+            ]
+        )
+        question = q("u1", "What is r of a?", "a")
+        policy = LLMPolicy(question["question"], "a", client)
+        trace = run_episode(g, question, policy)
+        assert trace.termination == "synthesized"
+        assert trace.prediction == ["p1", "p12"]
+        assert trace.unjustified == ["p1"]
+
     def test_unparseable_response_repaired_once(self):
         g = KnowledgeGraph([("a", "p", "b")])
         client = ScriptedClient(

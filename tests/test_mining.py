@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -13,9 +14,11 @@ from kgreason.mining import (
     rule_type_histogram,
     read_rules_jsonl,
     write_rules_jsonl,
-    _support_and_hc,
+    _compile,
+    _head_supports,
+    _HeadCoverageGate,
 )
-from kgreason.rules import Atom, HornRule, Term, check_rule_shape
+from kgreason.rules import Atom, HornRule, Term, canonicalize, check_rule_shape
 
 from conftest import random_graph
 from oracles import exhaustive_groundings, exhaustive_metrics
@@ -91,10 +94,11 @@ class TestMetrics:
         ]
         for _ in range(20):
             g = random_graph(rng, 10, 3, 60)
+            gv = g.handles
             for rule in rules:
-                m = compute_metrics(g, rule)
-                support, hc = _support_and_hc(g, rule)
-                assert (support, hc) == (m.support, m.head_coverage)
+                c = _compile(gv, rule)
+                supports = _head_supports(gv, g.pair_predicates, c)
+                assert supports.get(c.head[0], 0) == compute_metrics(g, rule).support
 
     def test_matches_exhaustive_oracle_small(self):
         rng = random.Random(3)
@@ -130,6 +134,95 @@ class TestMetrics:
             m = compute_metrics(g, rule)
             if m.confidence > 0 and m.pca_confidence > 0:
                 assert m.confidence <= m.pca_confidence <= 1.0
+
+
+def _all_candidates(g, cfg):
+    """Every refine() candidate reachable from the body-less rules, ungated."""
+    found = {}
+    frontier = [HornRule(Atom(p, X, Y)) for p in g.predicates]
+    while frontier:
+        nxt = []
+        for rule in frontier:
+            for cand in refine(rule, g, cfg):
+                if cand.key() not in found:
+                    found[cand.key()] = cand
+                    nxt.append(cand)
+        frontier = nxt
+    return list(found.values())
+
+
+def _ghost_rules(g):
+    """Candidates with a constant that is absent from the graph."""
+    ghost = Term.const("ghost")
+    p, q = g.predicates[0], g.predicates[-1]
+    e = Term.const(g.entities[0])
+    bodies = [
+        (Atom(q, X, ghost),),
+        (Atom(p, X, Y), Atom(q, ghost, Y)),
+        (Atom(p, X, Z), Atom(q, Y, ghost)),
+        (Atom(p, e, Y), Atom(q, X, ghost)),
+    ]
+    return [canonicalize(HornRule(Atom(h, X, Y), b)) for h in g.predicates for b in bodies]
+
+
+class TestHeadCoverageGate:
+    # (seed, entities, predicates, triples, max rule length, instantiated atoms)
+    CORPUS = [
+        (1, 6, 2, 16, 3, False),
+        (2, 6, 3, 18, 3, False),
+        (3, 7, 2, 22, 3, False),
+        (4, 4, 2, 8, 3, True),
+        (5, 3, 2, 7, 4, False),
+        (6, 3, 2, 6, 4, False),
+    ]
+
+    def test_gate_matches_exhaustive_head_coverage(self):
+        shapes = {"disconnected": 0, "no Y in body": 0, "no X in body": 0, "ghost": 0}
+        for seed, n_ents, n_preds, n_triples, max_len, inst in self.CORPUS:
+            g = random_graph(random.Random(seed), n_ents, n_preds, n_triples)
+            cfg = MinerConfig(max_rule_length=max_len, allow_instantiated_atoms=inst)
+            rules = _all_candidates(g, cfg) + _ghost_rules(g)
+            gates = [_HeadCoverageGate(g, hc) for hc in (0.1, 0.34, 0.5, 1.0)]
+            for rule in rules:
+                body_vars = {v for a in rule.body for v in a.variables()}
+                shapes["disconnected"] += len(rule.body) > 1 and not check_rule_shape(
+                    HornRule(rule.body[0], rule.body[1:])
+                ).connected
+                shapes["no Y in body"] += "Y" not in body_vars
+                shapes["no X in body"] += "X" not in body_vars
+                shapes["ghost"] += any(
+                    t.name == "ghost" for a in rule.body for t in a.args if not t.is_var
+                )
+                _, hc, _, _ = exhaustive_metrics(g, rule)
+                for gate in gates:
+                    assert gate(rule) == (hc >= gate.min_head_coverage), (rule, hc)
+        assert all(shapes.values()), shapes
+
+    @pytest.mark.parametrize(
+        "seed, n_ents, n_preds, n_triples, cfg, digest",
+        [
+            (
+                2024, 10, 3, 60,
+                dict(max_rule_length=3, min_head_coverage=0.05, min_confidence=0.1,
+                     pca_threshold=0.2),
+                "fb67dad8848aa4898b5c97777680756428b8a5be8c6cf2210dfc733cb039dea7",
+            ),
+            (
+                7, 8, 3, 30,
+                dict(max_rule_length=3, allow_instantiated_atoms=True, min_confidence=0.1,
+                     pca_threshold=0.2),
+                "ea00704d8fe1d3b788dcc7f3a313caa3f749c370c1ab7698dadbc4bcdfaf54f8",
+            ),
+        ],
+    )
+    def test_mined_rules_golden_digest(
+        self, tmp_path, seed, n_ents, n_preds, n_triples, cfg, digest
+    ):
+        # digests recorded from the per-head-predicate gate this one replaced
+        g = random_graph(random.Random(seed), n_ents, n_preds, n_triples)
+        path = tmp_path / "rules.jsonl"
+        write_rules_jsonl(mine(g, MinerConfig(**cfg)), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 class TestRefine:
