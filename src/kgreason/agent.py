@@ -95,18 +95,16 @@ class Observation:
     relation_paths: tuple[tuple[str, RelationPath], ...]
     reasoning_paths: tuple[ReasoningPath, ...]
     frontier: tuple[str, ...]
-    terminal: bool
 
 
 @dataclass
 class PolicyBudget:
     max_actions: int = 10
-    max_endpoint_calls: int = 30
     wall_clock_s: float | None = None
 
     def __post_init__(self):
-        if self.max_actions < 1 or self.max_endpoint_calls < 1:
-            raise ValueError("budget fields must be >= 1")
+        if self.max_actions < 1:
+            raise ValueError("max_actions must be >= 1")
         if self.wall_clock_s is not None and self.wall_clock_s <= 0:
             raise ValueError("wall_clock_s must be positive")
 
@@ -443,7 +441,6 @@ def _observe(state: AgentState, question: str, topic: str) -> Observation:
         relation_paths=tuple(sorted(state.P)),
         reasoning_paths=tuple(sorted(state.C)),
         frontier=tuple(sorted(state.E)),
-        terminal=state.terminal,
     )
 
 
@@ -479,7 +476,7 @@ def _validate_action(action: Action, state: AgentState, cfg: EnvConfig) -> tuple
 def _execute(g: KnowledgeGraph, action: Action, state: AgentState, cfg: EnvConfig):
     if action.kind == "explore":
         paths = explore(g, action.entity, action.hops, cfg)
-        outcome = ExploreOutcome(start=action.entity, hops=action.hops, paths=paths)
+        outcome = ExploreOutcome(start=action.entity, paths=paths)
         payload = {"relation_paths": [serialize_relation_path(p) for p in paths]}
         return outcome, payload
     if action.kind == "ground":

@@ -24,6 +24,7 @@ from .mining import (
     MinedRule,
     body_holds_with_head_binding,
     enumerate_groundings,
+    read_jsonl,
     read_rules_jsonl,
     rule_type_histogram,
     substitute_body,
@@ -569,16 +570,8 @@ def load_bundle(directory: str | Path) -> Bundle:
             raise ValueError(f"bundle is missing {name}")
     with open(d / "manifest.json", encoding="utf-8") as fh:
         manifest = json.load(fh)
-    questions = []
-    with open(d / "questions.jsonl", encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                questions.append(QAInstance.from_json(json.loads(line)))
-    removals = []
-    with open(d / "removals.jsonl", encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                removals.append(RemovalEntry.from_json(json.loads(line)))
+    questions = [QAInstance.from_json(r) for r in read_jsonl(d / "questions.jsonl")]
+    removals = [RemovalEntry.from_json(r) for r in read_jsonl(d / "removals.jsonl")]
     return Bundle(
         directory=d,
         complete=KnowledgeGraph.load(d / "complete.tsv"),

@@ -132,7 +132,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         raise UsageError(f"policy 'llm' needs {ENDPOINT_URL_VAR} set")
 
     def episode(q: bench.QAInstance) -> agent.EpisodeTrace:
-        budget = agent.PolicyBudget(max_actions=max_actions, max_endpoint_calls=max_endpoint_calls)
+        budget = agent.PolicyBudget(max_actions=max_actions)
         if args.policy == "heuristic":
             policy = agent.HeuristicPolicy(
                 q.question, q.topic, synonyms=synonyms, top_k=top_k,
@@ -193,11 +193,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     ]
     if not gold:
         raise ValueError(f"no questions in split {args.split!r}")
-    predictions = []
-    with open(args.predictions, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                predictions.append(json.loads(line))
+    predictions = list(mining.read_jsonl(args.predictions))
     gold_ids = {q["id"] for q in gold}
     strays = [p["id"] for p in predictions if p["id"] not in gold_ids]
     if strays:

@@ -136,7 +136,6 @@ def ground(
 @dataclass(frozen=True)
 class ExploreOutcome:
     start: str
-    hops: int
     paths: tuple[RelationPath, ...]
 
 

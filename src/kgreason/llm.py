@@ -209,6 +209,8 @@ class LLMClient:
         if not self.base_url:
             raise ValueError(f"no endpoint configured ({ENDPOINT_URL_VAR} unset)")
         self.token = token if token is not None else os.environ.get(API_TOKEN_VAR)
+        if max_calls is not None and max_calls < 1:
+            raise ValueError("max_calls must be >= 1")
         self.max_calls = max_calls
         self.timeout = timeout
         self.retries = retries

@@ -12,12 +12,16 @@ order fixed once per rule (bound atoms first). Handles are assigned in
 lexicographic id order, so integer ordering doubles as the deterministic
 lexicographic ordering the public contracts promise.
 
-The head-coverage gate that decides which refinements enter the queue counts
-set-at-a-time (the count-query rewriting of AMIE+ and AMIE 3): each distinct
-body is projected once onto the head variables -- an (X, Y) pair set, or X
-and Y value sets for bodies whose components hold only one of them -- and one
-pass over the smallest projection yields the support of every head
-predicate. Only those per-body counts are memoised, never the projections.
+Refinement works on plain tuples: a candidate is its canonical signature
+(rules.signature) plus the key formatted from it, and a HornRule is built
+only for a candidate that enters the queue. The head-coverage gate on that
+queue counts set-at-a-time (the count-query rewriting of AMIE+ and AMIE 3):
+each distinct body is projected once onto the head variables -- an (X, Y)
+pair set, or X and Y value sets for bodies whose components hold only one of
+them -- and one pass over the smallest projection yields the support of
+every head predicate. Only those per-body counts are memoised; they and the
+set of enqueued keys are dropped whenever the search reaches the next rule
+length, as no body or key of a shorter rule comes up again.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ import itertools
 import json
 import logging
 import math
+import time
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
@@ -36,11 +41,15 @@ from .rules import (
     Atom,
     HornRule,
     Term,
-    canonicalize,
+    canonicalize,  # noqa: F401  unused here, but perfbench/traced.py patches it
     check_rule_shape,
     classify_rule,
     rule_from_json,
+    rule_from_signature,
     rule_to_json,
+    signature,
+    signature_key,
+    term_tag,
     variable_symbol,
 )
 
@@ -108,21 +117,23 @@ class _Compiled(NamedTuple):
     var_names: tuple
 
 
+def _compile_tagged(gv: HandleIndex, rows, names: tuple = ()) -> _Compiled:
+    """Compile (predicate, tag, tag) rows, head first, tagged as in rules.signature:
+    variable "v{i}" becomes index i, named names[i] or else variable_symbol(i)."""
+
+    def carg(tag: str):
+        return (True, int(tag[1:])) if tag[0] == "v" else (False, gv.eid.get(tag[2:], -2))
+
+    head, *body = [(gv.pid.get(p, -1), carg(t1), carg(t2)) for p, t1, t2 in rows]
+    nvars = len({t for row in rows for t in row[1:] if t[0] == "v"})
+    return _Compiled(head, tuple(body), nvars, names or tuple(map(variable_symbol, range(nvars))))
+
+
 def _compile(gv: HandleIndex, rule: HornRule) -> _Compiled:
-    names = rule.variables()
-    vidx = {n: i for i, n in enumerate(names)}
-
-    def carg(t: Term):
-        if t.is_var:
-            return (True, vidx[t.name])
-        return (False, gv.eid.get(t.name, -2))
-
-    def catom(a: Atom):
-        return (gv.pid.get(a.predicate, -1), carg(a.arg1), carg(a.arg2))
-
-    return _Compiled(
-        catom(rule.head), tuple(catom(a) for a in rule.body), len(names), tuple(names)
-    )
+    """Compile a rule as written, variables numbered by first appearance."""
+    tags: dict[str, str] = {}
+    rows = [(a.predicate, term_tag(a.arg1, tags), term_tag(a.arg2, tags)) for a in rule.atoms()]
+    return _compile_tagged(gv, rows, tuple(tags))
 
 
 def _make_plan(body, prebound) -> tuple:
@@ -405,12 +416,13 @@ def _empty_body_metrics(g: KnowledgeGraph, gv, chead) -> RuleMetrics:
 
 
 class _HeadCoverageGate:
-    """Whether a canonical candidate's head coverage reaches the threshold.
+    """Whether a candidate's head coverage reaches the threshold, given its
+    canonical signature (with a p(X,Y) head) and key.
 
-    Rule keys read "<body> => <head>". Canonical bodies do not depend on the
-    head predicate (canonicalize puts the head p(X,Y) first), so each body's
-    support for every head predicate is counted once and kept; the
-    projections behind the counts are not.
+    Keys read "<body> => <head>". Canonical bodies do not depend on the head
+    predicate (the head comes first in every ordering), so each body's
+    support for every head predicate is counted once and kept in `supports`,
+    keyed by the body's text; the projections behind the counts are not.
     """
 
     def __init__(self, g: KnowledgeGraph, min_head_coverage: float):
@@ -418,11 +430,11 @@ class _HeadCoverageGate:
         self.pair_preds = g.pair_predicates
         self.min_head_coverage = min_head_coverage
         self.supports: dict[str, dict[int, int]] = {}
-        self.heads: dict[str, tuple[int, int, int]] = {}
+        self.heads: dict[tuple, tuple[int, int, int]] = {}
 
-    def _head(self, head: Atom) -> tuple[int, int, int]:
+    def _head(self, head: tuple) -> tuple[int, int, int]:
         """(predicate handle, support needed or 0 for never, key suffix length)"""
-        chead = _compile(self.gv, HornRule(head)).head
+        chead = _compile_tagged(self.gv, (head,)).head
         heads = _head_grounding_count(self.gv, chead)
         stop = 0
         if heads:
@@ -433,21 +445,21 @@ class _HeadCoverageGate:
                 stop += 1
             while stop > 1 and (stop - 1) / heads >= self.min_head_coverage:
                 stop -= 1
-        return chead[0], stop, len(f" => {head!r}")
+        # the key of the body-less rule is "true => <head>"
+        return chead[0], stop, len(signature_key((head,))) - len("true")
 
-    def __call__(self, rule: HornRule, key: str | None = None) -> bool:
-        """`key` is rule.key(), passed in when the caller has it already."""
-        h = rule.head.predicate
-        if h not in self.heads:
-            self.heads[h] = self._head(rule.head)
-        pid, stop, cut = self.heads[h]
+    def __call__(self, sig: tuple, key: str) -> bool:
+        head = self.heads.get(sig[0])
+        if head is None:
+            head = self.heads[sig[0]] = self._head(sig[0])
+        pid, stop, cut = head
         if not stop:
             return False
-        body_key = (key or rule.key())[:-cut]
-        supports = self.supports.get(body_key)
+        body = key[:-cut]
+        supports = self.supports.get(body)
         if supports is None:
-            supports = _head_supports(self.gv, self.pair_preds, _compile(self.gv, rule))
-            self.supports[body_key] = supports
+            supports = _head_supports(self.gv, self.pair_preds, _compile_tagged(self.gv, sig))
+            self.supports[body] = supports
         return supports.get(pid, 0) >= stop
 
 
@@ -547,20 +559,18 @@ def enumerate_groundings(
     return out
 
 
+def _substitute(a: Atom, sigma: dict[str, str]) -> tuple[str, str, str]:
+    s = sigma[a.arg1.name] if a.arg1.is_var else a.arg1.name
+    o = sigma[a.arg2.name] if a.arg2.is_var else a.arg2.name
+    return (s, a.predicate, o)
+
+
 def substitute_head(rule: HornRule, sigma: dict[str, str]) -> tuple[str, str, str]:
-    h = rule.head
-    s = sigma[h.arg1.name] if h.arg1.is_var else h.arg1.name
-    o = sigma[h.arg2.name] if h.arg2.is_var else h.arg2.name
-    return (s, h.predicate, o)
+    return _substitute(rule.head, sigma)
 
 
 def substitute_body(rule: HornRule, sigma: dict[str, str]) -> list[tuple[str, str, str]]:
-    out = []
-    for a in rule.body:
-        s = sigma[a.arg1.name] if a.arg1.is_var else a.arg1.name
-        o = sigma[a.arg2.name] if a.arg2.is_var else a.arg2.name
-        out.append((s, a.predicate, o))
-    return out
+    return [_substitute(a, sigma) for a in rule.body]
 
 
 def body_holds_with_head_binding(
@@ -588,41 +598,46 @@ def body_holds_with_head_binding(
     return _exists(gv, plan, 0, binding)
 
 
-def refine(rule: HornRule, g: KnowledgeGraph, cfg: MinerConfig) -> list[HornRule]:
+def refine(rule: HornRule, g: KnowledgeGraph, cfg: MinerConfig) -> list[tuple[str, tuple]]:
     """Candidate rules one body atom longer, by the dangling / closing /
-    instantiated operators, canonicalized and deduplicated."""
+    instantiated operators, deduplicated by canonical form: (key, signature)
+    pairs sorted by key, where rule_from_signature(signature) is the
+    canonical candidate and key is its key()."""
     if rule.length >= cfg.max_rule_length:
         return []
-    existing = rule.variables()
-    fresh = next(
-        variable_symbol(i) for i in itertools.count() if variable_symbol(i) not in existing
+    parent = [(a.predicate, *a.args) for a in rule.atoms()]
+    # reuse the parent's variable Terms: `atom in parent` then matches by identity
+    terms = {t.name: t for _, *args in parent for t in args if t.is_var}
+    existing = list(terms.values())
+    fresh = Term.var(
+        next(variable_symbol(i) for i in itertools.count() if variable_symbol(i) not in terms)
     )
-    candidates: dict[str, HornRule] = {}
+    candidates: dict[str, tuple] = {}
 
-    def add(atom: Atom):
-        if atom == rule.head or atom in rule.body:
+    def add(atom: tuple):
+        if atom in parent:
             return
-        cand = canonicalize(HornRule(rule.head, rule.body + (atom,)))
-        candidates.setdefault(cand.key(), cand)
+        sig = signature(parent + [atom])
+        candidates.setdefault(signature_key(sig), sig)
 
     preds = g.predicates
     for p in preds:
         for v in existing:
-            add(Atom(p, Term.var(v), Term.var(fresh)))
-            add(Atom(p, Term.var(fresh), Term.var(v)))
+            add((p, v, fresh))
+            add((p, fresh, v))
     for p in preds:
         for v1, v2 in itertools.permutations(existing, 2):
-            add(Atom(p, Term.var(v1), Term.var(v2)))
+            add((p, v1, v2))
     if cfg.allow_instantiated_atoms:
         for p in preds:
-            subjects = sorted({s for s, _ in g.pairs(p)})
-            objects = sorted({o for _, o in g.pairs(p)})
+            subjects = [Term.const(s) for s in sorted({s for s, _ in g.pairs(p)})]
+            objects = [Term.const(o) for o in sorted({o for _, o in g.pairs(p)})]
             for v in existing:
                 for c in objects:
-                    add(Atom(p, Term.var(v), Term.const(c)))
+                    add((p, v, c))
                 for c in subjects:
-                    add(Atom(p, Term.const(c), Term.var(v)))
-    return [candidates[k] for k in sorted(candidates)]
+                    add((p, c, v))
+    return sorted(candidates.items())
 
 
 def mine(g: KnowledgeGraph, cfg: MinerConfig | None = None) -> list[MinedRule]:
@@ -644,56 +659,50 @@ def mine(g: KnowledgeGraph, cfg: MinerConfig | None = None) -> list[MinedRule]:
         raise ValueError("empty graph")
     gv = g.handles
 
-    x, y = Term.var(variable_symbol(0)), Term.var(variable_symbol(1))
-    queue: deque = deque()
-    seen: set[str] = set()
-    for p in g.predicates:
-        rule = HornRule(Atom(p, x, y))
-        queue.append((rule, 0.0))
-        seen.add(rule.key())
-
-    metrics_memo: dict[str, RuleMetrics] = {}
+    queue = deque((rule_from_signature(((p, "v0", "v1"),)), 0.0) for p in g.predicates)  # p(X,Y)
     hc_gate = _HeadCoverageGate(g, cfg.min_head_coverage)
-
-    def full_metrics(rule: HornRule) -> RuleMetrics:
-        k = rule.key()
-        if k not in metrics_memo:
-            metrics_memo[k] = compute_metrics(g, rule)
-        return metrics_memo[k]
 
     def criterion_conf(m: RuleMetrics) -> float:
         return m.pca_confidence if cfg.ancestor_metric == "pca" else m.confidence
 
     output: list[tuple[HornRule, RuleMetrics]] = []
     while queue:
-        rule, ancestor_conf = queue.popleft()
-        met: RuleMetrics | None = None
-        mined_now = False
-        if not rule.body:
-            met = full_metrics(rule)
-        elif check_rule_shape(rule).all_ok():
-            met = full_metrics(rule)
-            if (
-                met.pca_confidence > cfg.pca_threshold
-                and criterion_conf(met) > ancestor_conf
-                and met.confidence >= cfg.min_confidence
+        # one rule length at a time; the next length's rules queue up behind
+        # this one's, and no key or body recurs across lengths
+        length, size, started = queue[0][0].length, len(queue), time.perf_counter()
+        seen: set[str] = set()
+        hc_gate.supports.clear()
+        candidates = 0
+        for _ in range(size):
+            rule, ancestor_conf = queue.popleft()
+            met: RuleMetrics | None = None
+            mined_now = False
+            if not rule.body:
+                met = compute_metrics(g, rule)
+            elif check_rule_shape(rule).all_ok():
+                met = compute_metrics(g, rule)
+                if (
+                    met.pca_confidence > cfg.pca_threshold
+                    and criterion_conf(met) > ancestor_conf
+                    and met.confidence >= cfg.min_confidence
+                ):
+                    output.append((rule, met))
+                    mined_now = True
+            child_conf = max(ancestor_conf, criterion_conf(met)) if mined_now else ancestor_conf
+            if rule.length < cfg.max_rule_length and (
+                _pca_below_one(gv, _compile(gv, rule)) if met is None
+                else met.pca_confidence < 1.0
             ):
-                output.append((rule, met))
-                mined_now = True
-        child_conf = max(ancestor_conf, criterion_conf(met)) if mined_now else ancestor_conf
-        if rule.length < cfg.max_rule_length:
-            if met is not None:
-                refinable = met.pca_confidence < 1.0
-            else:
-                refinable = _pca_below_one(gv, _compile(gv, rule))
-            if refinable:
-                for cand in refine(rule, g, cfg):
-                    k = cand.key()
-                    if k in seen:
-                        continue
-                    if hc_gate(cand, k):
-                        seen.add(k)
-                        queue.append((cand, child_conf))
+                refined = refine(rule, g, cfg)
+                candidates += len(refined)
+                for key, sig in refined:
+                    if key not in seen and hc_gate(sig, key):
+                        seen.add(key)
+                        queue.append((rule_from_signature(sig), child_conf))
+        log.debug(
+            "length %d: %d rules dequeued, %d candidates, %d enqueued, %.2f s",
+            length, size, candidates, len(queue), time.perf_counter() - started,
+        )
 
     output.sort(key=lambda rm: (rm[0].head.predicate, rm[0].length, rm[0].key()))
     return [
@@ -725,19 +734,14 @@ def write_rules_jsonl(mined: list[MinedRule], path: str | Path) -> None:
             fh.write(json.dumps(row, sort_keys=True) + "\n")
 
 
-def read_rules_jsonl(path: str | Path) -> list[MinedRule]:
-    out = []
+def read_jsonl(path: str | Path):
+    """Yield the JSON value on each non-blank line of a file, one at a time."""
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            row = json.loads(line)
-            out.append(
-                MinedRule(
-                    row["id"],
-                    rule_from_json(row),
-                    RuleMetrics.from_json(row["metrics"]),
-                    row["type"],
-                )
-            )
-    return out
+        yield from (json.loads(line) for line in fh if line.strip())
+
+
+def read_rules_jsonl(path: str | Path) -> list[MinedRule]:
+    return [
+        MinedRule(r["id"], rule_from_json(r), RuleMetrics.from_json(r["metrics"]), r["type"])
+        for r in read_jsonl(path)
+    ]

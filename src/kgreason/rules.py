@@ -7,7 +7,7 @@ at least two atoms) and safe (head variables all appear in the body).
 
 from __future__ import annotations
 
-import itertools
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -79,12 +79,7 @@ class HornRule:
 
     def variables(self) -> list[str]:
         """Distinct variables in first-appearance order, head first."""
-        seen: list[str] = []
-        for atom in self.atoms():
-            for v in atom.variables():
-                if v not in seen:
-                    seen.append(v)
-        return seen
+        return list(dict.fromkeys(v for atom in self.atoms() for v in atom.variables()))
 
     def key(self) -> str:
         return format_rule(self)
@@ -94,11 +89,8 @@ class HornRule:
 
 
 def format_rule(rule: HornRule) -> str:
-    def fa(a: Atom) -> str:
-        return f"{a.predicate}({a.arg1!r},{a.arg2!r})"
-
-    body = " & ".join(fa(a) for a in rule.body) if rule.body else "true"
-    return f"{body} => {fa(rule.head)}"
+    body = " & ".join(map(repr, rule.body)) or "true"
+    return f"{body} => {rule.head!r}"
 
 
 class ShapeCheck(NamedTuple):
@@ -143,72 +135,89 @@ def check_rule_shape(rule: HornRule) -> ShapeCheck:
     return ShapeCheck(connected, closed, safe)
 
 
+def term_tag(t: Term, tags: dict[str, str]) -> str:
+    """t's signature tag: "c:{name}" for a constant; for a variable, its tag
+    in `tags` (name -> tag), where a variable not yet seen gets "v{len(tags)}"."""
+    if not t.is_var:
+        return "c:" + t.name
+    return tags.get(t.name) or tags.setdefault(t.name, f"v{len(tags)}")
+
+
+def signature(atoms) -> tuple:
+    """Canonical signature of the rule whose (predicate, Term, Term) atoms are
+    given head first: the least sequence of (predicate, term tag, term tag)
+    rows over all body orderings, tagging terms in reading order. Two rules
+    are equal up to variable renaming and body order iff their signatures
+    are equal.
+
+    Orderings grow one atom at a time, and only with the atoms whose next row
+    is least (all of them on a tie): a larger row at some position can never
+    start the minimum, so the other orderings need not be tried.
+    """
+    tags: dict[str, str] = {}
+    (p, a1, a2), rest = atoms[0], tuple(atoms[1:])
+    partial = [(((p, term_tag(a1, tags), term_tag(a2, tags)),), tags, rest)]
+    best = None
+    while partial:
+        rows, tags, rest = partial.pop()
+        if len(rest) > 1:
+            least = None
+            for i, (p, a1, a2) in enumerate(rest):
+                t = tags.copy()
+                row = (p, term_tag(a1, t), term_tag(a2, t))
+                if least is None or row < least:
+                    least, picks = row, [(i, t)]
+                elif row == least:
+                    picks.append((i, t))
+            partial += [(rows + (least,), t, rest[:i] + rest[i + 1:]) for i, t in picks]
+            continue
+        for p, a1, a2 in rest:
+            rows += ((p, term_tag(a1, tags), term_tag(a2, tags)),)
+        if best is None or rows < best:
+            best = rows
+    return best
+
+
+@functools.lru_cache(maxsize=1 << 16)
+def _tag_term(tag: str) -> tuple[Term, str]:
+    """The Term a signature tag stands for, and its text in rule keys."""
+    t = Term.var(variable_symbol(int(tag[1:]))) if tag[0] == "v" else Term.const(tag[2:])
+    return t, repr(t)
+
+
+def signature_key(sig: tuple) -> str:
+    """key() of the rule a signature stands for, without building it."""
+    texts = [f"{p}({_tag_term(t1)[1]},{_tag_term(t2)[1]})" for p, t1, t2 in sig]
+    return f"{' & '.join(texts[1:]) or 'true'} => {texts[0]}"
+
+
+def rule_from_signature(sig: tuple) -> HornRule:
+    """The canonical rule a signature stands for: variable i is
+    variable_symbol(i)."""
+    head, *body = (Atom(p, _tag_term(t1)[0], _tag_term(t2)[0]) for p, t1, t2 in sig)
+    return HornRule(head, tuple(body))
+
+
 def canonicalize(rule: HornRule) -> HornRule:
     """Canonical form: variables renamed by first appearance (head first) under
     the body-atom ordering that minimizes the rule signature."""
-    best_sig = None
-    best_perm = None
-    for perm in itertools.permutations(rule.body):
-        mapping: dict[str, int] = {}
-
-        def tag(t: Term) -> str:
-            if not t.is_var:
-                return f"c:{t.name}"
-            if t.name not in mapping:
-                mapping[t.name] = len(mapping)
-            return f"v{mapping[t.name]}"
-
-        sig = tuple(
-            (a.predicate, tag(a.arg1), tag(a.arg2)) for a in (rule.head,) + perm
-        )
-        if best_sig is None or sig < best_sig:
-            best_sig = sig
-            best_perm = perm
-
-    mapping = {}
-
-    def rename(t: Term) -> Term:
-        if not t.is_var:
-            return t
-        if t.name not in mapping:
-            mapping[t.name] = variable_symbol(len(mapping))
-        return Term.var(mapping[t.name])
-
-    def ra(a: Atom) -> Atom:
-        return Atom(a.predicate, rename(a.arg1), rename(a.arg2))
-
-    head = ra(rule.head)
-    body = tuple(ra(a) for a in best_perm)
-    return HornRule(head, body)
+    return rule_from_signature(signature([(a.predicate, *a.args) for a in rule.atoms()]))
 
 
 def classify_rule(rule: HornRule) -> str:
     """One of symmetry / inversion / hierarchy / composition / other."""
-    rule = canonicalize(rule)
-    head = rule.head
-    if any(not t.is_var for a in rule.atoms() for t in a.args):
+    (hp, h1, h2), *body = signature([(a.predicate, *a.args) for a in rule.atoms()])
+    args = sorted((a1, a2) for _, a1, a2 in body)
+    if any(t.startswith("c:") for t in (h1, h2, *(t for pair in args for t in pair))):
         return "other"
-    h1, h2 = head.arg1.name, head.arg2.name
-
-    if len(rule.body) == 1:
-        a = rule.body[0]
-        a1, a2 = a.arg1.name, a.arg2.name
-        if (a1, a2) == (h2, h1):
-            return "symmetry" if a.predicate == head.predicate else "inversion"
-        if (a1, a2) == (h1, h2) and a.predicate != head.predicate:
+    if len(body) == 1:
+        if args[0] == (h2, h1):
+            return "symmetry" if body[0][0] == hp else "inversion"
+        if args[0] == (h1, h2) and body[0][0] != hp:
             return "hierarchy"
-        return "other"
-
-    if len(rule.body) == 2 and h1 != h2:
-        for a, b in itertools.permutations(rule.body):
-            mids = set(a.variables() + b.variables()) - {h1, h2}
-            if len(mids) != 1:
-                continue
-            (m,) = mids
-            if (a.arg1.name, a.arg2.name) == (h1, m) and (b.arg1.name, b.arg2.name) == (m, h2):
-                return "composition"
-        return "other"
-
+    # the middle variable of a canonical composition comes third: v2
+    elif h1 != h2 and args == sorted([(h1, "v2"), ("v2", h2)]):
+        return "composition"
     return "other"
 
 

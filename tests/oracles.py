@@ -8,7 +8,7 @@ from __future__ import annotations
 import itertools
 
 from kgreason.kg import KnowledgeGraph
-from kgreason.rules import HornRule
+from kgreason.rules import Atom, HornRule, Term, variable_symbol
 
 
 def _apply(term, sigma):
@@ -50,6 +50,83 @@ def exhaustive_metrics(g: KnowledgeGraph, rule: HornRule):
     pca_den = sum(1 for x, _ in body_pairs if g.has_subject(x, head.predicate))
     pca = support / pca_den if pca_den else 0.0
     return support, hc, conf, pca
+
+
+def permutation_canonicalize(rule: HornRule) -> HornRule:
+    """Canonical form: variables renamed by first appearance (head first) under
+    the body-atom ordering that minimizes the rule signature."""
+    best_sig = None
+    best_perm = None
+    for perm in itertools.permutations(rule.body):
+        mapping: dict[str, int] = {}
+
+        def tag(t: Term) -> str:
+            if not t.is_var:
+                return f"c:{t.name}"
+            if t.name not in mapping:
+                mapping[t.name] = len(mapping)
+            return f"v{mapping[t.name]}"
+
+        sig = tuple(
+            (a.predicate, tag(a.arg1), tag(a.arg2)) for a in (rule.head,) + perm
+        )
+        if best_sig is None or sig < best_sig:
+            best_sig = sig
+            best_perm = perm
+
+    mapping = {}
+
+    def rename(t: Term) -> Term:
+        if not t.is_var:
+            return t
+        if t.name not in mapping:
+            mapping[t.name] = variable_symbol(len(mapping))
+        return Term.var(mapping[t.name])
+
+    def ra(a: Atom) -> Atom:
+        return Atom(a.predicate, rename(a.arg1), rename(a.arg2))
+
+    head = ra(rule.head)
+    body = tuple(ra(a) for a in best_perm)
+    return HornRule(head, body)
+
+
+def permutation_refine(rule: HornRule, g: KnowledgeGraph, cfg) -> list[HornRule]:
+    """Candidate rules one body atom longer, by the dangling / closing /
+    instantiated operators, canonicalized by permutation_canonicalize and
+    deduplicated, sorted by key."""
+    if rule.length >= cfg.max_rule_length:
+        return []
+    existing = rule.variables()
+    fresh = next(
+        variable_symbol(i) for i in itertools.count() if variable_symbol(i) not in existing
+    )
+    candidates: dict[str, HornRule] = {}
+
+    def add(atom: Atom):
+        if atom == rule.head or atom in rule.body:
+            return
+        cand = permutation_canonicalize(HornRule(rule.head, rule.body + (atom,)))
+        candidates.setdefault(cand.key(), cand)
+
+    preds = g.predicates
+    for p in preds:
+        for v in existing:
+            add(Atom(p, Term.var(v), Term.var(fresh)))
+            add(Atom(p, Term.var(fresh), Term.var(v)))
+    for p in preds:
+        for v1, v2 in itertools.permutations(existing, 2):
+            add(Atom(p, Term.var(v1), Term.var(v2)))
+    if cfg.allow_instantiated_atoms:
+        for p in preds:
+            subjects = sorted({s for s, _ in g.pairs(p)})
+            objects = sorted({o for _, o in g.pairs(p)})
+            for v in existing:
+                for c in objects:
+                    add(Atom(p, Term.var(v), Term.const(c)))
+                for c in subjects:
+                    add(Atom(p, Term.const(c), Term.var(v)))
+    return [candidates[k] for k in sorted(candidates)]
 
 
 def exhaustive_groundings(g: KnowledgeGraph, rule: HornRule):

@@ -152,7 +152,7 @@ class TestCompleteness:
 class TestTransitions:
     def test_explore_union_from_empty(self):
         s = AgentState.initial("t")
-        out = ExploreOutcome("t", 1, (("p",), ("q",), ("r",), ("s",), ("u",)))
+        out = ExploreOutcome("t", (("p",), ("q",), ("r",), ("s",), ("u",)))
         s2 = apply_transition(s, out)
         assert len(s2.P) == 5
         assert s2.E == frozenset({"t"})
@@ -170,7 +170,7 @@ class TestTransitions:
     def test_frontier_matches_fixture_after_explore_and_ground(self, celebrity_family):
         s = AgentState.initial("Justin Bieber")
         paths = explore(celebrity_family, "Justin Bieber", 2, CFG)
-        s = apply_transition(s, ExploreOutcome("Justin Bieber", 2, paths))
+        s = apply_transition(s, ExploreOutcome("Justin Bieber", paths))
         chains, frontier = ground(celebrity_family, "Justin Bieber", paths, CFG)
         s = apply_transition(s, GroundOutcome("Justin Bieber", chains, frontier))
         # E is the grounded frontier plus the topic entity
@@ -183,13 +183,13 @@ class TestTransitions:
         s = apply_transition(s, SynthesisOutcome((), ()))
         assert s.terminal
         with pytest.raises(ValueError):
-            apply_transition(s, ExploreOutcome("t", 1, ()))
+            apply_transition(s, ExploreOutcome("t", ()))
 
     def test_monotonicity(self, celebrity_family):
         s = AgentState.initial("Justin Bieber")
         seen_p, seen_c, seen_e = set(), set(), set(s.E)
         paths = explore(celebrity_family, "Justin Bieber", 1, CFG)
-        s = apply_transition(s, ExploreOutcome("Justin Bieber", 1, paths))
+        s = apply_transition(s, ExploreOutcome("Justin Bieber", paths))
         assert seen_p <= set(s.P) and seen_e <= set(s.E)
         seen_p, seen_e = set(s.P), set(s.E)
         chains, frontier = ground(celebrity_family, "Justin Bieber", paths, CFG)

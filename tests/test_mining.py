@@ -1,6 +1,8 @@
 import hashlib
 import json
+import logging
 import random
+import re
 
 import pytest
 
@@ -18,10 +20,18 @@ from kgreason.mining import (
     _head_supports,
     _HeadCoverageGate,
 )
-from kgreason.rules import Atom, HornRule, Term, canonicalize, check_rule_shape
+from kgreason.rules import (
+    Atom,
+    HornRule,
+    Term,
+    canonicalize,
+    check_rule_shape,
+    rule_from_signature,
+    signature,
+)
 
 from conftest import random_graph
-from oracles import exhaustive_groundings, exhaustive_metrics
+from oracles import exhaustive_groundings, exhaustive_metrics, permutation_refine
 
 X, Y, Z = Term.var("X"), Term.var("Y"), Term.var("Z")
 
@@ -136,17 +146,26 @@ class TestMetrics:
                 assert m.confidence <= m.pca_confidence <= 1.0
 
 
+def _rules(refined):
+    return [rule_from_signature(sig) for _, sig in refined]
+
+
+def _signature(rule):
+    return signature([(a.predicate, a.arg1, a.arg2) for a in rule.atoms()])
+
+
 def _all_candidates(g, cfg):
-    """Every refine() candidate reachable from the body-less rules, ungated."""
+    """Every refine() candidate reachable from the body-less rules, ungated,
+    as (signature, canonical rule) pairs."""
     found = {}
     frontier = [HornRule(Atom(p, X, Y)) for p in g.predicates]
     while frontier:
         nxt = []
         for rule in frontier:
-            for cand in refine(rule, g, cfg):
-                if cand.key() not in found:
-                    found[cand.key()] = cand
-                    nxt.append(cand)
+            for key, sig in refine(rule, g, cfg):
+                if key not in found:
+                    found[key] = (sig, rule_from_signature(sig))
+                    nxt.append(found[key][1])
         frontier = nxt
     return list(found.values())
 
@@ -181,9 +200,9 @@ class TestHeadCoverageGate:
         for seed, n_ents, n_preds, n_triples, max_len, inst in self.CORPUS:
             g = random_graph(random.Random(seed), n_ents, n_preds, n_triples)
             cfg = MinerConfig(max_rule_length=max_len, allow_instantiated_atoms=inst)
-            rules = _all_candidates(g, cfg) + _ghost_rules(g)
+            rules = _all_candidates(g, cfg) + [(_signature(r), r) for r in _ghost_rules(g)]
             gates = [_HeadCoverageGate(g, hc) for hc in (0.1, 0.34, 0.5, 1.0)]
-            for rule in rules:
+            for sig, rule in rules:
                 body_vars = {v for a in rule.body for v in a.variables()}
                 shapes["disconnected"] += len(rule.body) > 1 and not check_rule_shape(
                     HornRule(rule.body[0], rule.body[1:])
@@ -195,7 +214,7 @@ class TestHeadCoverageGate:
                 )
                 _, hc, _, _ = exhaustive_metrics(g, rule)
                 for gate in gates:
-                    assert gate(rule) == (hc >= gate.min_head_coverage), (rule, hc)
+                    assert gate(sig, rule.key()) == (hc >= gate.min_head_coverage), (rule, hc)
         assert all(shapes.values()), shapes
 
     @pytest.mark.parametrize(
@@ -228,7 +247,7 @@ class TestHeadCoverageGate:
 class TestRefine:
     def test_candidates_from_empty_body(self, toy_family):
         base = HornRule(Atom("hasSibling", X, Y))
-        keys = {c.key() for c in refine(base, toy_family, MinerConfig(max_rule_length=3))}
+        keys = {k for k, _ in refine(base, toy_family, MinerConfig(max_rule_length=3))}
         assert "hasParent(X,Z) => hasSibling(X,Y)" in keys
         assert "hasParent(X,Y) => hasSibling(X,Y)" in keys
 
@@ -240,7 +259,7 @@ class TestRefine:
         g = KnowledgeGraph([("a", "p", "b"), ("b", "q", "c")])
         base = HornRule(Atom("p", X, Y))
         cands = refine(base, g, MinerConfig(max_rule_length=4))
-        keys = [c.key() for c in cands]
+        keys = [k for k, _ in cands]
         assert len(keys) == len(set(keys))
         # a dangling atom q(Y,Z) and q(Y,W) describe the same candidate
         assert sum(1 for k in keys if k == "q(Y,Z) => p(X,Y)") == 1
@@ -248,24 +267,41 @@ class TestRefine:
     def test_trivial_self_rule_excluded(self):
         g = KnowledgeGraph([("a", "p", "b")])
         base = HornRule(Atom("p", X, Y))
-        keys = {c.key() for c in refine(base, g, MinerConfig(max_rule_length=3))}
+        keys = {k for k, _ in refine(base, g, MinerConfig(max_rule_length=3))}
         assert "p(X,Y) => p(X,Y)" not in keys
 
     def test_only_graph_predicates_used(self, toy_family):
         base = HornRule(Atom("hasSibling", X, Y))
-        for cand in refine(base, toy_family, MinerConfig(max_rule_length=3)):
+        for _, sig in refine(base, toy_family, MinerConfig(max_rule_length=3)):
+            cand = rule_from_signature(sig)
             assert all(a.predicate in toy_family.predicates for a in cand.body)
 
     def test_instantiated_operator_off_by_default(self, toy_family):
         base = HornRule(Atom("hasSibling", X, Y))
-        cands = refine(base, toy_family, MinerConfig(max_rule_length=3))
+        cands = _rules(refine(base, toy_family, MinerConfig(max_rule_length=3)))
         assert all(t.is_var for c in cands for a in c.body for t in a.args)
-        with_consts = refine(
+        with_consts = _rules(refine(
             base, toy_family, MinerConfig(max_rule_length=3, allow_instantiated_atoms=True)
-        )
+        ))
         assert any(
             not t.is_var for c in with_consts for a in c.body for t in a.args
         )
+
+
+    def test_matches_permutation_oracle(self):
+        # the gate corpus's parents, refined with and without constants; on
+        # the length-4 graphs the parents themselves stay constant-free
+        for seed, n_ents, n_preds, n_triples, max_len, _ in TestHeadCoverageGate.CORPUS:
+            g = random_graph(random.Random(seed), n_ents, n_preds, n_triples)
+            plain = MinerConfig(max_rule_length=max_len)
+            consts = MinerConfig(max_rule_length=max_len, allow_instantiated_atoms=True)
+            parents = [HornRule(Atom(p, X, Y)) for p in g.predicates]
+            parents += [rule for _, rule in _all_candidates(g, consts if max_len == 3 else plain)]
+            for cfg in (plain, consts):
+                for parent in parents:
+                    got = [(key, rule_from_signature(sig)) for key, sig in refine(parent, g, cfg)]
+                    want = [(c.key(), c) for c in permutation_refine(parent, g, cfg)]
+                    assert got == want, parent
 
 
 class TestMine:
@@ -318,8 +354,23 @@ class TestMine:
             g = random_graph(rng, 8, 3, 45)
             base = HornRule(Atom(g.predicates[0], X, Y), (Atom(g.predicates[-1], X, Y),))
             parent = compute_metrics(g, base)
-            for child in refine(base, g, cfg):
+            for _, sig in refine(base, g, cfg):
+                child = rule_from_signature(sig)
                 assert compute_metrics(g, child).support <= parent.support
+
+    def test_debug_log_one_line_per_length(self, uncle_world, caplog):
+        with caplog.at_level(logging.DEBUG, logger="kgreason.mining"):
+            mine(uncle_world, MinerConfig(max_rule_length=3))
+        counts = [
+            tuple(map(int, re.findall(r"(\d+) (?:rules|candidates|enqueued)", r.getMessage())))
+            for r in caplog.records
+            if r.name == "kgreason.mining"
+        ]
+        assert len(counts) == 3
+        # what one length enqueues is what the next dequeues; the last refines nothing
+        assert counts[0][0] == len(uncle_world.predicates)
+        assert [c[2] for c in counts[:-1]] == [c[0] for c in counts[1:]]
+        assert counts[-1][1:] == (0, 0)
 
     def test_histogram_partitions_output(self, uncle_world):
         mined = mine(uncle_world, MinerConfig(max_rule_length=3))

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from kgreason.rules import (
@@ -9,7 +11,11 @@ from kgreason.rules import (
     classify_rule,
     rule_from_json,
     rule_to_json,
+    signature,
+    signature_key,
 )
+
+from oracles import permutation_canonicalize
 
 X, Y, Z, W = Term.var("X"), Term.var("Y"), Term.var("Z"), Term.var("W")
 
@@ -79,6 +85,48 @@ class TestCanonicalization:
         rule = HornRule(Atom("r", X, Y), (Atom("q", Z, Y), Atom("q", X, Z)))
         once = canonicalize(rule)
         assert canonicalize(once) == once
+
+    @staticmethod
+    def _oracle_corpus():
+        """Seeded rules with 0-4 body atoms over few predicates (so predicates
+        repeat), non-canonical variable names, and constants, some named like
+        variables or tags; plus wide rules with 11 and 12 variables."""
+        rng = random.Random(20240611)
+        names = ["A", "B", "Y", "X", "foo", "V1", "v0", "X2", "S", "q"]
+        consts = ["X", "v1", "c:a", "paris", "e10"]
+
+        def term():
+            if rng.random() < 0.15:
+                return Term.const(rng.choice(consts))
+            return Term.var(rng.choice(names[: rng.randint(2, len(names))]))
+
+        rules = []
+        for _ in range(2400):
+            body = tuple(
+                Atom(rng.choice("pqr"), term(), term()) for _ in range(rng.randint(0, 4))
+            )
+            rules.append(HornRule(Atom(rng.choice("pqr"), term(), term()), body))
+        wide = [Term.var(f"w{i}") for i in range(12)]
+        rules.append(HornRule(
+            Atom("p", wide[0], wide[1]),
+            tuple(Atom(rng.choice("pq"), wide[i], wide[i + 1]) for i in range(1, 11)[::2]),
+        ))
+        rules.append(HornRule(
+            Atom("p", wide[11], wide[0]),
+            tuple(Atom("q", wide[i], wide[i - 1]) for i in range(11, 0, -2)),
+        ))
+        return rules
+
+    def test_matches_permutation_oracle(self):
+        rules = self._oracle_corpus()
+        assert max(len(r.variables()) for r in rules) >= 11
+        for rule in rules:
+            want = permutation_canonicalize(rule)
+            got = canonicalize(rule)
+            assert got == want, rule
+            assert got.key() == want.key()
+            atoms = [(a.predicate, a.arg1, a.arg2) for a in rule.atoms()]
+            assert signature_key(signature(atoms)) == want.key()
 
 
 class TestClassification:
