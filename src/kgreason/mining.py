@@ -7,10 +7,14 @@ projected from body groundings (not raw substitution tuples); the PCA
 denominator keeps only pairs whose subject has at least one fact of the head
 predicate.
 
-The join engine runs on the graph's interned integer handles with a join
-order fixed once per rule (bound atoms first). Handles are assigned in
-lexicographic id order, so integer ordering doubles as the deterministic
-lexicographic ordering the public contracts promise.
+The join is one backtracking walker, _walk, over the graph's interned
+integer handles with a join order fixed once per rule (bound atoms first).
+Its consumers differ only in what happens where every atom holds: an
+existence check stops there, grounding enumeration records the binding, and
+projection (metrics, the gate, the PCA check) walks to the depth that binds
+the projected variables, then checks that the rest holds. Handles are
+assigned in lexicographic id order, so integer ordering doubles as the
+deterministic lexicographic ordering the public contracts promise.
 
 Refinement works on plain tuples: a candidate is its canonical signature
 (rules.signature) plus the key formatted from it, and a HornRule is built
@@ -162,53 +166,40 @@ def _make_plan(body, prebound) -> tuple:
     return tuple(plan)
 
 
-def _exists(gv, plan, k, binding) -> bool:
-    """Existentially evaluate plan[k:] against the current binding."""
+def _walk(gv, plan, k, binding, leaf=None) -> bool:
+    """Bind plan[k:] depth first. Wherever every atom holds, the result is
+    True without a leaf and leaf() with one; a True result stops the walk.
+    Bindings made here are undone before returning."""
     if k == len(plan):
-        return True
+        return True if leaf is None else leaf()
     p, a1, a2 = plan[k]
     v1 = binding[a1[1]] if a1[0] else a1[1]
     v2 = binding[a2[1]] if a2[0] else a2[1]
     if v1 is not None and v2 is not None:
-        return (v1, p, v2) in gv.tri and _exists(gv, plan, k + 1, binding)
-    if v1 is not None:
-        idx = a2[1]
-        for o in gv.sp.get((v1, p), ()):
-            binding[idx] = o
-            if _exists(gv, plan, k + 1, binding):
+        return (v1, p, v2) in gv.tri and _walk(gv, plan, k + 1, binding, leaf)
+    if v1 is not None or v2 is not None:
+        if v1 is not None:
+            idx, values = a2[1], gv.sp.get((v1, p), ())
+        else:
+            idx, values = a1[1], gv.op.get((v2, p), ())
+        for val in values:
+            binding[idx] = val
+            if _walk(gv, plan, k + 1, binding, leaf):
                 binding[idx] = None
                 return True
-        binding[idx] = None
-        return False
-    if v2 is not None:
-        idx = a1[1]
-        for s in gv.op.get((v2, p), ()):
-            binding[idx] = s
-            if _exists(gv, plan, k + 1, binding):
-                binding[idx] = None
-                return True
-        binding[idx] = None
-        return False
-    if a1[1] == a2[1]:
-        idx = a1[1]
-        for s, o in gv.byp.get(p, ()):
-            if s == o:
-                binding[idx] = s
-                if _exists(gv, plan, k + 1, binding):
-                    binding[idx] = None
-                    return True
         binding[idx] = None
         return False
     i1, i2 = a1[1], a2[1]
-    for s, o in gv.byp.get(p, ()):
+    pairs = gv.byp.get(p, ())
+    if i1 == i2:
+        pairs = [(s, o) for s, o in pairs if s == o]
+    for s, o in pairs:
         binding[i1] = s
         binding[i2] = o
-        if _exists(gv, plan, k + 1, binding):
-            binding[i1] = None
-            binding[i2] = None
+        if _walk(gv, plan, k + 1, binding, leaf):
+            binding[i1] = binding[i2] = None
             return True
-    binding[i1] = None
-    binding[i2] = None
+    binding[i1] = binding[i2] = None
     return False
 
 
@@ -234,77 +225,37 @@ def _project(gv, plan, nvars, proj, keep=None, visit=None) -> set:
     """Distinct projections of the groundings of plan onto proj.
 
     proj holds one argspec (keys are its values) or two (keys are value
-    pairs). A key is recorded once the walk has bound it and the remaining
-    atoms hold existentially. Keys outside `keep`, when given, are dropped
-    without that check. `visit(key)` sees each new key and stops the walk by
-    returning True, leaving the set partial.
+    pairs). The walk binds plan up to the first depth at which the key is
+    bound, and records the key once the remaining atoms hold existentially.
+    Keys outside `keep`, when given, are dropped without that check.
+    `visit(key)` sees each new key and stops the walk by returning True,
+    leaving the set partial.
     """
+    need = {a[1] for a in proj if a[0]}
+    depth = 0
+    while need:
+        if depth == len(plan):
+            return set()  # the projection is never bound
+        need -= {a[1] for a in plan[depth][1:] if a[0]}
+        depth += 1
+    rest = plan[depth:]
     h1 = proj[0]
     h2 = proj[-1]
     as_pair = len(proj) == 2
-    n = len(plan)
     binding = [None] * nvars
     keys: set = set()
 
-    def dfs(k) -> bool:
+    def leaf() -> bool:
         p1 = binding[h1[1]] if h1[0] else h1[1]
-        p2 = binding[h2[1]] if h2[0] else h2[1]
-        if p1 is not None and p2 is not None:
-            key = (p1, p2) if as_pair else p1
-            if key in keys or (keep is not None and key not in keep):
-                return False
-            if _exists(gv, plan, k, binding):
-                keys.add(key)
-                return visit is not None and visit(key)
+        key = (p1, binding[h2[1]] if h2[0] else h2[1]) if as_pair else p1
+        if key in keys or (keep is not None and key not in keep):
             return False
-        if k == n:
-            return False
-        p, a1, a2 = plan[k]
-        v1 = binding[a1[1]] if a1[0] else a1[1]
-        v2 = binding[a2[1]] if a2[0] else a2[1]
-        if v1 is not None and v2 is not None:
-            return (v1, p, v2) in gv.tri and dfs(k + 1)
-        if v1 is not None:
-            idx = a2[1]
-            for o in gv.sp.get((v1, p), ()):
-                binding[idx] = o
-                if dfs(k + 1):
-                    binding[idx] = None
-                    return True
-            binding[idx] = None
-            return False
-        if v2 is not None:
-            idx = a1[1]
-            for s in gv.op.get((v2, p), ()):
-                binding[idx] = s
-                if dfs(k + 1):
-                    binding[idx] = None
-                    return True
-            binding[idx] = None
-            return False
-        if a1[1] == a2[1]:
-            idx = a1[1]
-            for s, o in gv.byp.get(p, ()):
-                if s == o:
-                    binding[idx] = s
-                    if dfs(k + 1):
-                        binding[idx] = None
-                        return True
-            binding[idx] = None
-            return False
-        i1, i2 = a1[1], a2[1]
-        for s, o in gv.byp.get(p, ()):
-            binding[i1] = s
-            binding[i2] = o
-            if dfs(k + 1):
-                binding[i1] = None
-                binding[i2] = None
-                return True
-        binding[i1] = None
-        binding[i2] = None
+        if _walk(gv, rest, 0, binding):
+            keys.add(key)
+            return visit is not None and visit(key)
         return False
 
-    dfs(0)
+    _walk(gv, plan[:depth], 0, binding, leaf)
     return keys
 
 
@@ -351,7 +302,7 @@ def _head_supports(gv, pair_preds, c: _Compiled) -> dict[int, int]:
             ys = _project(gv, plan, c.nvars, (hy,), keep=gv.inc)
             found = bool(ys)
         else:
-            found = _exists(gv, plan, 0, [None] * c.nvars)
+            found = _walk(gv, plan, 0, [None] * c.nvars)
         if not found:
             return {}
     counts: dict[int, int] = {}
@@ -496,54 +447,15 @@ def enumerate_groundings(
         return []
     gv = g.handles
     c = _compile(gv, rule)
-    plan = _make_plan(c.body, ())
-    n = len(plan)
     sols: set = set()
     binding = [None] * c.nvars
 
-    def dfs(k):
-        if k == n:
-            if all(b is not None for b in binding):
-                sols.add(tuple(binding))
-            return
-        p, a1, a2 = plan[k]
-        v1 = binding[a1[1]] if a1[0] else a1[1]
-        v2 = binding[a2[1]] if a2[0] else a2[1]
-        if v1 is not None and v2 is not None:
-            if (v1, p, v2) in gv.tri:
-                dfs(k + 1)
-            return
-        if v1 is not None:
-            idx = a2[1]
-            for o in gv.sp.get((v1, p), ()):
-                binding[idx] = o
-                dfs(k + 1)
-            binding[idx] = None
-            return
-        if v2 is not None:
-            idx = a1[1]
-            for s in gv.op.get((v2, p), ()):
-                binding[idx] = s
-                dfs(k + 1)
-            binding[idx] = None
-            return
-        if a1[1] == a2[1]:
-            idx = a1[1]
-            for s, o in gv.byp.get(p, ()):
-                if s == o:
-                    binding[idx] = s
-                    dfs(k + 1)
-            binding[idx] = None
-            return
-        i1, i2 = a1[1], a2[1]
-        for s, o in gv.byp.get(p, ()):
-            binding[i1] = s
-            binding[i2] = o
-            dfs(k + 1)
-        binding[i1] = None
-        binding[i2] = None
+    def leaf() -> bool:
+        if None not in binding:
+            sols.add(tuple(binding))
+        return False
 
-    dfs(0)
+    _walk(gv, _make_plan(c.body, ()), 0, binding, leaf)
     ordered = sorted(sols)
     if cap is not None:
         ordered = ordered[:cap]
@@ -594,8 +506,7 @@ def body_holds_with_head_binding(
         elif t[1] != val:
             return False
     prebound = {i for i, b in enumerate(binding) if b is not None}
-    plan = _make_plan(c.body, prebound)
-    return _exists(gv, plan, 0, binding)
+    return _walk(gv, _make_plan(c.body, prebound), 0, binding)
 
 
 def refine(rule: HornRule, g: KnowledgeGraph, cfg: MinerConfig) -> list[tuple[str, tuple]]:

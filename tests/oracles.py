@@ -52,6 +52,22 @@ def exhaustive_metrics(g: KnowledgeGraph, rule: HornRule):
     return support, hc, conf, pca
 
 
+def exhaustive_body_holds(g: KnowledgeGraph, rule: HornRule, head_triple) -> bool:
+    """Whether some substitution of the rule's variables over all entities
+    turns the head into head_triple and every body atom into a fact of g."""
+    ents = g.entities
+    names = rule.variables()
+    head = rule.head
+    for combo in itertools.product(ents, repeat=len(names)):
+        sigma = dict(zip(names, combo))
+        if (_apply(head.arg1, sigma), head.predicate, _apply(head.arg2, sigma)) == head_triple and all(
+            (_apply(a.arg1, sigma), a.predicate, _apply(a.arg2, sigma)) in g
+            for a in rule.body
+        ):
+            return True
+    return False
+
+
 def permutation_canonicalize(rule: HornRule) -> HornRule:
     """Canonical form: variables renamed by first appearance (head first) under
     the body-atom ordering that minimizes the rule signature."""

@@ -9,6 +9,7 @@ import pytest
 from kgreason.kg import KnowledgeGraph
 from kgreason.mining import (
     MinerConfig,
+    body_holds_with_head_binding,
     compute_metrics,
     enumerate_groundings,
     mine,
@@ -19,6 +20,7 @@ from kgreason.mining import (
     _compile,
     _head_supports,
     _HeadCoverageGate,
+    _pca_below_one,
 )
 from kgreason.rules import (
     Atom,
@@ -31,7 +33,12 @@ from kgreason.rules import (
 )
 
 from conftest import random_graph
-from oracles import exhaustive_groundings, exhaustive_metrics, permutation_refine
+from oracles import (
+    exhaustive_body_holds,
+    exhaustive_groundings,
+    exhaustive_metrics,
+    permutation_refine,
+)
 
 X, Y, Z = Term.var("X"), Term.var("Y"), Term.var("Z")
 
@@ -195,12 +202,18 @@ class TestHeadCoverageGate:
         (6, 3, 2, 6, 4, False),
     ]
 
-    def test_gate_matches_exhaustive_head_coverage(self):
-        shapes = {"disconnected": 0, "no Y in body": 0, "no X in body": 0, "ghost": 0}
-        for seed, n_ents, n_preds, n_triples, max_len, inst in self.CORPUS:
+    @classmethod
+    def corpus(cls):
+        """(graph, [(signature, rule)]) per corpus entry: every ungated
+        refine() candidate, then the rules with an absent constant."""
+        for seed, n_ents, n_preds, n_triples, max_len, inst in cls.CORPUS:
             g = random_graph(random.Random(seed), n_ents, n_preds, n_triples)
             cfg = MinerConfig(max_rule_length=max_len, allow_instantiated_atoms=inst)
-            rules = _all_candidates(g, cfg) + [(_signature(r), r) for r in _ghost_rules(g)]
+            yield g, _all_candidates(g, cfg) + [(_signature(r), r) for r in _ghost_rules(g)]
+
+    def test_gate_matches_exhaustive_head_coverage(self):
+        shapes = {"disconnected": 0, "no Y in body": 0, "no X in body": 0, "ghost": 0}
+        for g, rules in self.corpus():
             gates = [_HeadCoverageGate(g, hc) for hc in (0.1, 0.34, 0.5, 1.0)]
             for sig, rule in rules:
                 body_vars = {v for a in rule.body for v in a.variables()}
@@ -242,6 +255,48 @@ class TestHeadCoverageGate:
         path = tmp_path / "rules.jsonl"
         write_rules_jsonl(mine(g, MinerConfig(**cfg)), path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+class TestJoinConsumers:
+    """The consumers of the join walker the gate test does not reach, on the
+    gate corpus: open bodies, disconnected bodies, bodies lacking X or Y,
+    constants absent from the graph."""
+
+    def test_body_holds_matches_exhaustive_oracle(self):
+        for g, rules in TestHeadCoverageGate.corpus():
+            ents = g.entities
+            rules = [rule for _, rule in rules]
+            # heads the miner never builds, a repeated variable and a
+            # constant, over every fourth body
+            rules += [
+                HornRule(Atom(r.head.predicate, X, arg2), r.body)
+                for r in rules[::4]
+                for arg2 in (X, Term.const(ents[0]))
+            ]
+            for rule in rules:
+                p = rule.head.predicate
+                absent = next((s, p, o) for s in ents for o in ents if (s, p, o) not in g)
+                for triple in [(s, p, o) for s, o in sorted(g.pairs(p))] + [absent]:
+                    assert body_holds_with_head_binding(g, rule, triple) == exhaustive_body_holds(
+                        g, rule, triple
+                    ), (rule, triple)
+
+    def test_pca_below_one_matches_exhaustive_oracle(self):
+        unbound = 0
+        for g, rules in TestHeadCoverageGate.corpus():
+            gv = g.handles
+            for _, rule in rules:
+                pca = exhaustive_metrics(g, rule)[3]
+                if {"X", "Y"} <= {v for a in rule.body for v in a.variables()}:
+                    assert _pca_below_one(gv, _compile(gv, rule)) == (pca < 1.0), rule
+                else:
+                    # the miner's metrics count head pairs projected from body
+                    # groundings, and a body lacking X or Y projects none: PCA
+                    # confidence 0, where the oracle lets the missing variable
+                    # range over every entity
+                    unbound += 1
+                    assert _pca_below_one(gv, _compile(gv, rule)), rule
+        assert unbound
 
 
 class TestRefine:
