@@ -190,6 +190,14 @@ class PolicyError(RuntimeError):
 # -- heuristic policy ---------------------------------------------------------
 
 
+def _best_chains(chains, score) -> tuple[ReasoningPath, ...]:
+    """The chains with the best positive score, sorted; empty when no chain
+    scores above 0."""
+    scored = [(score(c), c) for c in chains]
+    best = max((s for s, _ in scored), default=0)
+    return tuple(sorted(c for s, c in scored if s == best)) if best > 0 else ()
+
+
 class HeuristicPolicy:
     """Deterministic schedule: explore the topic at increasing hop limits
     until a relation path covers all predicates the question hints at (via
@@ -257,11 +265,9 @@ class HeuristicPolicy:
             )
             chosen = tuple(serialize_relation_path(p) for p in ranked[: self.top_k])
             return Action("ground", entity=self.topic, paths=chosen)
-        scored = [(self._chain_score(c), c) for c in obs.reasoning_paths]
-        best_c = max((s for s, _ in scored), default=0)
-        if best_c == 0:
+        selected = _best_chains(obs.reasoning_paths, self._chain_score)
+        if not selected:
             return Action("synthesize")  # abstain: no overlapping evidence
-        selected = sorted(c for s, c in scored if s == best_c)
         answers = tuple(sorted({c[-1][2] for c in selected}))
         return Action(
             "synthesize",
@@ -505,13 +511,8 @@ def _fallback_prediction(
     def score(chain: ReasoningPath) -> int:
         return len({t[1] for t in chain if content_tokens(t[1]) & q_tokens})
 
-    scored = [(score(c), c) for c in state.C]
-    best = max((s for s, _ in scored), default=0)
-    if best == 0:
-        return [], ()
-    chains = tuple(sorted(c for s, c in scored if s == best))
-    answers = sorted({c[-1][2] for c in chains})
-    return answers, chains
+    chains = _best_chains(state.C, score)
+    return sorted({c[-1][2] for c in chains}), chains
 
 
 def run_episode(

@@ -551,6 +551,12 @@ def refine(rule: HornRule, g: KnowledgeGraph, cfg: MinerConfig) -> list[tuple[st
     return sorted(candidates.items())
 
 
+def _closed(sig: tuple) -> bool:
+    """Whether every variable of a signature occurs at least twice."""
+    tags = [t for row in sig for t in row[1:] if t[0] == "v"]
+    return all(tags.count(t) > 1 for t in tags)
+
+
 def mine(g: KnowledgeGraph, cfg: MinerConfig | None = None) -> list[MinedRule]:
     """Breadth-first queue mining.
 
@@ -562,8 +568,9 @@ def mine(g: KnowledgeGraph, cfg: MinerConfig | None = None) -> list[MinedRule]:
     before. Output is sorted by head predicate, length, then canonical form.
 
     Full metrics are only computed where the algorithm needs them: shape-valid
-    dequeued rules get the exact figures, open rules below the length cap get
-    a PCA<1 early-exit check, and open rules at the cap get nothing.
+    dequeued rules get the exact figures and open rules below the length cap
+    get a PCA<1 early-exit check. Open candidates at the cap, which could
+    never be output, are not enqueued at all.
     """
     cfg = cfg or MinerConfig()
     if len(g) == 0:
@@ -606,8 +613,12 @@ def mine(g: KnowledgeGraph, cfg: MinerConfig | None = None) -> list[MinedRule]:
             ):
                 refined = refine(rule, g, cfg)
                 candidates += len(refined)
+                # a candidate at the cap is never refined, so only a closed
+                # one can be output (with a p(X,Y) head closed implies safe,
+                # and refinement keeps rules connected)
+                at_cap = rule.length + 1 == cfg.max_rule_length
                 for key, sig in refined:
-                    if key not in seen and hc_gate(sig, key):
+                    if key not in seen and (not at_cap or _closed(sig)) and hc_gate(sig, key):
                         seen.add(key)
                         queue.append((rule_from_signature(sig), child_conf))
         log.debug(

@@ -6,6 +6,7 @@ import re
 
 import pytest
 
+from kgreason import mining
 from kgreason.kg import KnowledgeGraph
 from kgreason.mining import (
     MinerConfig,
@@ -426,6 +427,21 @@ class TestMine:
         assert counts[0][0] == len(uncle_world.predicates)
         assert [c[2] for c in counts[:-1]] == [c[0] for c in counts[1:]]
         assert counts[-1][1:] == (0, 0)
+
+    def test_no_open_rule_enqueued_at_the_cap(self, uncle_world, monkeypatch):
+        checked = []
+
+        def spy(rule):
+            checked.append(rule)
+            return check_rule_shape(rule)
+
+        monkeypatch.setattr(mining, "check_rule_shape", spy)
+        g = random_graph(random.Random(5), 10, 4, 70)
+        for kg in (uncle_world, g):
+            mine(kg, MinerConfig(max_rule_length=3))
+        assert any(r.length == 3 for r in checked)
+        assert any(not check_rule_shape(r).closed for r in checked if r.length < 3)
+        assert all(check_rule_shape(r).closed for r in checked if r.length == 3)
 
     def test_histogram_partitions_output(self, uncle_world):
         mined = mine(uncle_world, MinerConfig(max_rule_length=3))
