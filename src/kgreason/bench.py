@@ -2,8 +2,8 @@
 
 Pipeline: pick rule groundings whose head and body all hold, remove the head
 triples while guaranteeing each removal keeps a full surviving body witness,
-generate a question per removed triple, complete the answer sets from the
-untouched graph, downsample by hard-answer frequency, and split.
+complete the answer sets from the untouched graph, downsample by hard-answer
+frequency, generate a question per kept removed triple, and split.
 """
 
 from __future__ import annotations
@@ -307,15 +307,12 @@ def complete_answer_set(
     return answers, hard
 
 
-def generate_questions(
-    g_complete: KnowledgeGraph,
-    plan: RemovalPlan,
-    cfg: GenConfig,
-    client: LLMClient | None = None,
+def draft_questions(
+    g_complete: KnowledgeGraph, plan: RemovalPlan, cfg: GenConfig
 ) -> list[QAInstance]:
-    """One QAInstance per removal entry; endpoint calls (external backend)
-    run with bounded concurrency but assembly order stays fixed."""
-    prepared = []
+    """One QAInstance per removal entry, id q{i:05d} in plan order, with its
+    topic, direction and answer set fixed but no question text yet."""
+    drafts = []
     for i, entry in enumerate(plan.entries):
         s, p, o = entry.removed
         if cfg.topic_side == "random":
@@ -326,37 +323,42 @@ def generate_questions(
         direction = TOPIC_IS_SUBJECT if side == "subject" else TOPIC_IS_OBJECT
         topic = s if side == "subject" else o
         answers, hard = complete_answer_set(g_complete, topic, p, direction, entry.removed)
-        prepared.append((i, entry, side, direction, topic, answers, hard))
-
-    def make_text(job):
-        i, entry, side, direction, topic, answers, hard = job
-        return generate_question(entry.removed, side, cfg.question_backend, client)
-
-    if cfg.question_backend == "external" and len(prepared) > 1:
-        with ThreadPoolExecutor(max_workers=cfg.max_inflight) as pool:
-            texts = list(pool.map(make_text, prepared))
-    else:
-        texts = [make_text(job) for job in prepared]
-
-    questions = []
-    for (i, entry, side, direction, topic, answers, hard), (text, q_topic, prov) in zip(
-        prepared, texts
-    ):
-        assert q_topic == topic
-        questions.append(
+        drafts.append(
             QAInstance(
                 id=f"q{i:05d}",
-                question=text,
+                question="",
                 topic=topic,
                 direction=direction,
-                predicate=entry.removed[1],
+                predicate=p,
                 answers=tuple(answers),
                 hard_answer=hard,
                 removed_triple=entry.removed,
                 rule_id=entry.rule_id,
-                provenance=prov,
             )
         )
+    return drafts
+
+
+def generate_questions(
+    drafts: list[QAInstance], cfg: GenConfig, client: LLMClient | None = None
+) -> list[QAInstance]:
+    """The drafts with question text and provenance filled in; endpoint calls
+    (external backend) run with bounded concurrency but order stays fixed."""
+
+    def make_text(q: QAInstance):
+        side = "subject" if q.direction == TOPIC_IS_SUBJECT else "object"
+        return generate_question(q.removed_triple, side, cfg.question_backend, client)
+
+    if cfg.question_backend == "external" and len(drafts) > 1:
+        with ThreadPoolExecutor(max_workers=cfg.max_inflight) as pool:
+            texts = list(pool.map(make_text, drafts))
+    else:
+        texts = [make_text(q) for q in drafts]
+
+    questions = []
+    for q, (text, topic, prov) in zip(drafts, texts):
+        assert topic == q.topic
+        questions.append(replace(q, question=text, provenance=prov))
     return questions
 
 
@@ -506,9 +508,11 @@ def build_bundle(
         write_anonymization_map(anon_map, out / "anonymization_map.json")
         notes.append("entities anonymized; map in anonymization_map.json")
 
-    questions = generate_questions(complete, plan, cfg, client)
-    generated = len(questions)
-    questions = downsample(questions, cfg.tau, cfg.seed)
+    # downsampling reads only ids and hard answers, so it runs before any
+    # question text is asked of the endpoint
+    drafts = draft_questions(complete, plan, cfg)
+    generated = len(drafts)
+    questions = generate_questions(downsample(drafts, cfg.tau, cfg.seed), cfg, client)
     if len(questions) >= 10:
         questions = split_dataset(questions, cfg.split_ratio, cfg.seed)
     else:

@@ -49,6 +49,18 @@ class _Resolver:
         return value
 
 
+def _switch(value) -> bool:
+    """An on/off option from a flag, a JSON config value or an env var string."""
+    if isinstance(value, str):
+        text = value.strip().lower()
+        if text in ("1", "true", "yes", "on"):
+            return True
+        if text in ("0", "false", "no", "off", ""):
+            return False
+        raise ValueError(f"not an on/off value: {value!r}")
+    return bool(value)
+
+
 def _load_synonyms(path: str | None) -> dict | None:
     if not path:
         return None
@@ -66,7 +78,7 @@ def cmd_mine(args: argparse.Namespace) -> int:
         min_head_coverage=res.get(args.min_hc, "min_hc", 0.1, float),
         pca_threshold=res.get(args.pca, "pca", 0.4, float),
         max_rule_length=res.get(args.max_len, "max_len", 4, int),
-        allow_instantiated_atoms=bool(args.instantiated),
+        allow_instantiated_atoms=res.get(args.instantiated, "instantiated", False, _switch),
     )
     g = KnowledgeGraph.load(args.kg)
     log.info("mining %s: %d triples, %d predicates", args.kg, len(g), len(g.predicates))
@@ -97,7 +109,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         seed=res.get(args.seed, "seed", 0, int),
         question_backend=res.get(args.question_backend, "question_backend", "template", str),
         topic_side=res.get(args.topic_side, "topic_side", "random", str),
-        anonymize_seed=args.anonymize_seed,
+        anonymize_seed=res.get(args.anonymize_seed, "anonymize_seed", None, int),
         max_inflight=res.get(args.max_inflight, "max_inflight", 4, int),
     )
     if cfg.question_backend == "external" and not os.environ.get(ENDPOINT_URL_VAR):
@@ -123,9 +135,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     max_endpoint_calls = res.get(args.max_endpoint_calls, "max_endpoint_calls", 30, int)
     env_cfg = EnvConfig(
         max_hop_limit=res.get(args.max_hops, "max_hops", 3, int),
-        include_inverse=bool(args.include_inverse),
+        include_inverse=res.get(args.include_inverse, "include_inverse", False, _switch),
     )
-    synonyms = _load_synonyms(args.synonyms)
+    synonyms = _load_synonyms(res.get(args.synonyms, "synonyms", None, str))
+    parallel = res.get(args.parallel, "parallel", 1, int)
     top_k = res.get(args.top_k, "top_k", 5, int)
 
     if args.policy == "llm" and not os.environ.get(ENDPOINT_URL_VAR):
@@ -143,8 +156,8 @@ def cmd_run(args: argparse.Namespace) -> int:
             policy = agent.LLMPolicy(q.question, q.topic, client)
         return agent.run_episode(g, q.to_json(), policy, budget, env_cfg)
 
-    if args.parallel > 1:
-        with ThreadPoolExecutor(max_workers=args.parallel) as pool:
+    if parallel > 1:
+        with ThreadPoolExecutor(max_workers=parallel) as pool:
             traces = list(pool.map(episode, questions))
     else:
         traces = [episode(q) for q in questions]
@@ -169,8 +182,6 @@ def cmd_run(args: argparse.Namespace) -> int:
             "policy": args.policy,
             "split": args.split,
             "graph": args.graph,
-            "include_inverse": bool(args.include_inverse),
-            "parallel": args.parallel,
         },
         "inputs": {
             "bundle": str(args.bundle),
@@ -258,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pca", type=float, default=None, help="PCA confidence threshold")
     p.add_argument("--max-len", dest="max_len", type=int, default=None,
                    help="max atoms per rule including the head")
-    p.add_argument("--instantiated", action="store_true",
+    p.add_argument("--instantiated", action="store_true", default=None,
                    help="enable the constant-introducing refinement operator")
     p.add_argument("--config", default=None, help="JSON config file")
     p.set_defaults(func=cmd_mine)
@@ -289,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", choices=("incomplete", "complete"), default="incomplete")
     p.add_argument("--out", default="predictions.jsonl")
     p.add_argument("--traces", default=None, help="trace file (JSON lines per step)")
-    p.add_argument("--parallel", type=int, default=1, help="concurrent episodes")
+    p.add_argument("--parallel", type=int, default=None, help="concurrent episodes")
     p.add_argument("--max-actions", dest="max_actions", type=int, default=None)
     p.add_argument("--max-endpoint-calls", dest="max_endpoint_calls", type=int, default=None)
     p.add_argument("--max-hops", dest="max_hops", type=int, default=None)
@@ -297,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="relation paths the heuristic policy grounds")
     p.add_argument("--synonyms", default=None,
                    help="JSON file mapping question words to predicate names")
-    p.add_argument("--include-inverse", dest="include_inverse", action="store_true",
+    p.add_argument("--include-inverse", dest="include_inverse", action="store_true", default=None,
                    help="traverse inverse edges as synthetic inv_<p> predicates")
     p.add_argument("--config", default=None)
     p.set_defaults(func=cmd_run)

@@ -8,11 +8,13 @@ response containing the generated text.
 
 from __future__ import annotations
 
+import http.client
+import json
 import logging
 import os
 import time
-
-import requests
+import urllib.error
+import urllib.request
 
 log = logging.getLogger(__name__)
 
@@ -194,7 +196,11 @@ def extract_text(payload: dict) -> str:
 
 
 class LLMClient:
-    """Thin POST wrapper with bounded retries and an optional call budget."""
+    """Thin POST wrapper with bounded retries and an optional call budget.
+
+    Each call opens one connection through urllib's default opener, which
+    reads the proxy environment once per process and verifies HTTPS
+    certificates against the system trust store."""
 
     def __init__(
         self,
@@ -226,19 +232,24 @@ class LLMClient:
         headers = {"Content-Type": "application/json"}
         if self.token:
             headers["Authorization"] = f"Bearer {self.token}"
-        body = {"messages": messages, "temperature": temperature}
+        data = json.dumps({"messages": messages, "temperature": temperature}).encode()
         last_err: Exception | None = None
         for attempt in range(self.retries + 1):
             try:
-                resp = requests.post(
-                    self.base_url, json=body, headers=headers, timeout=self.timeout
-                )
-                if resp.status_code >= 500:
-                    raise EndpointError(f"server error {resp.status_code}")
-                if resp.status_code != 200:
-                    raise EndpointError(f"status {resp.status_code}: {resp.text[:200]}")
-                return extract_text(resp.json())
-            except (requests.RequestException, ValueError, EndpointError) as err:
+                req = urllib.request.Request(self.base_url, data, headers, method="POST")
+                try:
+                    with urllib.request.urlopen(req, timeout=self.timeout) as resp:
+                        status, raw = resp.status, resp.read()
+                except urllib.error.HTTPError as err:
+                    with err:
+                        status, raw = err.code, err.read()
+                if status >= 500:
+                    raise EndpointError(f"server error {status}")
+                if status != 200:
+                    text = raw.decode("utf-8", "replace")
+                    raise EndpointError(f"status {status}: {text[:200]}")
+                return extract_text(json.loads(raw))
+            except (OSError, http.client.HTTPException, ValueError, EndpointError) as err:
                 last_err = err
                 if attempt < self.retries:
                     time.sleep(self.backoff * (attempt + 1))

@@ -12,6 +12,7 @@ from kgreason.bench import (
     check_answerability,
     complete_answer_set,
     downsample,
+    draft_questions,
     generate_question,
     generate_questions,
     load_bundle,
@@ -376,7 +377,7 @@ def test_generate_questions_direction_coin_is_per_triple(uncle_world):
     rules = mine(uncle_world, MinerConfig(min_confidence=0.9, max_rule_length=3))
     cfg = GenConfig(seed=2)
     plan = plan_removals(uncle_world, rules, cfg)
-    q1 = generate_questions(uncle_world, plan, cfg)
-    q2 = generate_questions(uncle_world, plan, cfg)
+    q1 = generate_questions(draft_questions(uncle_world, plan, cfg), cfg)
+    q2 = generate_questions(draft_questions(uncle_world, plan, cfg), cfg)
     assert [q.direction for q in q1] == [q.direction for q in q2]
     assert {q.direction for q in q1} <= {"topic-is-subject", "topic-is-object"}

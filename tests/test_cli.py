@@ -1,5 +1,7 @@
 import hashlib
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -259,3 +261,62 @@ class TestConfigPrecedence:
                      "--max-len", "3", "--config", str(cfg)]) == 0
         manifest = json.loads(open(str(out) + ".manifest.json").read())
         assert manifest["config"]["min_conf"] == 0.9
+
+
+def set_option(source, name, value, tmp_path, monkeypatch):
+    """Set one option through KGREASON_<NAME> or a --config file; returns the
+    extra arguments the command needs."""
+    if source == "env":
+        monkeypatch.setenv(f"KGREASON_{name.upper()}", "true" if value is True else str(value))
+        return []
+    cfg = tmp_path / f"{name}.json"
+    cfg.write_text(json.dumps({name: value}))
+    return ["--config", str(cfg)]
+
+
+@pytest.mark.parametrize("source", ["env", "config"])
+class TestSwitchesResolve:
+    def test_instantiated(self, source, tmp_path, uncle_world_file, monkeypatch):
+        extra = set_option(source, "instantiated", True, tmp_path, monkeypatch)
+        out = tmp_path / "r.jsonl"
+        assert main(["mine", "--kg", str(uncle_world_file), "--out", str(out),
+                     "--min-conf", "0.9", "--max-len", "3", *extra]) == 0
+        manifest = json.loads((tmp_path / f"{out.name}.manifest.json").read_text())
+        assert manifest["config"]["instantiated"] is True
+
+    def test_anonymize_seed(self, source, tmp_path, uncle_world_file, mined_rules, monkeypatch):
+        extra = set_option(source, "anonymize_seed", 3, tmp_path, monkeypatch)
+        out = tmp_path / "anon"
+        assert main(["bench", "--kg", str(uncle_world_file), "--rules", str(mined_rules),
+                     "--out-dir", str(out), "--seed", "7", *extra]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["anonymize_seed"] == 3
+        assert (out / "anonymization_map.json").exists()
+
+    @pytest.mark.parametrize("name", ["include_inverse", "synonyms", "parallel"])
+    def test_run_options(self, source, name, tmp_path, bundle_dir, synonyms_file, monkeypatch):
+        value = {"include_inverse": True, "synonyms": str(synonyms_file), "parallel": 2}[name]
+        extra = set_option(source, name, value, tmp_path, monkeypatch)
+        out = tmp_path / "preds.jsonl"
+        assert main(["run", "--bundle", str(bundle_dir), "--split", "all",
+                     "--out", str(out), *extra]) == 0
+        manifest = json.loads((tmp_path / f"{out.name}.manifest.json").read_text())
+        assert manifest["config"][name] == value
+
+
+def test_switch_rejects_unknown_value(tmp_path, bundle_dir, monkeypatch, capsys):
+    monkeypatch.setenv("KGREASON_INCLUDE_INVERSE", "maybe")
+    assert main(["run", "--bundle", str(bundle_dir), "--split", "all",
+                 "--out", str(tmp_path / "p.jsonl")]) == 1
+    assert "maybe" in capsys.readouterr().err
+
+
+def test_cli_import_loads_no_http_library():
+    code = (
+        "import sys, kgreason.cli; "
+        "print(sorted(m for m in ('requests', 'urllib3') if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=60
+    )
+    assert out.stdout.strip() == "[]"

@@ -1,5 +1,6 @@
 import json
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
@@ -9,6 +10,7 @@ from kgreason.kg import KnowledgeGraph
 from kgreason.llm import (
     API_TOKEN_VAR,
     ENDPOINT_URL_VAR,
+    EndpointBudgetExceeded,
     EndpointError,
     LLMClient,
     extract_text,
@@ -17,7 +19,9 @@ from kgreason.mining import MinerConfig, mine, write_rules_jsonl
 
 
 class FakeEndpoint:
-    """Tiny chat endpoint; the reply function sees the request body."""
+    """Tiny chat endpoint; the reply function sees the request body and
+    returns (status, payload). A bytes payload is sent as it is, anything
+    else JSON-encoded."""
 
     def __init__(self, reply):
         self.reply = reply
@@ -32,7 +36,7 @@ class FakeEndpoint:
                     {"body": body, "auth": self.headers.get("Authorization")}
                 )
                 status, payload = outer.reply(body)
-                data = json.dumps(payload).encode()
+                data = payload if isinstance(payload, bytes) else json.dumps(payload).encode()
                 self.send_response(status)
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(data)))
@@ -108,6 +112,52 @@ class TestClient:
         client = LLMClient(base_url=ep.url, retries=1, backoff=0.01)
         with pytest.raises(EndpointError):
             client.chat([{"role": "user", "content": "x"}])
+
+    def test_client_error_names_status_and_body_after_every_attempt(self, canned):
+        ep = canned(lambda body: (404, {"error": "no such model"}))
+        client = LLMClient(base_url=ep.url, retries=2, backoff=0.01)
+        with pytest.raises(EndpointError) as info:
+            client.chat([{"role": "user", "content": "x"}])
+        assert "after 3 attempts" in str(info.value)
+        assert 'status 404: {"error": "no such model"}' in str(info.value)
+        assert len(ep.requests) == 3
+
+    def test_non_json_body_is_retried_then_raises(self, canned):
+        ep = canned(lambda body: (200, b"<html>not json</html>"))
+        client = LLMClient(base_url=ep.url, retries=1, backoff=0.01)
+        with pytest.raises(EndpointError, match="after 2 attempts"):
+            client.chat([{"role": "user", "content": "x"}])
+        assert len(ep.requests) == 2
+
+    def test_refused_connection_raises(self):
+        client = LLMClient(base_url="http://127.0.0.1:1/chat", retries=1, backoff=0.01)
+        with pytest.raises(EndpointError, match="after 2 attempts"):
+            client.chat([{"role": "user", "content": "x"}])
+
+    def test_slow_reply_times_out(self, canned):
+        def slow(body):
+            time.sleep(0.6)
+            return openai_style("late")
+
+        ep = canned(slow)
+        client = LLMClient(base_url=ep.url, timeout=0.2, retries=0, backoff=0.01)
+        with pytest.raises(EndpointError, match="after 1 attempts"):
+            client.chat([{"role": "user", "content": "x"}])
+
+    def test_no_token_sends_no_authorization(self, canned, monkeypatch):
+        monkeypatch.delenv(API_TOKEN_VAR, raising=False)
+        ep = canned(lambda body: openai_style("hello"))
+        assert LLMClient(base_url=ep.url).chat([{"role": "user", "content": "x"}]) == "hello"
+        assert ep.requests[0]["auth"] is None
+
+    def test_call_budget_stops_before_sending(self, canned):
+        ep = canned(lambda body: openai_style("ok"))
+        client = LLMClient(base_url=ep.url, max_calls=2)
+        for _ in range(2):
+            assert client.chat([{"role": "user", "content": "x"}]) == "ok"
+        with pytest.raises(EndpointBudgetExceeded):
+            client.chat([{"role": "user", "content": "x"}])
+        assert len(ep.requests) == 2
 
     def test_extract_text_shapes(self):
         assert extract_text({"choices": [{"message": {"content": "a"}}]}) == "a"
@@ -197,3 +247,43 @@ class TestBenchWithEndpoint:
             json.loads(line) for line in (out / "questions.jsonl").read_text().splitlines()
         ]
         assert all(r["provenance"]["backend"] == "external" for r in rows)
+
+    def test_endpoint_asked_only_for_kept_questions(self, tmp_path, uncle_world_file, canned):
+        leaked = set()
+
+        def reply(body):
+            content = body["messages"][0]["content"]
+            if "ready" in content:
+                return openai_style("ready")
+            topic = content.split("Question Entity: ")[1].splitlines()[0]
+            answer = content.split("Answer Entity: ")[1].splitlines()[0]
+            if len(answer) % 2 == 0 and content not in leaked:
+                leaked.add(content)  # leak once, so the retry is counted too
+                return openai_style(f"Is {answer} related to {topic}?")
+            return openai_style(f"Which relative is linked to {topic} here?")
+
+        ep = canned(reply)
+        g = KnowledgeGraph.load(uncle_world_file)
+        rules = self._rules(tmp_path, g)
+        external = build_bundle(
+            uncle_world_file, rules, tmp_path / "external",
+            GenConfig(seed=1, tau=0.1, question_backend="external"),
+            client=LLMClient(base_url=ep.url),
+        )
+        template = build_bundle(
+            uncle_world_file, rules, tmp_path / "template", GenConfig(seed=1, tau=0.1)
+        )
+
+        def rows(name):
+            text = (tmp_path / name / "questions.jsonl").read_text()
+            return [json.loads(line) for line in text.splitlines()]
+
+        kept = rows("external")
+        assert [(r["id"], r["hard_answer"]) for r in kept] == [
+            (r["id"], r["hard_answer"]) for r in rows("template")
+        ]
+        generated = external["counts"]["questions_generated"]
+        assert generated == template["counts"]["questions_generated"] > len(kept)
+        retries = sum(r["provenance"]["retries"] for r in kept)
+        assert retries > 0 and not any(r["provenance"]["fallback"] for r in kept)
+        assert len(ep.requests) - 1 == len(kept) + retries  # minus the probe
