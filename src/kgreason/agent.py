@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import logging
 import re
-import time
 from dataclasses import dataclass, field
 
 from .env import (
@@ -100,13 +99,10 @@ class Observation:
 @dataclass
 class PolicyBudget:
     max_actions: int = 10
-    wall_clock_s: float | None = None
 
     def __post_init__(self):
         if self.max_actions < 1:
             raise ValueError("max_actions must be >= 1")
-        if self.wall_clock_s is not None and self.wall_clock_s <= 0:
-            raise ValueError("wall_clock_s must be positive")
 
 
 @dataclass
@@ -283,6 +279,9 @@ class HeuristicPolicy:
 # -- endpoint-backed policy ---------------------------------------------------
 
 
+# relation or reasoning paths a state message lists at most, by question overlap
+MAX_PATHS_IN_MESSAGE = 60
+
 TOOL_CALL_SCHEMA = (
     "Respond with exactly one JSON object and no other text. One of:\n"
     '{"tool": "relation_path_mining", "entity": "<entity id>", "max_hops": <int>}\n'
@@ -292,34 +291,18 @@ TOOL_CALL_SCHEMA = (
 )
 
 
+_DECODER = json.JSONDecoder()
+
+
 def _first_json_object(text: str) -> dict:
+    """The first complete JSON object in text, tried at each "{" in turn;
+    nesting too deep to decode counts as no object there."""
     start = text.find("{")
     while start != -1:
-        depth = 0
-        in_str = False
-        escape = False
-        for i in range(start, len(text)):
-            ch = text[i]
-            if in_str:
-                if escape:
-                    escape = False
-                elif ch == "\\":
-                    escape = True
-                elif ch == '"':
-                    in_str = False
-                continue
-            if ch == '"':
-                in_str = True
-            elif ch == "{":
-                depth += 1
-            elif ch == "}":
-                depth -= 1
-                if depth == 0:
-                    try:
-                        return json.loads(text[start : i + 1])
-                    except json.JSONDecodeError:
-                        break
-        start = text.find("{", start + 1)
+        try:
+            return _DECODER.raw_decode(text, start)[0]
+        except (json.JSONDecodeError, RecursionError):
+            start = text.find("{", start + 1)
     raise ValueError("no JSON object found in response")
 
 
@@ -356,17 +339,10 @@ class LLMPolicy:
     schema; a second failure raises PolicyError.
     """
 
-    def __init__(
-        self,
-        question: str,
-        topic: str,
-        client: LLMClient,
-        max_paths_in_message: int = 60,
-    ):
+    def __init__(self, question: str, topic: str, client: LLMClient):
         self.question = question
         self.topic = topic
         self.client = client
-        self.max_paths = max_paths_in_message
         self.q_tokens = content_tokens(question)
         self.events: list[str] = []
 
@@ -383,10 +359,10 @@ class LLMPolicy:
         ]
         evid = [f"Evidence: {serialize_reasoning_path(c)}" for c in sorted(obs.reasoning_paths)]
         for name, items in (("relation paths", rel), ("reasoning paths", evid)):
-            if len(items) > self.max_paths:
+            if len(items) > MAX_PATHS_IN_MESSAGE:
                 items.sort(key=lambda s: (-self._rank_overlap(s), s))
-                del items[self.max_paths :]
-                self.events.append(f"truncated {name} to {self.max_paths} in state message")
+                del items[MAX_PATHS_IN_MESSAGE:]
+                self.events.append(f"truncated {name} to {MAX_PATHS_IN_MESSAGE} in state message")
         parts = [
             "Tool: relation_path_mining\n" + EXPLORATION_TOOL_PROMPT,
             "Tool: path_grounding\n" + GROUNDING_TOOL_PROMPT,
@@ -425,7 +401,6 @@ class LLMPolicy:
                 raise PolicyError(f"unparseable response after repair: {err2}") from err2
 
     def repair(self, obs: Observation, reason: str) -> Action:
-        self.events.append(f"repair: {reason}")
         messages = [
             {"role": "system", "content": SYSTEM_PROMPT},
             {"role": "user", "content": self._state_message(obs)},
@@ -535,12 +510,8 @@ def run_episode(
     trace = EpisodeTrace(question_id=qid, topic=topic, question=qtext)
     state = AgentState.initial(topic)
     chains: tuple[ReasoningPath, ...] = ()   # the selected reasoning paths
-    started = time.monotonic()
 
     for i in range(budget.max_actions):
-        if budget.wall_clock_s is not None and time.monotonic() - started > budget.wall_clock_s:
-            trace.termination = "budget"
-            break
         obs = _observe(state, qtext, topic)
         try:
             action = policy.decide(obs)

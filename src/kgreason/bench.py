@@ -31,6 +31,7 @@ from .mining import (
     substitute_head,
     write_rules_jsonl,
 )
+from .rules import Atom, HornRule, Term
 
 log = logging.getLogger(__name__)
 
@@ -463,6 +464,17 @@ def check_answerability(
     return problems
 
 
+def _rename_constants(rule: HornRule, mapping: dict[str, str]) -> HornRule:
+    """The rule with every constant the mapping names replaced by its image;
+    a constant absent from the graph cannot match and is kept as it is."""
+
+    def rename(a: Atom) -> Atom:
+        t1, t2 = (t if t.is_var else Term.const(mapping.get(t.name, t.name)) for t in a.args)
+        return Atom(a.predicate, t1, t2)
+
+    return HornRule(rename(rule.head), tuple(map(rename, rule.body)))
+
+
 def build_bundle(
     kg_path: str | Path,
     rules_path: str | Path,
@@ -494,7 +506,6 @@ def build_bundle(
     plan = plan_removals(complete, mined, cfg)
     incomplete = complete.remove(plan.removed_triples)
 
-    anon_map = None
     if cfg.anonymize_seed is not None:
         complete, anon_map = complete.anonymize(cfg.anonymize_seed)
         incomplete = incomplete.rename_entities(anon_map)
@@ -505,6 +516,7 @@ def build_bundle(
             wit = tuple(sorted((anon_map[s], p, anon_map[o]) for s, p, o in e.witness))
             remapped.append(RemovalEntry(e.rule_id, sigma, rm, wit))
         plan = RemovalPlan(remapped, plan.per_rule)
+        mined = [replace(mr, rule=_rename_constants(mr.rule, anon_map)) for mr in mined]
         write_anonymization_map(anon_map, out / "anonymization_map.json")
         notes.append("entities anonymized; map in anonymization_map.json")
 

@@ -1,8 +1,9 @@
 """Pipeline driver: mine -> bench -> run -> eval, plus inspection utilities.
 
 Logs go to stderr, data goes to files (inspect prints JSON to stdout). Exit
-codes: 0 ok, 1 domain error, 2 usage error. Option values resolve as
-CLI flag > KGREASON_<NAME> env var > --config JSON file > built-in default.
+codes: 0 ok, 1 domain error, 2 usage error. Tuning options (those read
+through _Resolver) resolve as CLI flag > KGREASON_<NAME> env var > --config
+JSON file > built-in default; paths and the other options are plain flags.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from . import agent, bench, evaluate, mining
 from .env import EnvConfig
 from .kg import KnowledgeGraph
 from .llm import ENDPOINT_URL_VAR, LLMClient
+from .rules import RULE_TYPES
 
 log = logging.getLogger("kgreason")
 
@@ -86,7 +88,7 @@ def cmd_mine(args: argparse.Namespace) -> int:
     mining.write_rules_jsonl(mined, args.out)
     hist = mining.rule_type_histogram(mined)
     print("rule type histogram:", file=sys.stderr)
-    for name in ("symmetry", "inversion", "hierarchy", "composition", "other", "total"):
+    for name in (*RULE_TYPES, "total"):
         print(f"  {name:<12} {hist[name]}", file=sys.stderr)
     manifest = {
         "command": "mine",

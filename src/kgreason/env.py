@@ -57,14 +57,6 @@ def _successors(g: KnowledgeGraph, e: str, include_inverse: bool):
     return out
 
 
-def triple_in_graph(g: KnowledgeGraph, t: Triple, include_inverse: bool = False) -> bool:
-    """Membership test that understands synthetic inverse predicates."""
-    s, p, o = t
-    if include_inverse and p.startswith(INVERSE_PREFIX):
-        return (o, p[len(INVERSE_PREFIX):], s) in g
-    return t in g
-
-
 def explore(g: KnowledgeGraph, e: str, hops: int, cfg: EnvConfig) -> tuple[RelationPath, ...]:
     """Distinct predicate sequences of length <= hops realizable by a walk
     starting at e, BFS level by level. Cycles are allowed; sequences are

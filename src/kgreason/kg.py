@@ -46,13 +46,13 @@ class KnowledgeGraph:
         "_out", "_in", "_sp", "_op", "_byp", "_pair_preds", "duplicates_collapsed",
     )
 
-    def __init__(self, triples: Iterable[Triple], duplicates_collapsed: int = 0):
+    def __init__(self, triples: Iterable[Triple]):
         tri = set()
         raw = 0
         for s, p, o in triples:
             raw += 1
             tri.add((s, p, o))
-        self.duplicates_collapsed = duplicates_collapsed + (raw - len(tri))
+        self.duplicates_collapsed = raw - len(tri)
 
         ents = sorted({s for s, _, _ in tri} | {o for _, _, o in tri})
         preds = sorted({p for _, p, _ in tri})
@@ -259,9 +259,3 @@ def write_anonymization_map(mapping: dict[str, str], path: str | Path) -> None:
     payload = {orig: {"index": idx, "label": orig} for orig, idx in mapping.items()}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
-
-
-def load_anonymization_map(path: str | Path) -> dict[str, str]:
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    return {orig: rec["index"] for orig, rec in payload.items()}

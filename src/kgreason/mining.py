@@ -42,6 +42,7 @@ from typing import NamedTuple
 
 from .kg import HandleIndex, KnowledgeGraph
 from .rules import (
+    RULE_TYPES,
     Atom,
     HornRule,
     Term,
@@ -95,7 +96,6 @@ class MinerConfig:
     pca_threshold: float = 0.4
     max_rule_length: int = 4       # atom count including the head
     allow_instantiated_atoms: bool = False
-    ancestor_metric: str = "pca"   # confidence used for the better-than-ancestors check
 
     def __post_init__(self):
         for name in ("min_confidence", "min_head_coverage", "pca_threshold"):
@@ -104,8 +104,6 @@ class MinerConfig:
                 raise ValueError(f"{name} must be in (0, 1], got {v}")
         if self.max_rule_length < 2:
             raise ValueError("max_rule_length must be >= 2")
-        if self.ancestor_metric not in ("pca", "standard"):
-            raise ValueError("ancestor_metric must be 'pca' or 'standard'")
 
 
 # -- compiled rules over integer handles ------------------------------------
@@ -368,23 +366,23 @@ def _empty_body_metrics(g: KnowledgeGraph, gv, chead) -> RuleMetrics:
 
 class _HeadCoverageGate:
     """Whether a candidate's head coverage reaches the threshold, given its
-    canonical signature (with a p(X,Y) head) and key.
+    canonical signature (with a p(X,Y) head).
 
-    Keys read "<body> => <head>". Canonical bodies do not depend on the head
-    predicate (the head comes first in every ordering), so each body's
-    support for every head predicate is counted once and kept in `supports`,
-    keyed by the body's text; the projections behind the counts are not.
+    Canonical bodies do not depend on the head predicate (the head comes
+    first in every ordering), so each body's support for every head
+    predicate is counted once and kept in `supports`, keyed by the body's
+    signature rows; the projections behind the counts are not.
     """
 
     def __init__(self, g: KnowledgeGraph, min_head_coverage: float):
         self.gv = g.handles
         self.pair_preds = g.pair_predicates
         self.min_head_coverage = min_head_coverage
-        self.supports: dict[str, dict[int, int]] = {}
-        self.heads: dict[tuple, tuple[int, int, int]] = {}
+        self.supports: dict[tuple, dict[int, int]] = {}
+        self.heads: dict[tuple, tuple[int, int]] = {}
 
-    def _head(self, head: tuple) -> tuple[int, int, int]:
-        """(predicate handle, support needed or 0 for never, key suffix length)"""
+    def _head(self, head: tuple) -> tuple[int, int]:
+        """(predicate handle, support needed or 0 for never)"""
         chead = _compile_tagged(self.gv, (head,)).head
         heads = _head_grounding_count(self.gv, chead)
         stop = 0
@@ -396,17 +394,16 @@ class _HeadCoverageGate:
                 stop += 1
             while stop > 1 and (stop - 1) / heads >= self.min_head_coverage:
                 stop -= 1
-        # the key of the body-less rule is "true => <head>"
-        return chead[0], stop, len(signature_key((head,))) - len("true")
+        return chead[0], stop
 
-    def __call__(self, sig: tuple, key: str) -> bool:
+    def __call__(self, sig: tuple) -> bool:
         head = self.heads.get(sig[0])
         if head is None:
             head = self.heads[sig[0]] = self._head(sig[0])
-        pid, stop, cut = head
+        pid, stop = head
         if not stop:
             return False
-        body = key[:-cut]
+        body = sig[1:]
         supports = self.supports.get(body)
         if supports is None:
             supports = _head_supports(self.gv, self.pair_preds, _compile_tagged(self.gv, sig))
@@ -433,18 +430,13 @@ def compute_metrics(g: KnowledgeGraph, rule: HornRule) -> RuleMetrics:
     return RuleMetrics(support, hc, confidence, pca)
 
 
-def enumerate_groundings(
-    g: KnowledgeGraph, rule: HornRule, cap: int | None = None
-) -> list[tuple[dict[str, str], bool]]:
+def enumerate_groundings(g: KnowledgeGraph, rule: HornRule) -> list[tuple[dict[str, str], bool]]:
     """Total substitutions satisfying every body atom, each with a flag for
     whether the substituted head triple is present in g.
 
     Deterministic: sorted lexicographically over bound entity ids with
-    variables in canonical (first-appearance, head-first) order; at most
-    `cap` results when a cap is given.
+    variables in canonical (first-appearance, head-first) order.
     """
-    if cap is not None and cap <= 0:
-        return []
     gv = g.handles
     c = _compile(gv, rule)
     sols: set = set()
@@ -456,13 +448,10 @@ def enumerate_groundings(
         return False
 
     _walk(gv, _make_plan(c.body, ()), 0, binding, leaf)
-    ordered = sorted(sols)
-    if cap is not None:
-        ordered = ordered[:cap]
     h_p, h1, h2 = c.head
     ents = gv.ents
     out = []
-    for b in ordered:
+    for b in sorted(sols):
         sigma = {name: ents[val] for name, val in zip(c.var_names, b)}
         s = b[h1[1]] if h1[0] else h1[1]
         o = b[h2[1]] if h2[0] else h2[1]
@@ -562,7 +551,7 @@ def mine(g: KnowledgeGraph, cfg: MinerConfig | None = None) -> list[MinedRule]:
 
     A dequeued rule is output iff it is closed (connected and safe follow by
     construction), its PCA confidence beats the threshold and every mined
-    ancestor's confidence, and its standard confidence beats min_confidence.
+    ancestor's PCA confidence, and its standard confidence reaches min_confidence.
     It is refined iff shorter than the length cap and not yet at PCA 1.0;
     refinements enqueue iff head coverage passes and they were not enqueued
     before. Output is sorted by head predicate, length, then canonical form.
@@ -579,10 +568,6 @@ def mine(g: KnowledgeGraph, cfg: MinerConfig | None = None) -> list[MinedRule]:
 
     queue = deque((rule_from_signature(((p, "v0", "v1"),)), 0.0) for p in g.predicates)  # p(X,Y)
     hc_gate = _HeadCoverageGate(g, cfg.min_head_coverage)
-
-    def criterion_conf(m: RuleMetrics) -> float:
-        return m.pca_confidence if cfg.ancestor_metric == "pca" else m.confidence
-
     output: list[tuple[HornRule, RuleMetrics]] = []
     while queue:
         # one rule length at a time; the next length's rules queue up behind
@@ -601,12 +586,12 @@ def mine(g: KnowledgeGraph, cfg: MinerConfig | None = None) -> list[MinedRule]:
                 met = compute_metrics(g, rule)
                 if (
                     met.pca_confidence > cfg.pca_threshold
-                    and criterion_conf(met) > ancestor_conf
+                    and met.pca_confidence > ancestor_conf
                     and met.confidence >= cfg.min_confidence
                 ):
                     output.append((rule, met))
                     mined_now = True
-            child_conf = max(ancestor_conf, criterion_conf(met)) if mined_now else ancestor_conf
+            child_conf = max(ancestor_conf, met.pca_confidence) if mined_now else ancestor_conf
             if rule.length < cfg.max_rule_length and (
                 _pca_below_one(gv, _compile(gv, rule)) if met is None
                 else met.pca_confidence < 1.0
@@ -618,7 +603,7 @@ def mine(g: KnowledgeGraph, cfg: MinerConfig | None = None) -> list[MinedRule]:
                 # and refinement keeps rules connected)
                 at_cap = rule.length + 1 == cfg.max_rule_length
                 for key, sig in refined:
-                    if key not in seen and (not at_cap or _closed(sig)) and hc_gate(sig, key):
+                    if key not in seen and (not at_cap or _closed(sig)) and hc_gate(sig):
                         seen.add(key)
                         queue.append((rule_from_signature(sig), child_conf))
         log.debug(
@@ -637,7 +622,7 @@ def mine(g: KnowledgeGraph, cfg: MinerConfig | None = None) -> list[MinedRule]:
 
 
 def rule_type_histogram(mined: list[MinedRule]) -> dict[str, int]:
-    hist = {t: 0 for t in ("symmetry", "inversion", "hierarchy", "composition", "other")}
+    hist = dict.fromkeys(RULE_TYPES, 0)
     for mr in mined:
         hist[mr.rule_type] += 1
     hist["total"] = len(mined)

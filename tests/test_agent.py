@@ -139,25 +139,6 @@ class TestBudget:
         with pytest.raises(ValueError):
             PolicyBudget(max_actions=0)
 
-    def test_wall_clock_budget(self, celebrity_family):
-        class SlowPolicy:
-            def decide(self, obs):
-                import time
-
-                time.sleep(0.05)
-                return Action("explore", entity="Justin Bieber", hops=1)
-
-            def repair(self, obs, reason):
-                return Action("synthesize")
-
-        question = q("w1", "Who is Justin Bieber's parent?", "Justin Bieber")
-        trace = run_episode(
-            celebrity_family, question, SlowPolicy(),
-            PolicyBudget(max_actions=10, wall_clock_s=0.01),
-        )
-        assert trace.termination == "budget"
-        assert trace.step_count <= 1
-
 
 class TestToolCallParsing:
     def test_direct_parse(self):
@@ -191,8 +172,30 @@ class TestToolCallParsing:
             parse_tool_call('{"tool":"teleport","entity":"x"}')
 
     def test_no_json_rejected(self):
-        with pytest.raises(ValueError):
-            parse_tool_call("I have no idea.")
+        unclosed = '{"tool": "relation_path_mining", "entity": "x"'
+        for text in ("I have no idea.", unclosed, '{"a": ' * 2000):
+            with pytest.raises(ValueError, match="no JSON object"):
+                parse_tool_call(text)
+
+    def test_braces_and_escaped_quotes_inside_strings(self):
+        action = parse_tool_call(
+            'Here: {"tool": "path_grounding", "entity": "a}{b \\"}\\"", '
+            '"relation_paths": ["p -> q"]} ok'
+        )
+        assert action == Action("ground", entity='a}{b "}"', paths=("p -> q",))
+
+    def test_invalid_object_then_valid_one(self):
+        action = parse_tool_call(
+            '{tool: explore} no, this: {"tool": "relation_path_mining", "entity": "x"}'
+        )
+        assert action == Action("explore", entity="x", hops=1)
+
+    def test_stray_open_brace_before_valid_object(self):
+        action = parse_tool_call(
+            'Let me think { about it. {"tool": "relation_path_mining", "entity": "x", '
+            '"max_hops": 2}'
+        )
+        assert action == Action("explore", entity="x", hops=2)
 
 
 class TestLLMPolicyEpisodes:
@@ -280,7 +283,10 @@ class TestLLMPolicyEpisodes:
         policy = LLMPolicy(question["question"], "a", client)
         trace = run_episode(g, question, policy)
         assert trace.steps[0]["action"]["kind"] == "explore"
-        assert any("repair" in e for e in trace.steps[0]["events"])
+        # the repair is recorded once, by the episode loop
+        assert trace.steps[0]["events"] == [
+            "repair: synthesis with answers needs supporting reasoning paths"
+        ]
 
     def test_endpoint_budget_exhaustion_terminates_with_fallback(self):
         g = KnowledgeGraph([("a", "p", "b")])

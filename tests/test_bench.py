@@ -353,6 +353,36 @@ class TestBundle:
         for q in bundle.questions:
             assert q.topic in bundle.complete.entities
 
+    def test_anonymized_bundle_maps_rule_constants(self, tmp_path):
+        # sibling(X,Y) & gender(Y,'male') => brother(X,Y) on ten families of two
+        triples = []
+        for f in range(10):
+            a, b = f"p{2 * f}", f"p{2 * f + 1}"
+            triples += [(a, "sibling", b), (b, "sibling", a)]
+            for person, gender in ((a, "male"), (b, "female" if f % 2 else "male")):
+                triples.append((person, "gender", gender))
+            for x, y in ((a, b), (b, a)):
+                if (y, "gender", "male") in triples:
+                    triples.append((x, "brother", y))
+        kg_path = tmp_path / "kg.tsv"
+        KnowledgeGraph(triples).save(kg_path)
+        rule = HornRule(
+            Atom("brother", X, Y),
+            (Atom("sibling", X, Y), Atom("gender", Y, Term.const("male"))),
+        )
+        rules_path = tmp_path / "rules.jsonl"
+        write_rules_jsonl([mined(rule)], rules_path)
+        out = tmp_path / "bundle"
+        build_bundle(kg_path, rules_path, out, GenConfig(seed=1, tau=1.0, anonymize_seed=3))
+        result = verify_bundle(out)
+        assert result["ok"], result["violations"]
+        bundle = load_bundle(out)
+        assert bundle.questions
+        constants = {
+            t.name for mr in bundle.rules for a in mr.rule.atoms() for t in a.args if not t.is_var
+        }
+        assert constants and constants <= set(bundle.complete.entities)
+
     def test_topic_side_subject_forced(self, tmp_path, uncle_world_file):
         out, _ = self.build(tmp_path, uncle_world_file, topic_side="subject")
         bundle = load_bundle(out)

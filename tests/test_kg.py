@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from kgreason.kg import KnowledgeGraph, load_anonymization_map, write_anonymization_map
+from kgreason.kg import KnowledgeGraph, write_anonymization_map
 
 from conftest import random_graph
 
@@ -141,7 +141,7 @@ class TestAnonymize:
         # schema: {original: {index, label}} with the original id kept as label
         assert payload["justin"]["label"] == "justin"
         assert payload["justin"]["index"] == mapping["justin"]
-        assert load_anonymization_map(path) == mapping
+        assert {orig: rec["index"] for orig, rec in payload.items()} == mapping
 
 
 def test_outgoing_on_celebrity_fixture(celebrity_family):
