@@ -4,6 +4,11 @@ A policy alternates explore / ground actions against the environment until it
 synthesizes an answer or the budget runs out. Ships a deterministic
 token-overlap heuristic policy (offline) and a policy backed by an external
 chat endpoint speaking single-JSON tool calls.
+
+A policy answers three calls: `decide(state)` returns the next Action for the
+AgentState, `repair(state, reason)` replaces an action the environment
+rejected for `reason`, and `drain_events()` hands over the notes the policy
+made since it was last asked.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ from .llm import (
     SYNTHESIS_TOOL_PROMPT,
     SYSTEM_PROMPT,
     EndpointBudgetExceeded,
+    EndpointError,
     LLMClient,
 )
 
@@ -88,15 +94,6 @@ class Action:
 
 
 @dataclass
-class Observation:
-    question: str
-    topic: str
-    relation_paths: tuple[tuple[str, RelationPath], ...]
-    reasoning_paths: tuple[ReasoningPath, ...]
-    frontier: tuple[str, ...]
-
-
-@dataclass
 class PolicyBudget:
     max_actions: int = 10
 
@@ -113,7 +110,7 @@ class EpisodeTrace:
     steps: list[dict] = field(default_factory=list)
     prediction: list[str] = field(default_factory=list)
     supporting_paths: list[str] = field(default_factory=list)
-    termination: str = "budget"  # synthesized | budget | aborted
+    termination: str = "budget"  # synthesized | budget | aborted | error
     fallback: bool = False
     out_of_graph: list[str] = field(default_factory=list)
     unjustified: list[str] = field(default_factory=list)
@@ -183,6 +180,11 @@ class PolicyError(RuntimeError):
     """The policy failed to produce a usable action after repair."""
 
 
+class InvalidAction(ValueError):
+    """The action does not fit the current state; the message is the reason
+    quoted back to the policy."""
+
+
 # -- heuristic policy ---------------------------------------------------------
 
 
@@ -245,11 +247,11 @@ class HeuristicPolicy:
     def _chain_score(self, chain: ReasoningPath) -> int:
         return len({t[1] for t in chain if self._hinted(t[1])})
 
-    def decide(self, obs: Observation) -> Action:
+    def decide(self, state: AgentState) -> Action:
         if self._explored_h == 0:
             self._explored_h = 1
             return Action("explore", entity=self.topic, hops=1)
-        topic_paths = [p for start, p in obs.relation_paths if start == self.topic]
+        topic_paths = [p for start, p in state.P if start == self.topic]
         best = max((self._path_score(p) for p in topic_paths), default=0)
         if best < self.target and self._explored_h < self.max_hops:
             self._explored_h += 1
@@ -261,7 +263,7 @@ class HeuristicPolicy:
             )
             chosen = tuple(serialize_relation_path(p) for p in ranked[: self.top_k])
             return Action("ground", entity=self.topic, paths=chosen)
-        selected = _best_chains(obs.reasoning_paths, self._chain_score)
+        selected = _best_chains(state.C, self._chain_score)
         if not selected:
             return Action("synthesize")  # abstain: no overlapping evidence
         answers = tuple(sorted({c[-1][2] for c in selected}))
@@ -271,9 +273,12 @@ class HeuristicPolicy:
             answers=answers,
         )
 
-    def repair(self, obs: Observation, reason: str) -> Action:
+    def repair(self, state: AgentState, reason: str) -> Action:
         log.warning("heuristic policy asked to repair (%s); abstaining", reason)
         return Action("synthesize")
+
+    def drain_events(self) -> list[str]:
+        return []
 
 
 # -- endpoint-backed policy ---------------------------------------------------
@@ -353,11 +358,9 @@ class LLMPolicy:
     def _rank_overlap(self, text: str) -> int:
         return len(content_tokens(text) & self.q_tokens)
 
-    def _state_message(self, obs: Observation) -> str:
-        rel = [
-            f"{start}: {serialize_relation_path(p)}" for start, p in sorted(obs.relation_paths)
-        ]
-        evid = [f"Evidence: {serialize_reasoning_path(c)}" for c in sorted(obs.reasoning_paths)]
+    def _state_message(self, state: AgentState) -> str:
+        rel = [f"{start}: {serialize_relation_path(p)}" for start, p in sorted(state.P)]
+        evid = [f"Evidence: {serialize_reasoning_path(c)}" for c in sorted(state.C)]
         for name, items in (("relation paths", rel), ("reasoning paths", evid)):
             if len(items) > MAX_PATHS_IN_MESSAGE:
                 items.sort(key=lambda s: (-self._rank_overlap(s), s))
@@ -369,9 +372,9 @@ class LLMPolicy:
             "Tool: complete_task\n" + SYNTHESIS_TOOL_PROMPT,
             f"Question: {self.question}",
             f"Topic entity: {self.topic}",
-            "Relation paths discovered so far:\n" + ("\n".join(rel) if rel else "(none)"),
-            "Reasoning paths grounded so far:\n" + ("\n".join(evid) if evid else "(none)"),
-            "Frontier entities: " + (", ".join(obs.frontier) if obs.frontier else "(none)"),
+            "Relation paths discovered so far:\n" + ("\n".join(rel) or "(none)"),
+            "Reasoning paths grounded so far:\n" + ("\n".join(evid) or "(none)"),
+            "Frontier entities: " + (", ".join(sorted(state.E)) or "(none)"),
             TOOL_CALL_SCHEMA,
         ]
         return "\n\n".join(parts)
@@ -380,10 +383,10 @@ class LLMPolicy:
         text = self.client.chat(messages, temperature=0.0)
         return parse_tool_call(text)
 
-    def decide(self, obs: Observation) -> Action:
+    def decide(self, state: AgentState) -> Action:
         messages = [
             {"role": "system", "content": SYSTEM_PROMPT},
-            {"role": "user", "content": self._state_message(obs)},
+            {"role": "user", "content": self._state_message(state)},
         ]
         try:
             return self._ask(messages)
@@ -400,10 +403,10 @@ class LLMPolicy:
             except ValueError as err2:
                 raise PolicyError(f"unparseable response after repair: {err2}") from err2
 
-    def repair(self, obs: Observation, reason: str) -> Action:
+    def repair(self, state: AgentState, reason: str) -> Action:
         messages = [
             {"role": "system", "content": SYSTEM_PROMPT},
-            {"role": "user", "content": self._state_message(obs)},
+            {"role": "user", "content": self._state_message(state)},
             {"role": "user", "content": f"The previous action was invalid: {reason}.\n{TOOL_CALL_SCHEMA}"},
         ]
         try:
@@ -415,52 +418,29 @@ class LLMPolicy:
 # -- episode loop -------------------------------------------------------------
 
 
-def _observe(state: AgentState, question: str, topic: str) -> Observation:
-    return Observation(
-        question=question,
-        topic=topic,
-        relation_paths=tuple(sorted(state.P)),
-        reasoning_paths=tuple(sorted(state.C)),
-        frontier=tuple(sorted(state.E)),
-    )
-
-
-def _validate_action(action: Action, state: AgentState, cfg: EnvConfig) -> tuple[bool, str]:
+def _execute(g: KnowledgeGraph, action: Action, state: AgentState, cfg: EnvConfig):
+    """Check the action against the state, then carry it out. Returns the
+    outcome to apply and the observation payload to record; raises
+    InvalidAction when the action does not fit."""
     if action.kind == "explore":
         if not action.entity:
-            return False, "explore needs an entity"
+            raise InvalidAction("explore needs an entity")
         hops = action.hops or 0
         if not 1 <= hops <= cfg.max_hop_limit:
-            return False, f"hop limit must be in [1, {cfg.max_hop_limit}], got {hops}"
-        return True, ""
-    if action.kind == "ground":
-        if not action.entity:
-            return False, "ground needs an entity"
-        if not action.paths:
-            return False, "ground needs at least one relation path"
-        known = {serialize_relation_path(p) for _, p in state.P}
-        unknown = [p for p in action.paths if p not in known]
-        if unknown:
-            return False, f"relation paths not in state: {unknown[:3]}"
-        return True, ""
-    if action.kind == "synthesize":
-        if action.answers and not action.selected:
-            return False, "synthesis with answers needs supporting reasoning paths"
-        known = {serialize_reasoning_path(c) for c in state.C}
-        unknown = [p for p in action.selected if p not in known]
-        if unknown:
-            return False, f"reasoning paths not in state: {unknown[:3]}"
-        return True, ""
-    return False, f"unknown action kind: {action.kind}"
-
-
-def _execute(g: KnowledgeGraph, action: Action, state: AgentState, cfg: EnvConfig):
-    if action.kind == "explore":
+            raise InvalidAction(f"hop limit must be in [1, {cfg.max_hop_limit}], got {hops}")
         paths = explore(g, action.entity, action.hops, cfg)
         outcome = ExploreOutcome(start=action.entity, paths=paths)
         payload = {"relation_paths": [serialize_relation_path(p) for p in paths]}
         return outcome, payload
     if action.kind == "ground":
+        if not action.entity:
+            raise InvalidAction("ground needs an entity")
+        if not action.paths:
+            raise InvalidAction("ground needs at least one relation path")
+        known = {serialize_relation_path(p) for _, p in state.P}
+        unknown = [p for p in action.paths if p not in known]
+        if unknown:
+            raise InvalidAction(f"relation paths not in state: {unknown[:3]}")
         parsed = [parse_relation_path(p) for p in action.paths]
         chains, frontier = ground(g, action.entity, parsed, cfg)
         outcome = GroundOutcome(start=action.entity, reasoning_paths=chains, frontier=frontier)
@@ -469,11 +449,19 @@ def _execute(g: KnowledgeGraph, action: Action, state: AgentState, cfg: EnvConfi
             "frontier": list(frontier),
         }
         return outcome, payload
-    by_text = {serialize_reasoning_path(c): c for c in state.C}
-    selected = tuple(by_text[p] for p in action.selected if p in by_text)
-    outcome = SynthesisOutcome(selected=selected, answers=action.answers)
-    payload = {"answers": list(action.answers), "selected": list(action.selected)}
-    return outcome, payload
+    if action.kind == "synthesize":
+        if action.answers and not action.selected:
+            raise InvalidAction("synthesis with answers needs supporting reasoning paths")
+        by_text = {serialize_reasoning_path(c): c for c in state.C}
+        unknown = [p for p in action.selected if p not in by_text]
+        if unknown:
+            raise InvalidAction(f"reasoning paths not in state: {unknown[:3]}")
+        outcome = SynthesisOutcome(
+            selected=tuple(by_text[p] for p in action.selected), answers=action.answers
+        )
+        payload = {"answers": list(action.answers), "selected": list(action.selected)}
+        return outcome, payload
+    raise InvalidAction(f"unknown action kind: {action.kind}")
 
 
 def _fallback_prediction(
@@ -497,7 +485,9 @@ def run_episode(
     budget: PolicyBudget | None = None,
     cfg: EnvConfig | None = None,
 ) -> EpisodeTrace:
-    """Drive one episode to synthesis, abort, or budget exhaustion.
+    """Drive one episode to synthesis, abort, endpoint error, or budget
+    exhaustion. An early exit records one step whose last event is
+    "abort: <reason>"; only a budget exit falls back to a prediction.
 
     `question` needs id / question / topic keys. The returned trace replays
     byte-for-byte via replay_trace.
@@ -512,42 +502,28 @@ def run_episode(
     chains: tuple[ReasoningPath, ...] = ()   # the selected reasoning paths
 
     for i in range(budget.max_actions):
-        obs = _observe(state, qtext, topic)
-        try:
-            action = policy.decide(obs)
-        except EndpointBudgetExceeded:
-            trace.termination = "budget"
-            break
-        except PolicyError as err:
-            trace.steps.append({"i": i, "state_digest": state.digest(), "events": [f"abort: {err}"]})
-            trace.termination = "aborted"
-            break
-        events = policy.drain_events() if hasattr(policy, "drain_events") else []
-        ok, reason = _validate_action(action, state, cfg)
-        if not ok:
-            try:
-                action = policy.repair(obs, reason)
-            except (PolicyError, EndpointBudgetExceeded) as err:
-                trace.steps.append(
-                    {"i": i, "state_digest": state.digest(), "events": events + [f"abort: {err}"]}
-                )
-                trace.termination = "aborted" if isinstance(err, PolicyError) else "budget"
-                break
-            events.append(f"repair: {reason}")
-            events.extend(policy.drain_events() if hasattr(policy, "drain_events") else [])
-            ok, reason = _validate_action(action, state, cfg)
-            if not ok:
-                trace.steps.append(
-                    {
-                        "i": i,
-                        "state_digest": state.digest(),
-                        "events": events + [f"abort: still invalid: {reason}"],
-                    }
-                )
-                trace.termination = "aborted"
-                break
         digest = state.digest()
-        outcome, payload = _execute(g, action, state, cfg)
+        events: list[str] = []
+        try:
+            action = policy.decide(state)
+            events = policy.drain_events()
+            try:
+                outcome, payload = _execute(g, action, state, cfg)
+            except InvalidAction as invalid:
+                action = policy.repair(state, str(invalid))
+                events += [f"repair: {invalid}", *policy.drain_events()]
+                try:
+                    outcome, payload = _execute(g, action, state, cfg)
+                except InvalidAction as err:
+                    raise PolicyError(f"still invalid: {err}") from err
+        except (PolicyError, EndpointBudgetExceeded, EndpointError) as err:
+            events.append(f"abort: {err}")
+            trace.steps.append({"i": i, "state_digest": digest, "events": events})
+            trace.termination = (
+                "aborted" if isinstance(err, PolicyError)
+                else "budget" if isinstance(err, EndpointBudgetExceeded) else "error"
+            )
+            break
         state = apply_transition(state, outcome)
         trace.steps.append(
             {
@@ -565,7 +541,7 @@ def run_episode(
             trace.termination = "synthesized"
             break
 
-    if trace.termination != "synthesized" and trace.termination != "aborted":
+    if trace.termination == "budget":
         trace.prediction, chains = _fallback_prediction(state, qtext)
         trace.supporting_paths = [serialize_reasoning_path(c) for c in chains]
         trace.fallback = True

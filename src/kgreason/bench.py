@@ -16,6 +16,7 @@ import random
 import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 
 from .kg import KnowledgeGraph, Triple, write_anonymization_map
@@ -433,13 +434,21 @@ BUNDLE_FILES = (
 
 @dataclass
 class Bundle:
+    """A bundle on disk; each graph is parsed on first use."""
+
     directory: Path
-    complete: KnowledgeGraph
-    incomplete: KnowledgeGraph
     questions: list[QAInstance]
     removals: list[RemovalEntry]
     rules: list[MinedRule]
     manifest: dict
+
+    @cached_property
+    def complete(self) -> KnowledgeGraph:
+        return KnowledgeGraph.load(self.directory / "complete.tsv")
+
+    @cached_property
+    def incomplete(self) -> KnowledgeGraph:
+        return KnowledgeGraph.load(self.directory / "incomplete.tsv")
 
 
 def check_answerability(
@@ -484,12 +493,10 @@ def build_bundle(
 ) -> dict:
     """Run the full generation pipeline and write the dataset bundle.
 
-    Returns the manifest. With the external question backend the endpoint is
-    probed before any files are written, so a dead endpoint cannot leave a
-    half-written bundle behind.
+    Returns the manifest. Nothing is written until every question passes the
+    answerability check. With the external question backend the endpoint is
+    probed before removal planning, so a dead endpoint fails fast.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     complete = KnowledgeGraph.load(kg_path)
     mined = read_rules_jsonl(rules_path)
     notes: list[str] = []
@@ -517,7 +524,6 @@ def build_bundle(
             remapped.append(RemovalEntry(e.rule_id, sigma, rm, wit))
         plan = RemovalPlan(remapped, plan.per_rule)
         mined = [replace(mr, rule=_rename_constants(mr.rule, anon_map)) for mr in mined]
-        write_anonymization_map(anon_map, out / "anonymization_map.json")
         notes.append("entities anonymized; map in anonymization_map.json")
 
     # downsampling reads only ids and hard answers, so it runs before any
@@ -536,6 +542,12 @@ def build_bundle(
     if problems:
         raise ValueError(f"answerability check failed: {problems[:5]}")
 
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    if cfg.anonymize_seed is not None:
+        write_anonymization_map(anon_map, out / "anonymization_map.json")
+    else:
+        (out / "anonymization_map.json").unlink(missing_ok=True)
     complete.save(out / "complete.tsv")
     incomplete.save(out / "incomplete.tsv")
     with open(out / "removals.jsonl", "w", encoding="utf-8") as fh:
@@ -590,8 +602,6 @@ def load_bundle(directory: str | Path) -> Bundle:
     removals = [RemovalEntry.from_json(r) for r in read_jsonl(d / "removals.jsonl")]
     return Bundle(
         directory=d,
-        complete=KnowledgeGraph.load(d / "complete.tsv"),
-        incomplete=KnowledgeGraph.load(d / "incomplete.tsv"),
         questions=questions,
         removals=removals,
         rules=read_rules_jsonl(d / "rules.jsonl"),

@@ -194,6 +194,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     with open(str(args.out) + ".manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
     log.info("ran %d episodes, predictions in %s", len(traces), args.out)
+    errored = sum(t.termination == "error" for t in traces)
+    if errored:
+        log.warning("%d of %d episodes ended in an endpoint error", errored, len(traces))
     return 0
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -15,7 +16,7 @@ from kgreason.agent import (
     run_episode,
 )
 from kgreason.kg import KnowledgeGraph
-from kgreason.llm import EndpointBudgetExceeded
+from kgreason.llm import EndpointBudgetExceeded, EndpointError
 
 
 def q(qid, text, topic):
@@ -23,7 +24,8 @@ def q(qid, text, topic):
 
 
 class ScriptedClient:
-    """Stands in for the endpoint: returns canned responses in order."""
+    """Stands in for the endpoint: returns canned responses in order; an
+    exception among them is raised instead."""
 
     def __init__(self, responses, max_calls=None):
         self.responses = list(responses)
@@ -36,7 +38,10 @@ class ScriptedClient:
             raise EndpointBudgetExceeded("out of calls")
         self.requests.append(messages)
         self.calls += 1
-        return self.responses.pop(0)
+        response = self.responses.pop(0)
+        if isinstance(response, Exception):
+            raise response
+        return response
 
 
 class TestContentTokens:
@@ -299,6 +304,10 @@ class TestLLMPolicyEpisodes:
         trace = run_episode(g, question, policy)
         assert trace.termination == "budget"
         assert trace.fallback
+        # running out inside decide records one abort step, as in repair
+        assert [s["i"] for s in trace.steps] == [0, 1]
+        assert set(trace.steps[1]) == {"i", "state_digest", "events"}
+        assert trace.steps[1]["events"] == ["abort: out of calls"]
 
 
 class TestTraces:
@@ -326,3 +335,139 @@ class TestTraces:
         again = EpisodeTrace.from_json_lines(parsed)
         assert again == trace
         assert replay_trace(celebrity_family, again)
+
+
+EXPLORE_A = '{"tool":"relation_path_mining","entity":"a","max_hops":1}'
+GROUND_P = '{"tool":"path_grounding","entity":"a","relation_paths":["p"]}'
+ABSTAIN = '{"tool":"complete_task","explored_reasoning_paths":[],"answer_entities":[]}'
+ANSWER_NO_EVIDENCE = (
+    '{"tool":"complete_task","explored_reasoning_paths":[],"answer_entities":["b"]}'
+)
+
+# name -> (scripted replies, endpoint call budget, max actions); one per way
+# an episode can end
+EXIT_PATHS = {
+    "synthesis": (
+        [EXPLORE_A, GROUND_P, '{"tool":"complete_task","explored_reasoning_paths":'
+         '["(a, p, b)"],"answer_entities":["b"]}'],
+        None, 10,
+    ),
+    "parse_repair_then_success": (["gibberish", EXPLORE_A, ABSTAIN], None, 10),
+    "two_unparseable": (["nope", "still nope"], None, 10),
+    "validation_repair_then_success": ([ANSWER_NO_EVIDENCE, EXPLORE_A, ABSTAIN], None, 10),
+    "unparseable_repair": (
+        ['{"tool":"path_grounding","entity":"a","relation_paths":["zzz"]}', "garbage"],
+        None, 10,
+    ),
+    "still_invalid_after_repair": (
+        ['{"tool":"relation_path_mining","entity":"a","max_hops":9}', GROUND_P], None, 10,
+    ),
+    "budget_in_repair": ([EXPLORE_A, "gibberish", ANSWER_NO_EVIDENCE], 3, 10),
+    "max_actions": ([EXPLORE_A, GROUND_P], None, 2),
+}
+
+# SHA-256 of (trace JSON lines, requests the endpoint received)
+EXIT_PATH_GOLDEN = {
+    "budget_in_repair": (
+        "d169e000e3cf23af0a2a3e37665397d1fcc721ee8a66b16551766b8b2a8c85b3",
+        "58f2ef2800b5b3c0687eb749ad9591fc65afa410d8226c3da7694fe9d2e94630",
+    ),
+    "heuristic": "7e2647861a5df9a5d7190c5dc5474b228f85fb911462959a3f897493f8e10164",
+    "max_actions": (
+        "cc615d4372352c4544ed04347f8018a008a797b34bbb68815435705275f0794b",
+        "2fb0839de037e2fcf2fb05751124e5e65cd4f745c69e798e83ea8ae5b221b15e",
+    ),
+    "parse_repair_then_success": (
+        "74e4c76398a9f51b21bbe0cc3dc85bc0289328b346d9b8dca0ecb6f7c6653eaf",
+        "c47645e720855cce8aa54776f9dc93d3d4393456a01b781d9f1bbb8b310040c5",
+    ),
+    "still_invalid_after_repair": (
+        "ba764d73cd807d2dce5bb7c6ca8ffc9a656a6d5c44ba3b3079d9ee65bae6470b",
+        "83c0c419fb7d9b742bd98de761fbc6c5d1473de208976e767db2e5dddabe6134",
+    ),
+    "synthesis": (
+        "14da7f4d792011bb4c8736d116735ed1e7b072ed9ef84580e17c9b80de5938bd",
+        "231df402163ecc2ec2823858f8e3e44711010ab7fbea8a873c39f65a20d59d4d",
+    ),
+    "truncated_state_message": (
+        "17ab18616a7d76d2e937b35d242332c68dbe08839fc2c65a3c217bcd1ca62892",
+        "eec0ac0c316b3d093945d36cecd50b83e6892744218bd72de5daa3b43ffa3afc",
+    ),
+    "two_unparseable": (
+        "1cc0825f7be6d8361d36b5f5a7ca5ef8b0d82bbc2bb906745bf529689ca1abd9",
+        "853c77aa6dcd9a91c7450f700d5b34cf8ca34f3c043488f60ec993f831efa6c8",
+    ),
+    "unparseable_repair": (
+        "faebfff41d27cbc4d00f7bef79abfad370feeaa735d2eb3a194681783602960b",
+        "403a818a9aed767d263a5fb23de235927503f4cc71460b7b90335090760cc301",
+    ),
+    "validation_repair_then_success": (
+        "9f50524d07d30ff103e55667a698670318c18effc8c142e66fd2a45e1cf98e44",
+        "cbe06289a240a52e3abc5def05e522607cf988f4cbffb3702e4395c501536ddb",
+    ),
+}
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestExitPaths:
+    """Pins every exit of the episode loop byte for byte: the trace and the
+    requests sent to the endpoint."""
+
+    graph = KnowledgeGraph([("a", "p", "b"), ("b", "q", "c"), ("a", "r", "d")])
+    question = q("x1", "what is p of a?", "a")
+
+    def run_scripted(self, replies, max_calls, max_actions):
+        client = ScriptedClient(replies, max_calls=max_calls)
+        policy = LLMPolicy(self.question["question"], "a", client)
+        trace = run_episode(self.graph, self.question, policy, PolicyBudget(max_actions))
+        return trace, client
+
+    @pytest.mark.parametrize("name", sorted(EXIT_PATHS))
+    def test_scripted_exit_path_golden(self, name):
+        trace, client = self.run_scripted(*EXIT_PATHS[name])
+        assert not client.responses  # every scripted reply was asked for
+        digests = (
+            _sha("\n".join(trace.to_json_lines())),
+            _sha(json.dumps(client.requests, sort_keys=True)),
+        )
+        assert digests == EXIT_PATH_GOLDEN[name]
+
+    def test_truncated_state_message_golden(self):
+        # 70 relation paths and 70 reasoning paths: both lists in the state
+        # message are cut to the 60 that best overlap the question
+        wide = KnowledgeGraph([("a", f"p{i}", f"b{i}") for i in range(70)])
+        paths = json.dumps([f"p{i}" for i in range(70)])
+        client = ScriptedClient([
+            EXPLORE_A,
+            f'{{"tool":"path_grounding","entity":"a","relation_paths":{paths}}}',
+            ABSTAIN,
+        ])
+        question = q("w1", "what is p7 of a?", "a")
+        trace = run_episode(wide, question, LLMPolicy(question["question"], "a", client))
+        assert trace.steps[2]["events"] == [
+            "truncated relation paths to 60 in state message",
+            "truncated reasoning paths to 60 in state message",
+        ]
+        digests = (
+            _sha("\n".join(trace.to_json_lines())),
+            _sha(json.dumps(client.requests, sort_keys=True)),
+        )
+        assert digests == EXIT_PATH_GOLDEN["truncated_state_message"]
+
+    def test_heuristic_celebrity_golden(self, celebrity_family):
+        question = q("t1", "Who is Justin Bieber's parent?", "Justin Bieber")
+        policy = HeuristicPolicy(question["question"], "Justin Bieber", max_hops=3)
+        trace = run_episode(celebrity_family, question, policy)
+        assert _sha("\n".join(trace.to_json_lines())) == EXIT_PATH_GOLDEN["heuristic"]
+
+    def test_endpoint_error_ends_the_episode(self):
+        error = EndpointError("endpoint failed after 3 attempts: server error 500")
+        trace, _ = self.run_scripted([EXPLORE_A, GROUND_P, error], None, 10)
+        assert trace.termination == "error"
+        assert not trace.fallback
+        assert trace.prediction == []
+        assert [s["i"] for s in trace.steps] == [0, 1, 2]
+        assert trace.steps[2]["events"] == [f"abort: {error}"]

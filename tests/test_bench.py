@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from kgreason import bench
 from kgreason.bench import (
     GenConfig,
     QAInstance,
@@ -352,6 +353,23 @@ class TestBundle:
         assert result["ok"], result["violations"]
         for q in bundle.questions:
             assert q.topic in bundle.complete.entities
+
+    def test_failed_check_writes_nothing(self, tmp_path, uncle_world_file, monkeypatch):
+        old, _ = self.build(tmp_path / "old", uncle_world_file, anonymize_seed=4)
+        before = {p.name: p.read_bytes() for p in old.iterdir()}
+        monkeypatch.setattr(bench, "check_answerability", lambda *args: ["q0: no witness"])
+        for root in (tmp_path / "old", tmp_path / "fresh"):
+            with pytest.raises(ValueError, match="answerability check failed"):
+                self.build(root, uncle_world_file, anonymize_seed=5)
+        assert not (tmp_path / "fresh" / "bundle").exists()
+        assert {p.name: p.read_bytes() for p in old.iterdir()} == before
+
+    def test_rebuild_without_seed_drops_stale_map(self, tmp_path, uncle_world_file):
+        out, _ = self.build(tmp_path, uncle_world_file, anonymize_seed=4)
+        assert (out / "anonymization_map.json").exists()
+        out, _ = self.build(tmp_path, uncle_world_file)
+        assert not (out / "anonymization_map.json").exists()
+        assert verify_bundle(out)["ok"]
 
     def test_anonymized_bundle_maps_rule_constants(self, tmp_path):
         # sibling(X,Y) & gender(Y,'male') => brother(X,Y) on ten families of two

@@ -6,6 +6,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 import pytest
 
 from kgreason.bench import GenConfig, build_bundle, generate_question
+from kgreason.cli import main
 from kgreason.kg import KnowledgeGraph
 from kgreason.llm import (
     API_TOKEN_VAR,
@@ -287,3 +288,49 @@ class TestBenchWithEndpoint:
         retries = sum(r["provenance"]["retries"] for r in kept)
         assert retries > 0 and not any(r["provenance"]["fallback"] for r in kept)
         assert len(ep.requests) - 1 == len(kept) + retries  # minus the probe
+
+
+class TestRunWithEndpoint:
+    def test_endpoint_failure_ends_one_episode(
+        self, tmp_path, uncle_world_file, canned, monkeypatch, caplog
+    ):
+        rules, bundle = tmp_path / "rules.jsonl", tmp_path / "bundle"
+        assert main(["mine", "--kg", str(uncle_world_file), "--out", str(rules),
+                     "--min-conf", "0.9", "--max-len", "3"]) == 0
+        assert main(["bench", "--kg", str(uncle_world_file), "--rules", str(rules),
+                     "--out-dir", str(bundle), "--seed", "7", "--groundings-per-rule", "2",
+                     "--topic-side", "subject"]) == 0
+
+        def reply(body):
+            if "Topic entity: justin\n" in body["messages"][1]["content"]:
+                return 500, {"error": "down"}
+            return openai_style(
+                '{"tool":"complete_task","explored_reasoning_paths":[],"answer_entities":[]}'
+            )
+
+        ep = canned(reply)
+        monkeypatch.setenv(ENDPOINT_URL_VAR, ep.url)
+        preds, traces = tmp_path / "preds.jsonl", tmp_path / "traces.jsonl"
+        rc = main(["run", "--bundle", str(bundle), "--policy", "llm", "--split", "all",
+                   "--out", str(preds), "--traces", str(traces)])
+        assert rc == 0
+        topics = {
+            r["id"]: r["topic"]
+            for r in map(json.loads, (bundle / "questions.jsonl").read_text().splitlines())
+        }
+        assert sorted(topics.values()) == ["anna", "justin"]
+        rows = {r["id"]: r for r in map(json.loads, preds.read_text().splitlines())}
+        assert rows.keys() == topics.keys()
+        finals = {
+            r["question_id"]: r
+            for r in map(json.loads, traces.read_text().splitlines())
+            if r["type"] == "final"
+        }
+        for qid, topic in topics.items():
+            if topic == "justin":
+                assert finals[qid]["termination"] == "error"
+                assert rows[qid] == {"id": qid, "prediction": [], "terminated": False}
+            else:
+                assert finals[qid]["termination"] == "synthesized"
+                assert rows[qid]["terminated"]
+        assert "1 of 2 episodes ended in an endpoint error" in caplog.text
