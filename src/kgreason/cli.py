@@ -14,6 +14,7 @@ import logging
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager, suppress
 from pathlib import Path
 
 from . import agent, bench, evaluate, mining
@@ -70,6 +71,19 @@ def _load_synonyms(path: str | None) -> dict | None:
         return json.load(fh)
 
 
+@contextmanager
+def _replacing(path):
+    """A temp path beside `path` that replaces it when the block succeeds;
+    when the block fails, the temp file is removed and `path` is untouched."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    finally:
+        with suppress(FileNotFoundError):
+            os.remove(tmp)
+
+
 # -- subcommands ---------------------------------------------------------------
 
 
@@ -85,7 +99,6 @@ def cmd_mine(args: argparse.Namespace) -> int:
     g = KnowledgeGraph.load(args.kg)
     log.info("mining %s: %d triples, %d predicates", args.kg, len(g), len(g.predicates))
     mined = mining.mine(g, cfg)
-    mining.write_rules_jsonl(mined, args.out)
     hist = mining.rule_type_histogram(mined)
     print("rule type histogram:", file=sys.stderr)
     for name in (*RULE_TYPES, "total"):
@@ -97,8 +110,15 @@ def cmd_mine(args: argparse.Namespace) -> int:
         "outputs": {"rules": str(args.out), "count": len(mined)},
         "rule_type_histogram": hist,
     }
-    with open(str(args.out) + ".manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+    # both files are written in full before either replaces the old one (the
+    # rules first), so a failed write leaves the previous run's pair in place
+    with (
+        _replacing(str(args.out) + ".manifest.json") as manifest_tmp,
+        _replacing(args.out) as rules_tmp,
+    ):
+        mining.write_rules_jsonl(mined, rules_tmp)
+        with open(manifest_tmp, "w", encoding="utf-8") as fh:
+            json.dump(manifest, fh, indent=2, sort_keys=True)
     log.info("wrote %d rules to %s", len(mined), args.out)
     return 0
 

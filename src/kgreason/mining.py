@@ -18,14 +18,17 @@ deterministic lexicographic ordering the public contracts promise.
 
 Refinement works on plain tuples: a candidate is its canonical signature
 (rules.signature) plus the key formatted from it, and a HornRule is built
-only for a candidate that enters the queue. The head-coverage gate on that
-queue counts set-at-a-time (the count-query rewriting of AMIE+ and AMIE 3):
-each distinct body is projected once onto the head variables -- an (X, Y)
-pair set, or X and Y value sets for bodies whose components hold only one of
-them -- and one pass over the smallest projection yields the support of
-every head predicate. Only those per-body counts are memoised; they and the
-set of enqueued keys are dropped whenever the search reaches the next rule
-length, as no body or key of a shorter rule comes up again.
+only for a candidate that enters the queue. At the length cap only closed
+candidates can be output, and the open ones are never built: refine tells
+them apart on the raw atoms, before any signature search (the last-step
+pruning of AMIE+). The head-coverage gate on the queue counts set-at-a-time
+(the count-query rewriting of AMIE+ and AMIE 3): each distinct body is
+projected once onto the head variables -- an (X, Y) pair set, or X and Y
+value sets for bodies whose components hold only one of them -- and one pass
+over the smallest projection yields the support of every head predicate.
+Only those per-body counts are memoised; they and the set of enqueued keys
+are dropped whenever the search reaches the next rule length, as no body or
+key of a shorter rule comes up again.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ import json
 import logging
 import math
 import time
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -498,20 +501,31 @@ def body_holds_with_head_binding(
     return _walk(gv, _make_plan(c.body, prebound), 0, binding)
 
 
-def refine(rule: HornRule, g: KnowledgeGraph, cfg: MinerConfig) -> list[tuple[str, tuple]]:
+def refine(
+    rule: HornRule, g: KnowledgeGraph, cfg: MinerConfig, *, closed_at_cap: bool = False
+) -> list[tuple[str, tuple]]:
     """Candidate rules one body atom longer, by the dangling / closing /
     instantiated operators, deduplicated by canonical form: (key, signature)
     pairs sorted by key, where rule_from_signature(signature) is the
-    canonical candidate and key is its key()."""
+    canonical candidate and key is its key().
+
+    With closed_at_cap, candidates that reach the length cap are built only
+    if closed (every variable occurs at least twice), the only ones mine()
+    can output there. That is read off the raw atoms: a dangling atom brings
+    a variable that occurs once, and a closing or instantiated atom closes
+    the rule iff it takes every variable that occurs once in the parent."""
     if rule.length >= cfg.max_rule_length:
         return []
     parent = [(a.predicate, *a.args) for a in rule.atoms()]
     # reuse the parent's variable Terms: `atom in parent` then matches by identity
-    terms = {t.name: t for _, *args in parent for t in args if t.is_var}
-    existing = list(terms.values())
+    occurrences = Counter(t for _, *args in parent for t in args if t.is_var)
+    existing = list(occurrences)
+    names = {t.name for t in existing}
     fresh = Term.var(
-        next(variable_symbol(i) for i in itertools.count() if variable_symbol(i) not in terms)
+        next(variable_symbol(i) for i in itertools.count() if variable_symbol(i) not in names)
     )
+    at_cap = closed_at_cap and rule.length + 1 == cfg.max_rule_length
+    once = {t for t, n in occurrences.items() if n == 1} if at_cap else set()
     candidates: dict[str, tuple] = {}
 
     def add(atom: tuple):
@@ -521,29 +535,26 @@ def refine(rule: HornRule, g: KnowledgeGraph, cfg: MinerConfig) -> list[tuple[st
         candidates.setdefault(signature_key(sig), sig)
 
     preds = g.predicates
+    if not at_cap:
+        for p in preds:
+            for v in existing:
+                add((p, v, fresh))
+                add((p, fresh, v))
+    closing = [(v1, v2) for v1, v2 in itertools.permutations(existing, 2) if once <= {v1, v2}]
     for p in preds:
-        for v in existing:
-            add((p, v, fresh))
-            add((p, fresh, v))
-    for p in preds:
-        for v1, v2 in itertools.permutations(existing, 2):
+        for v1, v2 in closing:
             add((p, v1, v2))
-    if cfg.allow_instantiated_atoms:
+    anchors = [v for v in existing if once <= {v}]
+    if cfg.allow_instantiated_atoms and anchors:
         for p in preds:
             subjects = [Term.const(s) for s in sorted({s for s, _ in g.pairs(p)})]
             objects = [Term.const(o) for o in sorted({o for _, o in g.pairs(p)})]
-            for v in existing:
+            for v in anchors:
                 for c in objects:
                     add((p, v, c))
                 for c in subjects:
                     add((p, c, v))
     return sorted(candidates.items())
-
-
-def _closed(sig: tuple) -> bool:
-    """Whether every variable of a signature occurs at least twice."""
-    tags = [t for row in sig for t in row[1:] if t[0] == "v"]
-    return all(tags.count(t) > 1 for t in tags)
 
 
 def mine(g: KnowledgeGraph, cfg: MinerConfig | None = None) -> list[MinedRule]:
@@ -559,7 +570,9 @@ def mine(g: KnowledgeGraph, cfg: MinerConfig | None = None) -> list[MinedRule]:
     Full metrics are only computed where the algorithm needs them: shape-valid
     dequeued rules get the exact figures and open rules below the length cap
     get a PCA<1 early-exit check. Open candidates at the cap, which could
-    never be output, are not enqueued at all.
+    never be output, are never built: refine skips them before computing a
+    signature, so the per-length "candidates" count in the debug log counts
+    only closed ones at the cap.
     """
     cfg = cfg or MinerConfig()
     if len(g) == 0:
@@ -596,14 +609,13 @@ def mine(g: KnowledgeGraph, cfg: MinerConfig | None = None) -> list[MinedRule]:
                 _pca_below_one(gv, _compile(gv, rule)) if met is None
                 else met.pca_confidence < 1.0
             ):
-                refined = refine(rule, g, cfg)
-                candidates += len(refined)
                 # a candidate at the cap is never refined, so only a closed
                 # one can be output (with a p(X,Y) head closed implies safe,
-                # and refinement keeps rules connected)
-                at_cap = rule.length + 1 == cfg.max_rule_length
+                # and refinement keeps rules connected): refine builds no other
+                refined = refine(rule, g, cfg, closed_at_cap=True)
+                candidates += len(refined)
                 for key, sig in refined:
-                    if key not in seen and (not at_cap or _closed(sig)) and hc_gate(sig):
+                    if key not in seen and hc_gate(sig):
                         seen.add(key)
                         queue.append((rule_from_signature(sig), child_conf))
         log.debug(

@@ -145,6 +145,12 @@ def permutation_refine(rule: HornRule, g: KnowledgeGraph, cfg) -> list[HornRule]
     return [candidates[k] for k in sorted(candidates)]
 
 
+def closed_signature(sig: tuple) -> bool:
+    """Whether every variable of a rules.signature occurs at least twice."""
+    tags = [t for row in sig for t in row[1:] if t[0] == "v"]
+    return all(tags.count(t) > 1 for t in tags)
+
+
 def exhaustive_groundings(g: KnowledgeGraph, rule: HornRule):
     """Every total substitution satisfying the body, with head-present flag."""
     ents = g.entities

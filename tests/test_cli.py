@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from kgreason import mining
 from kgreason.cli import main
 from kgreason.llm import ENDPOINT_URL_VAR
 
@@ -82,6 +83,35 @@ class TestMine:
             assert main(["mine", "--kg", str(uncle_world_file), "--out", str(out),
                          "--max-len", "3"]) == 0
         assert sha(a) == sha(b)
+
+    @pytest.mark.parametrize("fail_in", ["rules", "manifest"])
+    def test_failed_write_keeps_previous_outputs(
+        self, tmp_path, uncle_world_file, monkeypatch, fail_in
+    ):
+        out = tmp_path / "rules.jsonl"
+        argv = ["mine", "--kg", str(uncle_world_file), "--out", str(out), "--max-len", "3"]
+        assert main(argv + ["--min-conf", "0.9"]) == 0
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        assert before[out.name].count(b"\n") == 1  # a rerun without --min-conf mines 3
+
+        if fail_in == "rules":
+            real, calls = mining.rule_to_json, []
+
+            def boom(rule):  # the second rule's row fails, after the first is written
+                calls.append(rule)
+                if len(calls) == 2:
+                    raise OSError("disk full")
+                return real(rule)
+
+            monkeypatch.setattr(mining, "rule_to_json", boom)
+        else:
+            def boom(obj, fh, **kwargs):
+                fh.write("{\n")
+                raise OSError("disk full")
+
+            monkeypatch.setattr(json, "dump", boom)
+        assert main(argv) == 1
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     def test_missing_subcommand_usage_error(self):
         assert main([]) == 2

@@ -35,6 +35,7 @@ from kgreason.rules import (
 
 from conftest import random_graph
 from oracles import (
+    closed_signature,
     exhaustive_body_holds,
     exhaustive_groundings,
     exhaustive_metrics,
@@ -255,12 +256,26 @@ class TestHeadCoverageGate:
                      pca_threshold=0.2),
                 "ea00704d8fe1d3b788dcc7f3a313caa3f749c370c1ab7698dadbc4bcdfaf54f8",
             ),
+            (
+                12, 10, 3, 40,
+                dict(max_rule_length=4, min_head_coverage=0.05, min_confidence=0.1,
+                     pca_threshold=0.2),
+                "4668812ae27f3dff773a8c818abcb47626838cf3ff7db05a176ca0084c7e63cf",
+            ),
+            (
+                16, 5, 2, 10,
+                dict(max_rule_length=4, allow_instantiated_atoms=True, min_confidence=0.1,
+                     pca_threshold=0.2),
+                "c63d74d746249f6f183c28d8fa8a53d7d53e542c3caab6e774eaec4c752cad68",
+            ),
         ],
     )
     def test_mined_rules_golden_digest(
         self, tmp_path, seed, n_ents, n_preds, n_triples, cfg, digest
     ):
-        # digests recorded from the per-head-predicate gate this one replaced
+        # the length-3 digests were recorded from the per-head-predicate gate
+        # this one replaced; the length-4 ones (565 and 2,384 rules, most of
+        # them at the cap) before refine stopped building open candidates there
         g = random_graph(random.Random(seed), n_ents, n_preds, n_triples)
         path = tmp_path / "rules.jsonl"
         write_rules_jsonl(mine(g, MinerConfig(**cfg)), path)
@@ -367,6 +382,28 @@ class TestRefine:
                     got = [(key, rule_from_signature(sig)) for key, sig in refine(parent, g, cfg)]
                     want = [(c.key(), c) for c in permutation_refine(parent, g, cfg)]
                     assert got == want, parent
+
+
+    def test_closed_at_cap_matches_closed_filter(self):
+        # the same parents as above; closed_at_cap only drops the open
+        # candidates at the cap, and leaves shorter ones alone
+        dropped = kept = 0
+        for seed, n_ents, n_preds, n_triples, max_len, _ in TestHeadCoverageGate.CORPUS:
+            g = random_graph(random.Random(seed), n_ents, n_preds, n_triples)
+            plain = MinerConfig(max_rule_length=max_len)
+            consts = MinerConfig(max_rule_length=max_len, allow_instantiated_atoms=True)
+            parents = [HornRule(Atom(p, X, Y)) for p in g.predicates]
+            parents += [rule for _, rule in _all_candidates(g, consts if max_len == 3 else plain)]
+            for cfg in (plain, consts):
+                for parent in parents:
+                    full = refine(parent, g, cfg)
+                    want = full
+                    if parent.length + 1 == max_len:
+                        want = [c for c in full if closed_signature(c[1])]
+                        dropped += len(full) - len(want)
+                        kept += len(want)
+                    assert refine(parent, g, cfg, closed_at_cap=True) == want, parent
+        assert dropped and kept
 
 
 class TestMine:
