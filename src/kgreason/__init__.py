@@ -1,84 +1,46 @@
 """KGQA benchmarks under controlled knowledge-graph incompleteness, plus an
-interactive graph-reasoning agent environment and evaluation protocol."""
+interactive graph-reasoning agent environment and evaluation protocol.
 
-from .kg import KnowledgeGraph, Triple
-from .rules import Atom, HornRule, Term, canonicalize, check_rule_shape, classify_rule
-from .mining import (
-    MinedRule,
-    MinerConfig,
-    RuleMetrics,
-    compute_metrics,
-    enumerate_groundings,
-    mine,
-    refine,
-)
-from .bench import (
-    GenConfig,
-    QAInstance,
-    RemovalPlan,
-    build_bundle,
-    complete_answer_set,
-    downsample,
-    generate_question,
-    load_bundle,
-    plan_removals,
-    split_dataset,
-    verify_bundle,
-)
-from .env import AgentState, EnvConfig, apply_transition, explore, ground
-from .agent import (
-    Action,
-    EpisodeTrace,
-    HeuristicPolicy,
-    LLMPolicy,
-    PolicyBudget,
-    replay_trace,
-    run_episode,
-)
-from .evaluate import MetricsReport, compute_report, normalize_prediction
+The exports below load on first use (PEP 562), so `import kgreason` or a
+single stage imports only the modules it needs.
+"""
+
+import importlib
+
+_EXPORTS = {
+    "kg": ("KnowledgeGraph", "Triple"),
+    "rules": ("Atom", "HornRule", "Term", "canonicalize", "check_rule_shape", "classify_rule"),
+    "mining": (
+        "MinedRule", "MinerConfig", "RuleMetrics", "compute_metrics", "enumerate_groundings",
+        "mine", "refine",
+    ),
+    "bench": (
+        "GenConfig", "QAInstance", "RemovalPlan", "build_bundle", "complete_answer_set",
+        "downsample", "generate_question", "load_bundle", "plan_removals", "split_dataset",
+        "verify_bundle",
+    ),
+    "env": ("AgentState", "EnvConfig", "apply_transition", "explore", "ground"),
+    "agent": (
+        "Action", "EpisodeTrace", "HeuristicPolicy", "LLMPolicy", "PolicyBudget",
+        "replay_trace", "run_episode",
+    ),
+    "evaluate": ("MetricsReport", "compute_report", "normalize_prediction"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Action",
-    "AgentState",
-    "Atom",
-    "EnvConfig",
-    "EpisodeTrace",
-    "GenConfig",
-    "HeuristicPolicy",
-    "HornRule",
-    "KnowledgeGraph",
-    "LLMPolicy",
-    "MetricsReport",
-    "MinedRule",
-    "MinerConfig",
-    "PolicyBudget",
-    "QAInstance",
-    "RemovalPlan",
-    "RuleMetrics",
-    "Term",
-    "Triple",
-    "apply_transition",
-    "build_bundle",
-    "canonicalize",
-    "check_rule_shape",
-    "classify_rule",
-    "complete_answer_set",
-    "compute_metrics",
-    "compute_report",
-    "downsample",
-    "enumerate_groundings",
-    "explore",
-    "generate_question",
-    "ground",
-    "load_bundle",
-    "mine",
-    "normalize_prediction",
-    "plan_removals",
-    "refine",
-    "replay_trace",
-    "run_episode",
-    "split_dataset",
-    "verify_bundle",
-]
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

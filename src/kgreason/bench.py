@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
 
-from .kg import KnowledgeGraph, Triple, write_anonymization_map
+from .kg import KnowledgeGraph, Triple, sha256_file, write_anonymization_map
 from .llm import QUESTION_GENERATION_PROMPT, EndpointError, LLMClient
 from .mining import (
     MinedRule,
@@ -44,14 +44,6 @@ def _stable_rng(seed: int, *tags) -> random.Random:
     material = "|".join([str(seed), *[str(t) for t in tags]])
     digest = hashlib.sha256(material.encode()).digest()
     return random.Random(int.from_bytes(digest[:8], "big"))
-
-
-def sha256_file(path: str | Path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 16), b""):
-            h.update(chunk)
-    return h.hexdigest()
 
 
 @dataclass

@@ -13,14 +13,13 @@ import json
 import logging
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager, suppress
+from contextlib import ExitStack, contextmanager, suppress
 from pathlib import Path
 
-from . import agent, bench, evaluate, mining
-from .env import EnvConfig
-from .kg import KnowledgeGraph
-from .llm import ENDPOINT_URL_VAR, LLMClient
+# only what `mine` and `inspect --kg` need; the other stages import their
+# modules when they run
+from . import mining
+from .kg import KnowledgeGraph, sha256_file
 from .rules import RULE_TYPES
 
 log = logging.getLogger("kgreason")
@@ -106,7 +105,7 @@ def cmd_mine(args: argparse.Namespace) -> int:
     manifest = {
         "command": "mine",
         "config": res.resolved,
-        "inputs": {"kg": {"path": str(args.kg), "sha256": bench.sha256_file(args.kg)}},
+        "inputs": {"kg": {"path": str(args.kg), "sha256": sha256_file(args.kg)}},
         "outputs": {"rules": str(args.out), "count": len(mined)},
         "rule_type_histogram": hist,
     }
@@ -124,6 +123,9 @@ def cmd_mine(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    from . import bench
+    from .llm import ENDPOINT_URL_VAR
+
     res = _Resolver(args)
     cfg = bench.GenConfig(
         groundings_per_rule=res.get(args.groundings_per_rule, "groundings_per_rule", 30, int),
@@ -146,6 +148,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    from . import agent, bench
+    from .env import EnvConfig
+    from .llm import ENDPOINT_URL_VAR, LLMClient
+
     res = _Resolver(args)
     bundle = bench.load_bundle(args.bundle)
     g = bundle.incomplete if args.graph == "incomplete" else bundle.complete
@@ -179,24 +185,13 @@ def cmd_run(args: argparse.Namespace) -> int:
         return agent.run_episode(g, q.to_json(), policy, budget, env_cfg)
 
     if parallel > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=parallel) as pool:
             traces = list(pool.map(episode, questions))
     else:
         traces = [episode(q) for q in questions]
 
-    with open(args.out, "w", encoding="utf-8") as fh:
-        for t in traces:
-            row = {
-                "id": t.question_id,
-                "prediction": t.prediction,
-                "terminated": t.termination == "synthesized",
-            }
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
-    if args.traces:
-        with open(args.traces, "w", encoding="utf-8") as fh:
-            for t in traces:
-                for line in t.to_json_lines():
-                    fh.write(line + "\n")
     manifest = {
         "command": "run",
         "config": {
@@ -207,12 +202,31 @@ def cmd_run(args: argparse.Namespace) -> int:
         },
         "inputs": {
             "bundle": str(args.bundle),
-            "questions_sha256": bench.sha256_file(Path(args.bundle) / "questions.jsonl"),
+            "questions_sha256": sha256_file(Path(args.bundle) / "questions.jsonl"),
         },
         "outputs": {"predictions": str(args.out), "count": len(traces)},
     }
-    with open(str(args.out) + ".manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+    # every file is written in full before any replaces the old one
+    # (predictions first, the manifest last), as in cmd_mine
+    with ExitStack() as stack:
+        manifest_tmp = stack.enter_context(_replacing(str(args.out) + ".manifest.json"))
+        traces_tmp = stack.enter_context(_replacing(args.traces)) if args.traces else None
+        predictions_tmp = stack.enter_context(_replacing(args.out))
+        with open(predictions_tmp, "w", encoding="utf-8") as fh:
+            for t in traces:
+                row = {
+                    "id": t.question_id,
+                    "prediction": t.prediction,
+                    "terminated": t.termination == "synthesized",
+                }
+                fh.write(json.dumps(row, sort_keys=True) + "\n")
+        if traces_tmp:
+            with open(traces_tmp, "w", encoding="utf-8") as fh:
+                for t in traces:
+                    for line in t.to_json_lines():
+                        fh.write(line + "\n")
+        with open(manifest_tmp, "w", encoding="utf-8") as fh:
+            json.dump(manifest, fh, indent=2, sort_keys=True)
     log.info("ran %d episodes, predictions in %s", len(traces), args.out)
     errored = sum(t.termination == "error" for t in traces)
     if errored:
@@ -221,6 +235,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    from . import bench, evaluate
+
     bundle = bench.load_bundle(args.bundle)
     gold = [
         q.to_json()
@@ -236,9 +252,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
         raise ValueError(f"prediction ids not in the evaluated split: {strays[:5]}")
     report = evaluate.compute_report(gold, predictions)
     report.notes.append(f"split={args.split}")
-    evaluate.write_report(report, args.out)
-    if args.csv:
-        evaluate.write_report_csv(report, args.csv)
+    # both files are written in full before either replaces the old one
+    with ExitStack() as stack:
+        csv_tmp = stack.enter_context(_replacing(args.csv)) if args.csv else None
+        report_tmp = stack.enter_context(_replacing(args.out))
+        evaluate.write_report(report, report_tmp)
+        if csv_tmp:
+            evaluate.write_report_csv(report, csv_tmp)
     m = report.to_json()["metrics"]
     log.info(
         "hits_any %.4f precision %.4f recall %.4f f1 %.4f hits_hard %.4f hhr %.4f",
@@ -266,6 +286,8 @@ def cmd_inspect(args: argparse.Namespace) -> int:
             "rule_type_histogram": mining.rule_type_histogram(mined),
         }
     else:
+        from . import bench
+
         payload = bench.verify_bundle(args.bundle)
     print(json.dumps(payload, indent=2, sort_keys=True))
     return 0

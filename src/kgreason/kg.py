@@ -8,6 +8,7 @@ every index list comes out in deterministic lexicographic order.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 import random
@@ -259,3 +260,11 @@ def write_anonymization_map(mapping: dict[str, str], path: str | Path) -> None:
     payload = {orig: {"index": idx, "label": orig} for orig, idx in mapping.items()}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
+
+
+def sha256_file(path: str | Path) -> str:
+    h = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 16), b""):
+            h.update(chunk)
+    return h.hexdigest()

@@ -8,13 +8,10 @@ response containing the generated text.
 
 from __future__ import annotations
 
-import http.client
 import json
 import logging
 import os
 import time
-import urllib.error
-import urllib.request
 
 log = logging.getLogger(__name__)
 
@@ -224,6 +221,12 @@ class LLMClient:
         self.calls = 0
 
     def chat(self, messages: list[dict], temperature: float = 0.0) -> str:
+        # imported on first use, so that loading this module (as bench and
+        # agent do) does not load the HTTP stack
+        import http.client
+        import urllib.error
+        import urllib.request
+
         if self.max_calls is not None and self.calls >= self.max_calls:
             raise EndpointBudgetExceeded(
                 f"endpoint call budget of {self.max_calls} exhausted"

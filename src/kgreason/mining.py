@@ -7,14 +7,21 @@ projected from body groundings (not raw substitution tuples); the PCA
 denominator keeps only pairs whose subject has at least one fact of the head
 predicate.
 
-The join is one backtracking walker, _walk, over the graph's interned
-integer handles with a join order fixed once per rule (bound atoms first).
-Its consumers differ only in what happens where every atom holds: an
-existence check stops there, grounding enumeration records the binding, and
-projection (metrics, the gate, the PCA check) walks to the depth that binds
-the projected variables, then checks that the rest holds. Handles are
-assigned in lexicographic id order, so integer ordering doubles as the
-deterministic lexicographic ordering the public contracts promise.
+Joins run over the graph's interned integer handles, with a join order
+fixed once per rule (bound atoms first), in one of two ways. Projection --
+the metrics, the head-coverage gate and grounding enumeration -- runs set at
+a time in _project: each atom extends or filters a set of rows with one
+comprehension over the sp / op / byp / tri indices, and after each atom the
+rows keep only the variables a later atom or the projection still needs, so
+every step deduplicates (semi-join reduction, then join: Yannakakis, VLDB
+1981; AMIE 3 gets the same effect from per-variable count queries). The
+steps are built once per shape of plan, and a one-atom body is read straight
+off the indices. Existence checks -- body_holds_with_head_binding, a gate
+component holding neither head variable, and the PCA<1 check, which stops at
+the first covered-but-missing head pair -- use the backtracking walker _walk,
+which stops at the first witness. Handles are assigned in lexicographic id
+order, so integer ordering doubles as the deterministic lexicographic
+ordering the public contracts promise.
 
 Refinement works on plain tuples: a candidate is its canonical signature
 (rules.signature) plus the key formatted from it, and a HornRule is built
@@ -33,6 +40,7 @@ key of a shorter rule comes up again.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import logging
@@ -40,6 +48,7 @@ import math
 import time
 from collections import Counter, deque
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -144,6 +153,8 @@ def _compile(gv: HandleIndex, rule: HornRule) -> _Compiled:
 def _make_plan(body, prebound) -> tuple:
     """Join order fixed once per rule: fully bound atoms first, half-bound
     next, unbound scans last. Order never changes results, only cost."""
+    if len(body) < 2:
+        return tuple(body)
     bound = set(prebound)
     remaining = list(body)
     plan = []
@@ -191,10 +202,7 @@ def _walk(gv, plan, k, binding, leaf=None) -> bool:
         binding[idx] = None
         return False
     i1, i2 = a1[1], a2[1]
-    pairs = gv.byp.get(p, ())
-    if i1 == i2:
-        pairs = [(s, o) for s, o in pairs if s == o]
-    for s, o in pairs:
+    for s, o in _facts(gv, plan[k]):
         binding[i1] = s
         binding[i2] = o
         if _walk(gv, plan, k + 1, binding, leaf):
@@ -204,60 +212,158 @@ def _walk(gv, plan, k, binding, leaf=None) -> bool:
     return False
 
 
-def _head_grounding_count(gv, chead) -> int:
-    """Distinct substitutions of the head atom's variables that land in G."""
-    p, a1, a2 = chead
-    if a1[0] and a2[0] and a1[1] != a2[1]:
-        return len(gv.byp.get(p, ()))
-    same_var = a1[0] and a2[0] and a1[1] == a2[1]
-    n = 0
-    for s, o in gv.byp.get(p, ()):
-        if not a1[0] and s != a1[1]:
-            continue
-        if not a2[0] and o != a2[1]:
-            continue
-        if same_var and s != o:
-            continue
-        n += 1
-    return n
+@functools.lru_cache(maxsize=4096)
+def _steps(shape: tuple, natoms: int) -> tuple | None:
+    """The steps of _project for one shape of plan and projection, built
+    once: a shape lists the argspecs of the plan's atoms, then those of the
+    projection, with None for each constant.
+
+    Rows hold the values of a schema of argspecs. Each constant gets a
+    column of its own, bound from the start, and each variable gets one
+    from the atom that binds it. After every step the schema keeps only what
+    a later atom or the key still needs. A step is (kind, position of the
+    first argument, position of the second, picker of the old columns kept,
+    whether the new column is kept, the columns of a scan). The result also
+    holds the step after which `keep` applies (-1: before the first), the
+    key picker there and the key picker at the end, each None where the
+    rows are the keys. None when a projected variable occurs in no atom."""
+    consts = itertools.count()
+    flat = [a or (False, next(consts)) for a in shape]
+    atoms, proj = list(zip(flat[0 : 2 * natoms : 2], flat[1 : 2 * natoms : 2])), flat[2 * natoms :]
+    proj_vars = {a for a in proj if a[0]}
+    if not proj_vars <= set(flat[: 2 * natoms]):
+        return None
+    schema = [a for a in flat if not a[0]]
+
+    def key():  # None when the rows are the keys
+        if len(proj) > 1 and schema == proj:
+            return None
+        return _picker([schema.index(a) for a in proj], scalar=len(proj) == 1)
+
+    keep_at = (-1, key()) if not proj_vars else None
+    steps = []
+    for k, (a1, a2) in enumerate(atoms):
+        needed = {a for atom in atoms[k + 1 :] for a in atom} | set(proj)
+        kept = [i for i, a in enumerate(schema) if a in needed]
+        j1 = schema.index(a1) if a1 in schema else None
+        j2 = schema.index(a2) if a2 in schema else None
+        if j1 is not None and j2 is not None:
+            kind, new = "tri", ()
+        elif j1 is not None:
+            kind, new = "sp", (a2,)
+        elif j2 is not None:
+            kind, new = "op", (a1,)
+        else:
+            kind, new = "scan", tuple(dict.fromkeys((a1, a2)))
+        new = tuple(a for a in new if a in needed)
+        scan = tuple((a1, a2).index(a) for a in new) if kind == "scan" else None
+        steps.append((kind, j1, j2, _picker(kept), bool(new), scan))
+        schema = [schema[i] for i in kept] + list(new)
+        if keep_at is None and proj_vars <= set(schema):
+            keep_at = (k, key())
+    return tuple(steps), *keep_at, key()
 
 
-def _project(gv, plan, nvars, proj, keep=None, visit=None) -> set:
+def _picker(idx, scalar=False):
+    """row -> the tuple of row[i] for i in idx, or row[idx[0]] when scalar.
+    Consecutive positions are taken as a slice, so every picker runs in C."""
+    if scalar:
+        return itemgetter(idx[0])
+    lo = idx[0] if idx else 0
+    if list(idx) == list(range(lo, lo + len(idx))):
+        return itemgetter(slice(lo, lo + len(idx)))
+    return itemgetter(*idx)
+
+
+def _facts(gv, atom) -> list | tuple:
+    """The (s, o) pairs of the facts that one atom matches, as its
+    constants and a repeated variable constrain them."""
+    p, (v1, x1), (v2, x2) = atom
+    if not v1 and not v2:
+        return [(x1, x2)] if (x1, p, x2) in gv.tri else []
+    if not v1:
+        return [(x1, o) for o in gv.sp.get((x1, p), ())]
+    if not v2:
+        return [(s, x2) for s in gv.op.get((x2, p), ())]
+    facts = gv.byp.get(p, ())
+    return [f for f in facts if f[0] == f[1]] if x1 == x2 else facts
+
+
+def _columns(facts, cols) -> list | set | tuple:
+    """Distinct tuples of the columns `cols` (0 for s, 1 for o) of facts."""
+    if cols == (0, 1):
+        return facts
+    if cols == (1, 0):
+        return [(o, s) for s, o in facts]
+    if cols:
+        i = cols[0]
+        return {(f[i],) for f in facts}
+    return [()] * bool(facts)
+
+
+def _kept(rows: set, key, keep) -> set:
+    """The rows whose key (the row itself when key is None) is in keep."""
+    if key is None:
+        return {r for r in rows if r in keep}
+    return {r for r in rows if key(r) in keep}
+
+
+def _project(gv, plan, proj, keep=None) -> set:
     """Distinct projections of the groundings of plan onto proj.
 
-    proj holds one argspec (keys are its values) or two (keys are value
-    pairs). The walk binds plan up to the first depth at which the key is
-    bound, and records the key once the remaining atoms hold existentially.
-    Keys outside `keep`, when given, are dropped without that check.
-    `visit(key)` sees each new key and stops the walk by returning True,
-    leaving the set partial.
+    proj holds argspecs; keys are values for one argspec and value tuples
+    for more. The join runs set at a time (semi-join reduction, then join):
+    every step extends or filters a set of rows with one comprehension over
+    the graph's indices, then drops the columns no later atom and no key
+    needs, so the set deduplicates rows that only differed there. A
+    variable no later atom or key needs is only checked to exist. Rows whose
+    key is outside `keep`, when given, are dropped as soon as the key is
+    bound. The set is empty when a projected variable occurs in no atom.
     """
-    need = {a[1] for a in proj if a[0]}
-    depth = 0
-    while need:
-        if depth == len(plan):
-            return set()  # the projection is never bound
-        need -= {a[1] for a in plan[depth][1:] if a[0]}
-        depth += 1
-    rest = plan[depth:]
-    h1 = proj[0]
-    h2 = proj[-1]
-    as_pair = len(proj) == 2
-    binding = [None] * nvars
-    keys: set = set()
-
-    def leaf() -> bool:
-        p1 = binding[h1[1]] if h1[0] else h1[1]
-        key = (p1, binding[h2[1]] if h2[0] else h2[1]) if as_pair else p1
-        if key in keys or (keep is not None and key not in keep):
-            return False
-        if _walk(gv, rest, 0, binding):
-            keys.add(key)
-            return visit is not None and visit(key)
-        return False
-
-    _walk(gv, plan[:depth], 0, binding, leaf)
-    return keys
+    if len(plan) == 1:
+        # one atom: the keys come straight from its facts
+        (_, a1, a2), facts = plan[0], _facts(gv, plan[0])
+        if proj == (a1, a2):
+            keys = set(facts)
+        elif proj == (a2, a1):
+            keys = {(o, s) for s, o in facts}
+        elif proj == (a1,):
+            keys = {s for s, _ in facts}
+        elif proj == (a2,):
+            keys = {o for _, o in facts}
+        else:
+            keys = None
+        if keys is not None:
+            return keys if keep is None else {k for k in keys if k in keep}
+    args = [a for atom in plan for a in atom[1:]] + list(proj)
+    compiled = _steps(tuple(a if a[0] else None for a in args), len(plan))
+    if compiled is None:
+        return set()
+    steps, keep_at, keep_key, key = compiled
+    sp, op, tri = gv.sp, gv.op, gv.tri
+    rows = {tuple(a[1] for a in args if not a[0])}
+    if keep is not None and keep_at == -1:
+        rows = _kept(rows, keep_key, keep)
+    for k, ((p, a1, a2), (kind, j1, j2, pick, extend, scan)) in enumerate(zip(plan, steps)):
+        if not rows:
+            return set()
+        if kind == "tri":
+            rows = {pick(r) for r in rows if (r[j1], p, r[j2]) in tri}
+        elif kind == "sp" and extend:
+            rows = {b + (v,) for r in rows for b in (pick(r),) for v in sp.get((r[j1], p), ())}
+        elif kind == "sp":
+            rows = {pick(r) for r in rows if (r[j1], p) in sp}
+        elif kind == "op" and extend:
+            rows = {b + (v,) for r in rows for b in (pick(r),) for v in op.get((r[j2], p), ())}
+        elif kind == "op":
+            rows = {pick(r) for r in rows if (r[j2], p) in op}
+        else:
+            values = _columns(_facts(gv, (p, a1, a2)), scan)
+            bases = {pick(r) for r in rows}
+            rows = set(values) if bases == {()} else {b + v for b in bases for v in values}
+        if keep is not None and k == keep_at:
+            rows = _kept(rows, keep_key, keep)
+    return rows if key is None else {key(r) for r in rows}
 
 
 def _components(body) -> list[tuple[set, list]]:
@@ -294,13 +400,13 @@ def _head_supports(gv, pair_preds, c: _Compiled) -> dict[int, int]:
     for vs, atoms in _components(c.body):
         plan = _make_plan(atoms, ())
         if hx[1] in vs and hy[1] in vs:
-            pairs = _project(gv, plan, c.nvars, (hx, hy), keep=pair_preds)
+            pairs = _project(gv, plan, (hx, hy), keep=pair_preds)
             found = bool(pairs)
         elif hx[1] in vs:
-            xs = _project(gv, plan, c.nvars, (hx,), keep=gv.out)
+            xs = _project(gv, plan, (hx,), keep=gv.out)
             found = bool(xs)
         elif hy[1] in vs:
-            ys = _project(gv, plan, c.nvars, (hy,), keep=gv.inc)
+            ys = _project(gv, plan, (hy,), keep=gv.inc)
             found = bool(ys)
         else:
             found = _walk(gv, plan, 0, [None] * c.nvars)
@@ -329,26 +435,41 @@ def _head_supports(gv, pair_preds, c: _Compiled) -> dict[int, int]:
 
 def _pca_below_one(gv, c: _Compiled) -> bool:
     """Whether PCA confidence is strictly below 1.0, with early exit on the
-    first covered-but-missing head pair."""
+    first covered-but-missing head pair.
+
+    The walk binds the body up to the depth that binds the head pair; a
+    pair whose subject has no fact of the head predicate is passed over,
+    and any other pair counts once the rest of the body holds. A body
+    lacking X or Y projects no pair: PCA confidence 0."""
     h_p, h1, h2 = c.head
-    covered = missing = False
+    plan = _make_plan(c.body, ())
+    need = {a[1] for a in (h1, h2) if a[0]}
+    depth = 0
+    while need:
+        if depth == len(plan):
+            return True
+        need -= {a[1] for a in plan[depth][1:] if a[0]}
+        depth += 1
+    rest = plan[depth:]
+    binding = [None] * c.nvars
+    seen: set = set()
 
-    def visit(pair) -> bool:
-        nonlocal covered, missing
-        s, o = pair
-        if (s, h_p) in gv.sp:
-            covered = True
-            missing = (s, h_p, o) not in gv.tri
-        return missing
+    def leaf() -> bool:
+        s = binding[h1[1]] if h1[0] else h1[1]
+        o = binding[h2[1]] if h2[0] else h2[1]
+        if (s, h_p) not in gv.sp or (s, o) in seen or not _walk(gv, rest, 0, binding):
+            return False
+        seen.add((s, o))
+        return (s, h_p, o) not in gv.tri
 
-    _project(gv, _make_plan(c.body, ()), c.nvars, (h1, h2), visit=visit)
-    return missing or not covered  # empty PCA denominator means PCA confidence 0
+    # an empty PCA denominator means PCA confidence 0
+    return _walk(gv, plan[:depth], 0, binding, leaf) or not seen
 
 
 def _empty_body_metrics(g: KnowledgeGraph, gv, chead) -> RuleMetrics:
     """Metrics for a body-less candidate: every substitution satisfies the
     empty body, so the denominators are computed arithmetically."""
-    heads = _head_grounding_count(gv, chead)
+    heads = len(_facts(gv, chead))
     n_ents = len(g.entities)
     _, a1, a2 = chead
     head_vars = {a[1] for a in (a1, a2) if a[0]}
@@ -387,7 +508,7 @@ class _HeadCoverageGate:
     def _head(self, head: tuple) -> tuple[int, int]:
         """(predicate handle, support needed or 0 for never)"""
         chead = _compile_tagged(self.gv, (head,)).head
-        heads = _head_grounding_count(self.gv, chead)
+        heads = len(_facts(self.gv, chead))
         stop = 0
         if heads:
             # smallest support whose ratio clears the threshold, with
@@ -423,12 +544,12 @@ def compute_metrics(g: KnowledgeGraph, rule: HornRule) -> RuleMetrics:
     if not rule.body:
         return _empty_body_metrics(g, gv, c.head)
     h_p, h1, h2 = c.head
-    body_pairs = _project(gv, _make_plan(c.body, ()), c.nvars, (h1, h2))
+    body_pairs = _project(gv, _make_plan(c.body, ()), (h1, h2))
     support = sum(1 for s, o in body_pairs if (s, h_p, o) in gv.tri)
     confidence = support / len(body_pairs) if body_pairs else 0.0
     pca_den = sum(1 for x, _ in body_pairs if (x, h_p) in gv.sp)
     pca = support / pca_den if pca_den else 0.0
-    heads = _head_grounding_count(gv, c.head)
+    heads = len(_facts(gv, c.head))
     hc = support / heads if heads else 0.0
     return RuleMetrics(support, hc, confidence, pca)
 
@@ -442,15 +563,10 @@ def enumerate_groundings(g: KnowledgeGraph, rule: HornRule) -> list[tuple[dict[s
     """
     gv = g.handles
     c = _compile(gv, rule)
-    sols: set = set()
-    binding = [None] * c.nvars
-
-    def leaf() -> bool:
-        if None not in binding:
-            sols.add(tuple(binding))
-        return False
-
-    _walk(gv, _make_plan(c.body, ()), 0, binding, leaf)
+    every = tuple((True, i) for i in range(c.nvars))
+    sols = _project(gv, _make_plan(c.body, ()), every)
+    if c.nvars == 1:
+        sols = {(v,) for v in sols}
     h_p, h1, h2 = c.head
     ents = gv.ents
     out = []

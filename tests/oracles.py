@@ -8,6 +8,7 @@ from __future__ import annotations
 import itertools
 
 from kgreason.kg import KnowledgeGraph
+from kgreason.mining import _compile, _make_plan, _walk
 from kgreason.rules import Atom, HornRule, Term, variable_symbol
 
 
@@ -143,6 +144,80 @@ def permutation_refine(rule: HornRule, g: KnowledgeGraph, cfg) -> list[HornRule]
                 for c in subjects:
                     add(Atom(p, Term.const(c), Term.var(v)))
     return [candidates[k] for k in sorted(candidates)]
+
+
+def walk_project(gv, plan, nvars, proj, keep=None, visit=None) -> set:
+    """The walk-based projection the set-at-a-time miner engine replaced,
+    kept verbatim as its oracle.
+
+    Distinct projections of the groundings of plan onto proj.
+
+    proj holds one argspec (keys are its values) or two (keys are value
+    pairs). The walk binds plan up to the first depth at which the key is
+    bound, and records the key once the remaining atoms hold existentially.
+    Keys outside `keep`, when given, are dropped without that check.
+    `visit(key)` sees each new key and stops the walk by returning True,
+    leaving the set partial.
+    """
+    need = {a[1] for a in proj if a[0]}
+    depth = 0
+    while need:
+        if depth == len(plan):
+            return set()  # the projection is never bound
+        need -= {a[1] for a in plan[depth][1:] if a[0]}
+        depth += 1
+    rest = plan[depth:]
+    h1 = proj[0]
+    h2 = proj[-1]
+    as_pair = len(proj) == 2
+    binding = [None] * nvars
+    keys: set = set()
+
+    def leaf() -> bool:
+        p1 = binding[h1[1]] if h1[0] else h1[1]
+        key = (p1, binding[h2[1]] if h2[0] else h2[1]) if as_pair else p1
+        if key in keys or (keep is not None and key not in keep):
+            return False
+        if _walk(gv, rest, 0, binding):
+            keys.add(key)
+            return visit is not None and visit(key)
+        return False
+
+    _walk(gv, plan[:depth], 0, binding, leaf)
+    return keys
+
+
+def walk_groundings(g: KnowledgeGraph, rule: HornRule) -> list[tuple[dict[str, str], bool]]:
+    """The walk-based enumerate_groundings the set-at-a-time miner engine
+    replaced, kept verbatim as its oracle.
+
+    Total substitutions satisfying every body atom, each with a flag for
+    whether the substituted head triple is present in g.
+
+    Deterministic: sorted lexicographically over bound entity ids with
+    variables in canonical (first-appearance, head-first) order.
+    """
+    gv = g.handles
+    c = _compile(gv, rule)
+    sols: set = set()
+    binding = [None] * c.nvars
+
+    def leaf() -> bool:
+        if None not in binding:
+            sols.add(tuple(binding))
+        return False
+
+    _walk(gv, _make_plan(c.body, ()), 0, binding, leaf)
+    h_p, h1, h2 = c.head
+    ents = gv.ents
+    out = []
+    for b in sorted(sols):
+        sigma = {name: ents[val] for name, val in zip(c.var_names, b)}
+        s = b[h1[1]] if h1[0] else h1[1]
+        o = b[h2[1]] if h2[0] else h2[1]
+        present = (s, h_p, o) in gv.tri
+        out.append((sigma, present))
+    return out
 
 
 def closed_signature(sig: tuple) -> bool:

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from kgreason import mining
+from kgreason.agent import EpisodeTrace
 from kgreason.cli import main
 from kgreason.llm import ENDPOINT_URL_VAR
 
@@ -350,3 +351,118 @@ def test_cli_import_loads_no_http_library():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=60
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_mine_process_loads_only_the_miner(tmp_path, uncle_world_file):
+    argv = ["mine", "--kg", str(uncle_world_file), "--out", str(tmp_path / "r.jsonl"),
+            "--max-len", "3"]
+    code = (
+        "import sys\n"
+        "from kgreason.cli import main\n"
+        f"assert main({argv!r}) == 0\n"
+        "names = ['kgreason.' + m for m in ('bench', 'agent', 'env', 'evaluate', 'llm')]\n"
+        "print(sorted(m for m in names + ['http.client'] if m in sys.modules))\n"
+        "import kgreason.bench\n"  # bench loads the endpoint client, not the HTTP stack
+        "print('http.client' in sys.modules)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=60
+    )
+    assert out.stdout.split() == ["[]", "False"]
+
+
+def test_every_export_resolves():
+    import kgreason
+
+    for name in kgreason.__all__:
+        assert getattr(kgreason, name) is not None, name
+    assert set(kgreason.__all__) <= set(dir(kgreason))
+    with pytest.raises(AttributeError):
+        kgreason.no_such_name
+
+
+class TestAtomicOutputs:
+    """A run or eval that fails part way leaves the previous outputs as
+    they were and no temp file beside them."""
+
+    @pytest.fixture
+    def run_dir(self, tmp_path, bundle_dir, synonyms_file):
+        out = tmp_path / "run"
+        out.mkdir()
+        argv = ["run", "--bundle", str(bundle_dir), "--split", "all",
+                "--out", str(out / "p.jsonl"), "--traces", str(out / "t.jsonl"),
+                "--synonyms", str(synonyms_file)]
+        assert main(argv + ["--max-actions", "1"]) == 0
+        return out, argv
+
+    @pytest.mark.parametrize("fail_in", ["predictions", "traces", "manifest"])
+    def test_failed_run_keeps_previous_outputs(self, run_dir, monkeypatch, fail_in):
+        out, argv = run_dir
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert set(before) == {"p.jsonl", "t.jsonl", "p.jsonl.manifest.json"}
+        if fail_in == "predictions":
+            real = json.dumps
+
+            def boom(obj, **kwargs):  # the second prediction row fails
+                if isinstance(obj, dict) and "prediction" in obj:
+                    boom.rows += 1
+                    if boom.rows == 2:
+                        raise OSError("disk full")
+                return real(obj, **kwargs)
+
+            boom.rows = 0
+            monkeypatch.setattr(json, "dumps", boom)
+        elif fail_in == "traces":
+            real_lines = EpisodeTrace.to_json_lines
+
+            def boom(self):  # the second trace fails, after the first is written
+                boom.calls += 1
+                if boom.calls == 2:
+                    raise OSError("disk full")
+                return real_lines(self)
+
+            boom.calls = 0
+            monkeypatch.setattr(EpisodeTrace, "to_json_lines", boom)
+        else:
+            def boom(obj, fh, **kwargs):
+                fh.write("{\n")
+                raise OSError("disk full")
+
+            monkeypatch.setattr(json, "dump", boom)
+        assert main(argv) == 1
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_run_bytes_unchanged_by_temp_files(self, run_dir):
+        out, argv = run_dir
+        first = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert main(argv + ["--max-actions", "1"]) == 0
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == first
+
+    @pytest.mark.parametrize("fail_in", ["report", "csv"])
+    def test_failed_eval_keeps_previous_report(self, run_dir, bundle_dir, monkeypatch, fail_in):
+        out, _ = run_dir
+        argv = ["eval", "--bundle", str(bundle_dir), "--predictions", str(out / "p.jsonl"),
+                "--split", "all", "--out", str(out / "report.json"),
+                "--csv", str(out / "report.csv")]
+        assert main(argv) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        if fail_in == "report":
+            def boom(obj, fh, **kwargs):
+                fh.write("{\n")
+                raise OSError("disk full")
+
+            monkeypatch.setattr(json, "dump", boom)
+        else:
+            import csv
+
+            def boom(fh, *args, **kwargs):
+                class Writer:
+                    def writerow(self, row):
+                        fh.write("id,hit\n")
+                        raise OSError("disk full")
+
+                return Writer()
+
+            monkeypatch.setattr(csv, "writer", boom)
+        assert main(argv) == 1
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before

@@ -21,7 +21,9 @@ from kgreason.mining import (
     _compile,
     _head_supports,
     _HeadCoverageGate,
+    _make_plan,
     _pca_below_one,
+    _project,
 )
 from kgreason.rules import (
     Atom,
@@ -40,6 +42,8 @@ from oracles import (
     exhaustive_groundings,
     exhaustive_metrics,
     permutation_refine,
+    walk_groundings,
+    walk_project,
 )
 
 X, Y, Z = Term.var("X"), Term.var("Y"), Term.var("Z")
@@ -322,6 +326,62 @@ class TestJoinConsumers:
                     unbound += 1
                     assert _pca_below_one(gv, _compile(gv, rule)), rule
         assert unbound
+
+
+class TestProjectionEngine:
+    """The set-at-a-time _project and enumerate_groundings against the
+    walk-based versions they replaced, on the gate corpus plus a reflexive
+    variant of every fourth rule."""
+
+    @staticmethod
+    def rules():
+        for g, rules in TestHeadCoverageGate.corpus():
+            rules = [rule for _, rule in rules]
+            rules += [
+                HornRule(r.head, (Atom(r.body[0].predicate, r.body[0].arg1, r.body[0].arg1),)
+                         + r.body[1:])
+                for r in rules[::4]
+                if r.body and r.body[0].arg1.is_var
+            ]
+            yield g, rules
+
+    def test_project_matches_walk_oracle(self):
+        shapes = dict.fromkeys(
+            ["reflexive", "constant", "absent constant", "disconnected", "no X", "no Y"], 0
+        )
+        for g, rules in self.rules():
+            gv = g.handles
+            for rule in rules:
+                atoms = rule.body
+                consts = [t.name for a in atoms for t in a.args if not t.is_var]
+                body_vars = {v for a in atoms for v in a.variables()}
+                shapes["reflexive"] += any(a.arg1 == a.arg2 for a in atoms)
+                shapes["constant"] += any(c in gv.eid for c in consts)
+                shapes["absent constant"] += any(c not in gv.eid for c in consts)
+                shapes["disconnected"] += len(atoms) > 1 and not check_rule_shape(
+                    HornRule(atoms[0], atoms[1:])
+                ).connected
+                shapes["no X"] += "X" not in body_vars
+                shapes["no Y"] += "Y" not in body_vars
+                c = _compile(gv, rule)
+                plan = _make_plan(c.body, ())
+                _, hx, hy = c.head
+                projections = [
+                    ((hx, hy), g.pair_predicates), ((hx,), gv.out), ((hy,), gv.inc),
+                    # a constant in the key, as in a head p(X, c); -2 is absent
+                    ((hx, (False, 0)), g.pair_predicates), (((False, -2), hy), g.pair_predicates),
+                ]
+                for proj, keep in projections:
+                    for k in (None, keep):
+                        assert _project(gv, plan, proj, k) == walk_project(
+                            gv, plan, c.nvars, proj, k
+                        ), (rule, proj, k is None)
+        assert all(shapes.values()), shapes
+
+    def test_enumerate_groundings_matches_walk_oracle(self):
+        for g, rules in self.rules():
+            for rule in rules:
+                assert enumerate_groundings(g, rule) == walk_groundings(g, rule), rule
 
 
 class TestRefine:
