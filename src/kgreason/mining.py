@@ -8,20 +8,20 @@ denominator keeps only pairs whose subject has at least one fact of the head
 predicate.
 
 Joins run over the graph's interned integer handles, with a join order
-fixed once per rule (bound atoms first), in one of two ways. Projection --
-the metrics, the head-coverage gate and grounding enumeration -- runs set at
-a time in _project: each atom extends or filters a set of rows with one
+fixed once per rule (bound atoms first), and all of them in one engine,
+_project, set at a time: each atom extends or filters a set of rows with one
 comprehension over the sp / op / byp / tri indices, and after each atom the
 rows keep only the variables a later atom or the projection still needs, so
 every step deduplicates (semi-join reduction, then join: Yannakakis, VLDB
 1981; AMIE 3 gets the same effect from per-variable count queries). The
 steps are built once per shape of plan, and a one-atom body is read straight
-off the indices. Existence checks -- body_holds_with_head_binding, a gate
-component holding neither head variable, and the PCA<1 check, which stops at
-the first covered-but-missing head pair -- use the backtracking walker _walk,
-which stops at the first witness. Handles are assigned in lexicographic id
-order, so integer ordering doubles as the deterministic lexicographic
-ordering the public contracts promise.
+off the indices. The metrics, the head-coverage gate, the PCA<1 check and
+grounding enumeration project onto head or body variables; an existence
+check -- body_holds_with_head_binding, whose head bindings enter the body as
+constants, or a body component holding neither head variable -- is a
+projection onto no variable, non-empty iff the body holds. Handles are
+assigned in lexicographic id order, so integer ordering doubles as the
+deterministic lexicographic ordering the public contracts promise.
 
 Refinement works on plain tuples: a candidate is its canonical signature
 (rules.signature) plus the key formatted from it, and a HornRule is built
@@ -150,12 +150,12 @@ def _compile(gv: HandleIndex, rule: HornRule) -> _Compiled:
     return _compile_tagged(gv, rows, tuple(tags))
 
 
-def _make_plan(body, prebound) -> tuple:
+def _make_plan(body) -> tuple:
     """Join order fixed once per rule: fully bound atoms first, half-bound
     next, unbound scans last. Order never changes results, only cost."""
     if len(body) < 2:
         return tuple(body)
-    bound = set(prebound)
+    bound = set()
     remaining = list(body)
     plan = []
     while remaining:
@@ -176,40 +176,6 @@ def _make_plan(body, prebound) -> tuple:
         if a2[0]:
             bound.add(a2[1])
     return tuple(plan)
-
-
-def _walk(gv, plan, k, binding, leaf=None) -> bool:
-    """Bind plan[k:] depth first. Wherever every atom holds, the result is
-    True without a leaf and leaf() with one; a True result stops the walk.
-    Bindings made here are undone before returning."""
-    if k == len(plan):
-        return True if leaf is None else leaf()
-    p, a1, a2 = plan[k]
-    v1 = binding[a1[1]] if a1[0] else a1[1]
-    v2 = binding[a2[1]] if a2[0] else a2[1]
-    if v1 is not None and v2 is not None:
-        return (v1, p, v2) in gv.tri and _walk(gv, plan, k + 1, binding, leaf)
-    if v1 is not None or v2 is not None:
-        if v1 is not None:
-            idx, values = a2[1], gv.sp.get((v1, p), ())
-        else:
-            idx, values = a1[1], gv.op.get((v2, p), ())
-        for val in values:
-            binding[idx] = val
-            if _walk(gv, plan, k + 1, binding, leaf):
-                binding[idx] = None
-                return True
-        binding[idx] = None
-        return False
-    i1, i2 = a1[1], a2[1]
-    for s, o in _facts(gv, plan[k]):
-        binding[i1] = s
-        binding[i2] = o
-        if _walk(gv, plan, k + 1, binding, leaf):
-            binding[i1] = binding[i2] = None
-            return True
-    binding[i1] = binding[i2] = None
-    return False
 
 
 @functools.lru_cache(maxsize=4096)
@@ -311,10 +277,11 @@ def _kept(rows: set, key, keep) -> set:
 def _project(gv, plan, proj, keep=None) -> set:
     """Distinct projections of the groundings of plan onto proj.
 
-    proj holds argspecs; keys are values for one argspec and value tuples
-    for more. The join runs set at a time (semi-join reduction, then join):
-    every step extends or filters a set of rows with one comprehension over
-    the graph's indices, then drops the columns no later atom and no key
+    proj holds argspecs; keys are values for one argspec, value tuples for
+    more and () for none, so an empty proj is an existence check.
+    The join runs set at a time (semi-join reduction, then join): every
+    step extends or filters a set of rows with one comprehension over the
+    graph's indices, then drops the columns no later atom and no key
     needs, so the set deduplicates rows that only differed there. A
     variable no later atom or key needs is only checked to exist. Rows whose
     key is outside `keep`, when given, are dropped as soon as the key is
@@ -385,33 +352,41 @@ def _components(body) -> list[tuple[set, list]]:
     return groups
 
 
-def _head_supports(gv, pair_preds, c: _Compiled) -> dict[int, int]:
-    """Support of `body => h(X, Y)` for every head predicate h at once.
-
-    c's head must hold two distinct variables X and Y; only its body is
-    read. Each connected body component is projected onto the head
-    variables it mentions: (X, Y) pairs, X values or Y values. A component
-    with neither only has to hold once. One pass over the smallest
-    projection then counts, per predicate, the facts that fall inside it.
-    This is the count-query rewriting of AMIE+.
-    """
+def _head_projections(gv, c: _Compiled, keeps=(None, None, None)) -> tuple | None:
+    """(pairs, xs, ys): each connected component of c's body projected onto
+    the head variables it holds, (X, Y) pairs, X values or Y values, with
+    None for what no component holds and keys outside keeps[0], [1] or [2]
+    dropped. A component with neither only has to hold once. None when a
+    component has no grounding. c's head must hold two distinct variables
+    X and Y; only its body is read."""
     _, hx, hy = c.head
     pairs = xs = ys = None
     for vs, atoms in _components(c.body):
-        plan = _make_plan(atoms, ())
+        plan = _make_plan(atoms)
         if hx[1] in vs and hy[1] in vs:
-            pairs = _project(gv, plan, (hx, hy), keep=pair_preds)
-            found = bool(pairs)
+            found = pairs = _project(gv, plan, (hx, hy), keeps[0])
         elif hx[1] in vs:
-            xs = _project(gv, plan, (hx,), keep=gv.out)
-            found = bool(xs)
+            found = xs = _project(gv, plan, (hx,), keeps[1])
         elif hy[1] in vs:
-            ys = _project(gv, plan, (hy,), keep=gv.inc)
-            found = bool(ys)
+            found = ys = _project(gv, plan, (hy,), keeps[2])
         else:
-            found = _walk(gv, plan, 0, [None] * c.nvars)
+            found = _project(gv, plan, ())
         if not found:
-            return {}
+            return None
+    return pairs, xs, ys
+
+
+def _head_supports(gv, pair_preds, c: _Compiled) -> dict[int, int]:
+    """Support of `body => h(X, Y)` for every head predicate h at once.
+
+    The body's head projections keep only the pairs and values some fact
+    could support. One pass over the smallest then counts, per predicate,
+    the facts that fall inside them. This is the count-query rewriting of
+    AMIE+."""
+    projections = _head_projections(gv, c, (pair_preds, gv.out, gv.inc))
+    if projections is None:
+        return {}
+    pairs, xs, ys = projections
     counts: dict[int, int] = {}
     if pairs is not None:
         for pair in pairs:
@@ -434,36 +409,29 @@ def _head_supports(gv, pair_preds, c: _Compiled) -> dict[int, int]:
 
 
 def _pca_below_one(gv, c: _Compiled) -> bool:
-    """Whether PCA confidence is strictly below 1.0, with early exit on the
-    first covered-but-missing head pair.
+    """Whether PCA confidence is strictly below 1.0: no body pair (x, y) is
+    covered (x has a fact of the head predicate), or a covered pair is no
+    fact.
 
-    The walk binds the body up to the depth that binds the head pair; a
-    pair whose subject has no fact of the head predicate is passed over,
-    and any other pair counts once the rest of the body holds. A body
-    lacking X or Y projects no pair: PCA confidence 0."""
-    h_p, h1, h2 = c.head
-    plan = _make_plan(c.body, ())
-    need = {a[1] for a in (h1, h2) if a[0]}
-    depth = 0
-    while need:
-        if depth == len(plan):
-            return True
-        need -= {a[1] for a in plan[depth][1:] if a[0]}
-        depth += 1
-    rest = plan[depth:]
-    binding = [None] * c.nvars
-    seen: set = set()
-
-    def leaf() -> bool:
-        s = binding[h1[1]] if h1[0] else h1[1]
-        o = binding[h2[1]] if h2[0] else h2[1]
-        if (s, h_p) not in gv.sp or (s, o) in seen or not _walk(gv, rest, 0, binding):
-            return False
-        seen.add((s, o))
-        return (s, h_p, o) not in gv.tri
-
+    c's head must hold two distinct variables X and Y. A body lacking X or
+    Y projects no pair (PCA confidence 0) and is answered with no
+    projection. Where separate components hold X and Y, the pairs are
+    xs × ys, read one covered x at a time and never built. The check stops
+    at the first covered pair that is no fact."""
+    h_p, hx, hy = c.head
+    if not {hx[1], hy[1]} <= {a[1] for atom in c.body for a in atom[1:] if a[0]}:
+        return True
+    projections = _head_projections(gv, c)
+    if projections is None:
+        return True
+    pairs, xs, ys = projections
+    if pairs is None:
+        covered = ((x, y) for x in xs if (x, h_p) in gv.sp for y in ys)
+    else:
+        covered = ((x, y) for x, y in pairs if (x, h_p) in gv.sp)
+    facts = ((x, h_p, y) in gv.tri for x, y in covered)
     # an empty PCA denominator means PCA confidence 0
-    return _walk(gv, plan[:depth], 0, binding, leaf) or not seen
+    return not next(facts, False) or not all(facts)
 
 
 def _empty_body_metrics(g: KnowledgeGraph, gv, chead) -> RuleMetrics:
@@ -544,7 +512,7 @@ def compute_metrics(g: KnowledgeGraph, rule: HornRule) -> RuleMetrics:
     if not rule.body:
         return _empty_body_metrics(g, gv, c.head)
     h_p, h1, h2 = c.head
-    body_pairs = _project(gv, _make_plan(c.body, ()), (h1, h2))
+    body_pairs = _project(gv, _make_plan(c.body), (h1, h2))
     support = sum(1 for s, o in body_pairs if (s, h_p, o) in gv.tri)
     confidence = support / len(body_pairs) if body_pairs else 0.0
     pca_den = sum(1 for x, _ in body_pairs if (x, h_p) in gv.sp)
@@ -564,7 +532,7 @@ def enumerate_groundings(g: KnowledgeGraph, rule: HornRule) -> list[tuple[dict[s
     gv = g.handles
     c = _compile(gv, rule)
     every = tuple((True, i) for i in range(c.nvars))
-    sols = _project(gv, _make_plan(c.body, ()), every)
+    sols = _project(gv, _make_plan(c.body), every)
     if c.nvars == 1:
         sols = {(v,) for v in sols}
     h_p, h1, h2 = c.head
@@ -597,24 +565,26 @@ def body_holds_with_head_binding(
     g: KnowledgeGraph, rule: HornRule, head_triple: tuple[str, str, str]
 ) -> bool:
     """True if some grounding of the rule body exists in g under the variable
-    bindings forced by the given head triple."""
+    bindings forced by the given head triple.
+
+    A head constant matches only the same id, and a head variable only an
+    entity of g. The bindings enter the body as constants, and the check is
+    a projection onto no variable."""
     s, p, o = head_triple
     if p != rule.head.predicate:
         return False
     gv = g.handles
     c = _compile(gv, rule)
-    binding = [None] * c.nvars
-    for t, val in ((c.head[1], gv.eid.get(s, -2)), (c.head[2], gv.eid.get(o, -2))):
-        if t[0]:
-            if val < 0:
+    bound: dict[tuple, tuple] = {}  # variable argspec -> constant argspec
+    for arg, term, name in zip(c.head[1:], rule.head.args, (s, o)):
+        if term.is_var:
+            const = (False, gv.eid.get(name, -2))
+            if const[1] < 0 or bound.setdefault(arg, const) != const:
                 return False
-            if binding[t[1]] is not None and binding[t[1]] != val:
-                return False
-            binding[t[1]] = val
-        elif t[1] != val:
+        elif term.name != name:
             return False
-    prebound = {i for i, b in enumerate(binding) if b is not None}
-    return _walk(gv, _make_plan(c.body, prebound), 0, binding)
+    body = [(bp, bound.get(a1, a1), bound.get(a2, a2)) for bp, a1, a2 in c.body]
+    return bool(_project(gv, _make_plan(body), ()))
 
 
 def refine(

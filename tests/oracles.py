@@ -8,7 +8,7 @@ from __future__ import annotations
 import itertools
 
 from kgreason.kg import KnowledgeGraph
-from kgreason.mining import _compile, _make_plan, _walk
+from kgreason.mining import _compile, _facts, _make_plan
 from kgreason.rules import Atom, HornRule, Term, variable_symbol
 
 
@@ -146,6 +146,42 @@ def permutation_refine(rule: HornRule, g: KnowledgeGraph, cfg) -> list[HornRule]
     return [candidates[k] for k in sorted(candidates)]
 
 
+# the backtracking join the miner ran before its set-at-a-time engine, kept
+# verbatim for the walk oracles below
+def _walk(gv, plan, k, binding, leaf=None) -> bool:
+    """Bind plan[k:] depth first. Wherever every atom holds, the result is
+    True without a leaf and leaf() with one; a True result stops the walk.
+    Bindings made here are undone before returning."""
+    if k == len(plan):
+        return True if leaf is None else leaf()
+    p, a1, a2 = plan[k]
+    v1 = binding[a1[1]] if a1[0] else a1[1]
+    v2 = binding[a2[1]] if a2[0] else a2[1]
+    if v1 is not None and v2 is not None:
+        return (v1, p, v2) in gv.tri and _walk(gv, plan, k + 1, binding, leaf)
+    if v1 is not None or v2 is not None:
+        if v1 is not None:
+            idx, values = a2[1], gv.sp.get((v1, p), ())
+        else:
+            idx, values = a1[1], gv.op.get((v2, p), ())
+        for val in values:
+            binding[idx] = val
+            if _walk(gv, plan, k + 1, binding, leaf):
+                binding[idx] = None
+                return True
+        binding[idx] = None
+        return False
+    i1, i2 = a1[1], a2[1]
+    for s, o in _facts(gv, plan[k]):
+        binding[i1] = s
+        binding[i2] = o
+        if _walk(gv, plan, k + 1, binding, leaf):
+            binding[i1] = binding[i2] = None
+            return True
+    binding[i1] = binding[i2] = None
+    return False
+
+
 def walk_project(gv, plan, nvars, proj, keep=None, visit=None) -> set:
     """The walk-based projection the set-at-a-time miner engine replaced,
     kept verbatim as its oracle.
@@ -207,7 +243,7 @@ def walk_groundings(g: KnowledgeGraph, rule: HornRule) -> list[tuple[dict[str, s
             sols.add(tuple(binding))
         return False
 
-    _walk(gv, _make_plan(c.body, ()), 0, binding, leaf)
+    _walk(gv, _make_plan(c.body), 0, binding, leaf)
     h_p, h1, h2 = c.head
     ents = gv.ents
     out = []

@@ -286,46 +286,69 @@ class TestHeadCoverageGate:
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
+def _connects(body, v, w):
+    """Whether variables v and w are joined through the body's atoms."""
+    reach = {v}
+    while True:
+        grown = reach.union(*(a.variables() for a in body if reach & set(a.variables())))
+        if grown == reach:
+            return w in reach
+        reach = grown
+
+
 class TestJoinConsumers:
-    """The consumers of the join walker the gate test does not reach, on the
-    gate corpus: open bodies, disconnected bodies, bodies lacking X or Y,
-    constants absent from the graph."""
+    """The join consumers the gate test does not reach, on the gate corpus:
+    open bodies, disconnected bodies, bodies lacking X or Y, constants
+    absent from the graph."""
 
     def test_body_holds_matches_exhaustive_oracle(self):
         for g, rules in TestHeadCoverageGate.corpus():
             ents = g.entities
             rules = [rule for _, rule in rules]
-            # heads the miner never builds, a repeated variable and a
-            # constant, over every fourth body
+            ghost = Term.const("ghost")
+            # heads the miner never builds, a repeated variable, a constant
+            # and a constant absent from the graph, over every fourth body
             rules += [
-                HornRule(Atom(r.head.predicate, X, arg2), r.body)
+                HornRule(Atom(r.head.predicate, *args), r.body)
                 for r in rules[::4]
-                for arg2 in (X, Term.const(ents[0]))
+                for args in ((X, X), (X, Term.const(ents[0])), (X, ghost), (ghost, Y))
             ]
             for rule in rules:
                 p = rule.head.predicate
                 absent = next((s, p, o) for s in ents for o in ents if (s, p, o) not in g)
-                for triple in [(s, p, o) for s, o in sorted(g.pairs(p))] + [absent]:
+                # triples naming entities absent from the graph: the absent
+                # head constant, and other ids that must not match it
+                s0, o0 = min(g.pairs(p))
+                unknown = [(s0, p, "ghost"), (s0, p, "other"), ("ghost", p, o0), ("nobody", p, o0)]
+                for triple in [(s, p, o) for s, o in sorted(g.pairs(p))] + [absent] + unknown:
                     assert body_holds_with_head_binding(g, rule, triple) == exhaustive_body_holds(
                         g, rule, triple
                     ), (rule, triple)
 
     def test_pca_below_one_matches_exhaustive_oracle(self):
-        unbound = 0
+        shapes = dict.fromkeys(
+            ["joined, PCA 1", "joined, PCA < 1", "separate, PCA 1", "separate, PCA < 1",
+             "no grounding", "no X or Y"], 0
+        )
         for g, rules in TestHeadCoverageGate.corpus():
             gv = g.handles
             for _, rule in rules:
                 pca = exhaustive_metrics(g, rule)[3]
                 if {"X", "Y"} <= {v for a in rule.body for v in a.variables()}:
                     assert _pca_below_one(gv, _compile(gv, rule)) == (pca < 1.0), rule
+                    if not enumerate_groundings(g, rule):
+                        shapes["no grounding"] += 1
+                    else:
+                        joined = "joined" if _connects(rule.body, "X", "Y") else "separate"
+                        shapes[f"{joined}, PCA {'< 1' if pca < 1.0 else '1'}"] += 1
                 else:
                     # the miner's metrics count head pairs projected from body
                     # groundings, and a body lacking X or Y projects none: PCA
                     # confidence 0, where the oracle lets the missing variable
                     # range over every entity
-                    unbound += 1
+                    shapes["no X or Y"] += 1
                     assert _pca_below_one(gv, _compile(gv, rule)), rule
-        assert unbound
+        assert all(shapes.values()), shapes
 
 
 class TestProjectionEngine:
@@ -364,7 +387,7 @@ class TestProjectionEngine:
                 shapes["no X"] += "X" not in body_vars
                 shapes["no Y"] += "Y" not in body_vars
                 c = _compile(gv, rule)
-                plan = _make_plan(c.body, ())
+                plan = _make_plan(c.body)
                 _, hx, hy = c.head
                 projections = [
                     ((hx, hy), g.pair_predicates), ((hx,), gv.out), ((hy,), gv.inc),
