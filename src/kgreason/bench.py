@@ -23,8 +23,8 @@ from .kg import KnowledgeGraph, Triple, sha256_file, write_anonymization_map
 from .llm import QUESTION_GENERATION_PROMPT, EndpointError, LLMClient
 from .mining import (
     MinedRule,
-    body_holds_with_head_binding,
     enumerate_groundings,
+    head_binding_check,
     read_jsonl,
     read_rules_jsonl,
     rule_type_histogram,
@@ -452,6 +452,7 @@ def check_answerability(
     must keep a full body grounding for the removed head in the incomplete
     graph, and the removed triple itself must be gone."""
     problems = []
+    checks = {}  # rule id -> its body check, compiled once
     for q in questions:
         if q.removed_triple in incomplete:
             problems.append(f"{q.id}: removed triple still present")
@@ -460,7 +461,10 @@ def check_answerability(
         if mr is None:
             problems.append(f"{q.id}: unknown rule id {q.rule_id}")
             continue
-        if not body_holds_with_head_binding(incomplete, mr.rule, q.removed_triple):
+        holds = checks.get(q.rule_id) or checks.setdefault(
+            q.rule_id, head_binding_check(incomplete, mr.rule)
+        )
+        if not holds(q.removed_triple):
             problems.append(f"{q.id}: no surviving body witness for {q.removed_triple}")
     return problems
 

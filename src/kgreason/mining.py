@@ -25,17 +25,18 @@ deterministic lexicographic ordering the public contracts promise.
 
 Refinement works on plain tuples: a candidate is its canonical signature
 (rules.signature) plus the key formatted from it, and a HornRule is built
-only for a candidate that enters the queue. At the length cap only closed
+only for a candidate that enters the queue. mine() applies both prunings of
+AMIE+ before any signature is computed. At the length cap only closed
 candidates can be output, and the open ones are never built: refine tells
-them apart on the raw atoms, before any signature search (the last-step
-pruning of AMIE+). The head-coverage gate on the queue counts set-at-a-time
-(the count-query rewriting of AMIE+ and AMIE 3): each distinct body is
-projected once onto the head variables -- an (X, Y) pair set, or X and Y
-value sets for bodies whose components hold only one of them -- and one pass
-over the smallest projection yields the support of every head predicate.
-Only those per-body counts are memoised; they and the set of enqueued keys
-are dropped whenever the search reaches the next rule length, as no body or
-key of a shorter rule comes up again.
+them apart on the raw atoms. And the head-coverage gate is a count query
+(the projection query of AMIE): each parent's head and body are joined
+once, onto X, Y and the variables its refinements read, and one pass over
+those rows per operator and variable counts, for every one-atom refinement
+at once, the distinct (X, Y) pairs the new atom holds on -- its support. A
+signature and key are computed only for the refinements whose support
+clears the head's threshold. The set of enqueued keys is dropped whenever
+the search reaches the next rule length, as no key of a shorter rule comes
+up again.
 """
 
 from __future__ import annotations
@@ -131,23 +132,17 @@ class _Compiled(NamedTuple):
     var_names: tuple
 
 
-def _compile_tagged(gv: HandleIndex, rows, names: tuple = ()) -> _Compiled:
-    """Compile (predicate, tag, tag) rows, head first, tagged as in rules.signature:
-    variable "v{i}" becomes index i, named names[i] or else variable_symbol(i)."""
+def _compile(gv: HandleIndex, rule: HornRule) -> _Compiled:
+    """Compile a rule as written, tagged as in rules.signature: variables
+    are numbered by first appearance, and variable "v{i}" becomes index i."""
+    tags: dict[str, str] = {}
+    rows = [(a.predicate, term_tag(a.arg1, tags), term_tag(a.arg2, tags)) for a in rule.atoms()]
 
     def carg(tag: str):
         return (True, int(tag[1:])) if tag[0] == "v" else (False, gv.eid.get(tag[2:], -2))
 
     head, *body = [(gv.pid.get(p, -1), carg(t1), carg(t2)) for p, t1, t2 in rows]
-    nvars = len({t for row in rows for t in row[1:] if t[0] == "v"})
-    return _Compiled(head, tuple(body), nvars, names or tuple(map(variable_symbol, range(nvars))))
-
-
-def _compile(gv: HandleIndex, rule: HornRule) -> _Compiled:
-    """Compile a rule as written, variables numbered by first appearance."""
-    tags: dict[str, str] = {}
-    rows = [(a.predicate, term_tag(a.arg1, tags), term_tag(a.arg2, tags)) for a in rule.atoms()]
-    return _compile_tagged(gv, rows, tuple(tags))
+    return _Compiled(head, tuple(body), len(tags), tuple(tags))
 
 
 def _make_plan(body) -> tuple:
@@ -190,23 +185,14 @@ def _steps(shape: tuple, natoms: int) -> tuple | None:
     a later atom or the key still needs. A step is (kind, position of the
     first argument, position of the second, picker of the old columns kept,
     whether the new column is kept, the columns of a scan). The result also
-    holds the step after which `keep` applies (-1: before the first), the
-    key picker there and the key picker at the end, each None where the
-    rows are the keys. None when a projected variable occurs in no atom."""
+    holds the key picker at the end, None where the rows are the keys. None
+    when a projected variable occurs in no atom."""
     consts = itertools.count()
     flat = [a or (False, next(consts)) for a in shape]
     atoms, proj = list(zip(flat[0 : 2 * natoms : 2], flat[1 : 2 * natoms : 2])), flat[2 * natoms :]
-    proj_vars = {a for a in proj if a[0]}
-    if not proj_vars <= set(flat[: 2 * natoms]):
+    if not {a for a in proj if a[0]} <= set(flat[: 2 * natoms]):
         return None
     schema = [a for a in flat if not a[0]]
-
-    def key():  # None when the rows are the keys
-        if len(proj) > 1 and schema == proj:
-            return None
-        return _picker([schema.index(a) for a in proj], scalar=len(proj) == 1)
-
-    keep_at = (-1, key()) if not proj_vars else None
     steps = []
     for k, (a1, a2) in enumerate(atoms):
         needed = {a for atom in atoms[k + 1 :] for a in atom} | set(proj)
@@ -225,9 +211,9 @@ def _steps(shape: tuple, natoms: int) -> tuple | None:
         scan = tuple((a1, a2).index(a) for a in new) if kind == "scan" else None
         steps.append((kind, j1, j2, _picker(kept), bool(new), scan))
         schema = [schema[i] for i in kept] + list(new)
-        if keep_at is None and proj_vars <= set(schema):
-            keep_at = (k, key())
-    return tuple(steps), *keep_at, key()
+    if len(proj) > 1 and schema == proj:
+        return tuple(steps), None
+    return tuple(steps), _picker([schema.index(a) for a in proj], scalar=len(proj) == 1)
 
 
 def _picker(idx, scalar=False):
@@ -267,14 +253,7 @@ def _columns(facts, cols) -> list | set | tuple:
     return [()] * bool(facts)
 
 
-def _kept(rows: set, key, keep) -> set:
-    """The rows whose key (the row itself when key is None) is in keep."""
-    if key is None:
-        return {r for r in rows if r in keep}
-    return {r for r in rows if key(r) in keep}
-
-
-def _project(gv, plan, proj, keep=None) -> set:
+def _project(gv, plan, proj) -> set:
     """Distinct projections of the groundings of plan onto proj.
 
     proj holds argspecs; keys are values for one argspec, value tuples for
@@ -283,35 +262,28 @@ def _project(gv, plan, proj, keep=None) -> set:
     step extends or filters a set of rows with one comprehension over the
     graph's indices, then drops the columns no later atom and no key
     needs, so the set deduplicates rows that only differed there. A
-    variable no later atom or key needs is only checked to exist. Rows whose
-    key is outside `keep`, when given, are dropped as soon as the key is
-    bound. The set is empty when a projected variable occurs in no atom.
+    variable no later atom or key needs is only checked to exist. The set
+    is empty when a projected variable occurs in no atom.
     """
     if len(plan) == 1:
         # one atom: the keys come straight from its facts
         (_, a1, a2), facts = plan[0], _facts(gv, plan[0])
         if proj == (a1, a2):
-            keys = set(facts)
-        elif proj == (a2, a1):
-            keys = {(o, s) for s, o in facts}
-        elif proj == (a1,):
-            keys = {s for s, _ in facts}
-        elif proj == (a2,):
-            keys = {o for _, o in facts}
-        else:
-            keys = None
-        if keys is not None:
-            return keys if keep is None else {k for k in keys if k in keep}
+            return set(facts)
+        if proj == (a2, a1):
+            return {(o, s) for s, o in facts}
+        if proj == (a1,):
+            return {s for s, _ in facts}
+        if proj == (a2,):
+            return {o for _, o in facts}
     args = [a for atom in plan for a in atom[1:]] + list(proj)
     compiled = _steps(tuple(a if a[0] else None for a in args), len(plan))
     if compiled is None:
         return set()
-    steps, keep_at, keep_key, key = compiled
+    steps, key = compiled
     sp, op, tri = gv.sp, gv.op, gv.tri
     rows = {tuple(a[1] for a in args if not a[0])}
-    if keep is not None and keep_at == -1:
-        rows = _kept(rows, keep_key, keep)
-    for k, ((p, a1, a2), (kind, j1, j2, pick, extend, scan)) in enumerate(zip(plan, steps)):
+    for (p, a1, a2), (kind, j1, j2, pick, extend, scan) in zip(plan, steps):
         if not rows:
             return set()
         if kind == "tri":
@@ -328,8 +300,6 @@ def _project(gv, plan, proj, keep=None) -> set:
             values = _columns(_facts(gv, (p, a1, a2)), scan)
             bases = {pick(r) for r in rows}
             rows = set(values) if bases == {()} else {b + v for b in bases for v in values}
-        if keep is not None and k == keep_at:
-            rows = _kept(rows, keep_key, keep)
     return rows if key is None else {key(r) for r in rows}
 
 
@@ -352,60 +322,27 @@ def _components(body) -> list[tuple[set, list]]:
     return groups
 
 
-def _head_projections(gv, c: _Compiled, keeps=(None, None, None)) -> tuple | None:
+def _head_projections(gv, c: _Compiled) -> tuple | None:
     """(pairs, xs, ys): each connected component of c's body projected onto
     the head variables it holds, (X, Y) pairs, X values or Y values, with
-    None for what no component holds and keys outside keeps[0], [1] or [2]
-    dropped. A component with neither only has to hold once. None when a
-    component has no grounding. c's head must hold two distinct variables
-    X and Y; only its body is read."""
+    None for what no component holds. A component with neither only has to
+    hold once. None when a component has no grounding. c's head must hold
+    two distinct variables X and Y; only its body is read."""
     _, hx, hy = c.head
     pairs = xs = ys = None
     for vs, atoms in _components(c.body):
         plan = _make_plan(atoms)
         if hx[1] in vs and hy[1] in vs:
-            found = pairs = _project(gv, plan, (hx, hy), keeps[0])
+            found = pairs = _project(gv, plan, (hx, hy))
         elif hx[1] in vs:
-            found = xs = _project(gv, plan, (hx,), keeps[1])
+            found = xs = _project(gv, plan, (hx,))
         elif hy[1] in vs:
-            found = ys = _project(gv, plan, (hy,), keeps[2])
+            found = ys = _project(gv, plan, (hy,))
         else:
             found = _project(gv, plan, ())
         if not found:
             return None
     return pairs, xs, ys
-
-
-def _head_supports(gv, pair_preds, c: _Compiled) -> dict[int, int]:
-    """Support of `body => h(X, Y)` for every head predicate h at once.
-
-    The body's head projections keep only the pairs and values some fact
-    could support. One pass over the smallest then counts, per predicate,
-    the facts that fall inside them. This is the count-query rewriting of
-    AMIE+."""
-    projections = _head_projections(gv, c, (pair_preds, gv.out, gv.inc))
-    if projections is None:
-        return {}
-    pairs, xs, ys = projections
-    counts: dict[int, int] = {}
-    if pairs is not None:
-        for pair in pairs:
-            for p in pair_preds[pair]:
-                counts[p] = counts.get(p, 0) + 1
-    elif xs is not None and (ys is None or len(xs) <= len(ys)):
-        for s in xs:
-            for p, o in gv.out[s]:
-                if ys is None or o in ys:
-                    counts[p] = counts.get(p, 0) + 1
-    elif ys is not None:
-        for o in ys:
-            for p, s in gv.inc[o]:
-                if xs is None or s in xs:
-                    counts[p] = counts.get(p, 0) + 1
-    else:
-        # the body holds whatever X and Y are: every fact is supported
-        counts = {p: len(facts) for p, facts in gv.byp.items()}
-    return counts
 
 
 def _pca_below_one(gv, c: _Compiled) -> bool:
@@ -454,53 +391,6 @@ def _empty_body_metrics(g: KnowledgeGraph, gv, chead) -> RuleMetrics:
     pca = heads / pca_den if pca_den else 0.0
     hc = 1.0 if heads else 0.0
     return RuleMetrics(heads, hc, conf, pca)
-
-
-class _HeadCoverageGate:
-    """Whether a candidate's head coverage reaches the threshold, given its
-    canonical signature (with a p(X,Y) head).
-
-    Canonical bodies do not depend on the head predicate (the head comes
-    first in every ordering), so each body's support for every head
-    predicate is counted once and kept in `supports`, keyed by the body's
-    signature rows; the projections behind the counts are not.
-    """
-
-    def __init__(self, g: KnowledgeGraph, min_head_coverage: float):
-        self.gv = g.handles
-        self.pair_preds = g.pair_predicates
-        self.min_head_coverage = min_head_coverage
-        self.supports: dict[tuple, dict[int, int]] = {}
-        self.heads: dict[tuple, tuple[int, int]] = {}
-
-    def _head(self, head: tuple) -> tuple[int, int]:
-        """(predicate handle, support needed or 0 for never)"""
-        chead = _compile_tagged(self.gv, (head,)).head
-        heads = len(_facts(self.gv, chead))
-        stop = 0
-        if heads:
-            # smallest support whose ratio clears the threshold, with
-            # guards against float rounding either way
-            stop = max(1, math.ceil(self.min_head_coverage * heads))
-            while stop / heads < self.min_head_coverage:
-                stop += 1
-            while stop > 1 and (stop - 1) / heads >= self.min_head_coverage:
-                stop -= 1
-        return chead[0], stop
-
-    def __call__(self, sig: tuple) -> bool:
-        head = self.heads.get(sig[0])
-        if head is None:
-            head = self.heads[sig[0]] = self._head(sig[0])
-        pid, stop = head
-        if not stop:
-            return False
-        body = sig[1:]
-        supports = self.supports.get(body)
-        if supports is None:
-            supports = _head_supports(self.gv, self.pair_preds, _compile_tagged(self.gv, sig))
-            self.supports[body] = supports
-        return supports.get(pid, 0) >= stop
 
 
 # -- public operations -------------------------------------------------------
@@ -570,36 +460,117 @@ def body_holds_with_head_binding(
     A head constant matches only the same id, and a head variable only an
     entity of g. The bindings enter the body as constants, and the check is
     a projection onto no variable."""
-    s, p, o = head_triple
-    if p != rule.head.predicate:
-        return False
+    return head_binding_check(g, rule)(head_triple)
+
+
+def head_binding_check(g: KnowledgeGraph, rule: HornRule):
+    """body_holds_with_head_binding(g, rule, ·), with the rule compiled and
+    its join planned once for every head triple it is asked about."""
     gv = g.handles
     c = _compile(gv, rule)
-    bound: dict[tuple, tuple] = {}  # variable argspec -> constant argspec
-    for arg, term, name in zip(c.head[1:], rule.head.args, (s, o)):
-        if term.is_var:
-            const = (False, gv.eid.get(name, -2))
-            if const[1] < 0 or bound.setdefault(arg, const) != const:
-                return False
-        elif term.name != name:
+    # the join order depends only on which arguments are bound, and every
+    # head triple binds the same ones: plan with a placeholder constant for
+    # each head variable, and put the triple's handles in their place
+    slots = {a: (False, -3 - i) for i, a in enumerate(dict.fromkeys(c.head[1:])) if a[0]}
+    plan = _make_plan([(p, slots.get(a1, a1), slots.get(a2, a2)) for p, a1, a2 in c.body])
+
+    def holds(head_triple: tuple[str, str, str]) -> bool:
+        s, p, o = head_triple
+        if p != rule.head.predicate:
             return False
-    body = [(bp, bound.get(a1, a1), bound.get(a2, a2)) for bp, a1, a2 in c.body]
-    return bool(_project(gv, _make_plan(body), ()))
+        bound: dict[tuple, tuple] = {}  # placeholder -> constant argspec
+        for arg, term, name in zip(c.head[1:], rule.head.args, (s, o)):
+            if term.is_var:
+                const = (False, gv.eid.get(name, -2))
+                if const[1] < 0 or bound.setdefault(slots[arg], const) != const:
+                    return False
+            elif term.name != name:
+                return False
+        body = [(bp, bound.get(a1, a1), bound.get(a2, a2)) for bp, a1, a2 in plan]
+        return bool(_project(gv, body, ()))
+
+    return holds
+
+
+class _Refinements(list):
+    """refine()'s (key, signature) pairs, plus `counted`: how many one-atom
+    refinements its operators define, the ones with support 0 included."""
+
+    def __init__(self, items, counted: int):
+        super().__init__(items)
+        self.counted = counted
+
+
+def _supported(g: KnowledgeGraph, rule: HornRule, min_head_coverage, dangling, fresh,
+               closing, anchors) -> list[tuple]:
+    """The atoms of rule's refinements, by the operators refine() lists,
+    whose head coverage reaches min_head_coverage: the count query of AMIE.
+
+    The head and body are joined once, projected onto X, Y and the
+    variables the operators read; X and Y are bound by a head fact in every
+    row. A refinement's support is the number of distinct (x, y) pairs of
+    the rows its atom holds on, so one set of (x, y, label) per operator and
+    variable, counted per label, gives the support of every atom at once.
+    The head must be p(X, Y) with X and Y distinct, as mine() builds."""
+    gv = g.handles
+    c = _compile(gv, rule)
+    heads = len(gv.byp.get(c.head[0], ()))
+    if not heads:
+        return []
+    # smallest support whose ratio clears the threshold, with guards
+    # against float rounding either way
+    stop = max(1, math.ceil(min_head_coverage * heads))
+    while stop / heads < min_head_coverage:
+        stop += 1
+    while stop > 1 and (stop - 1) / heads >= min_head_coverage:
+        stop -= 1
+    read = list(dict.fromkeys([*rule.head.args, *dangling, *itertools.chain(*closing), *anchors]))
+    at = {v: i for i, v in enumerate(read)}
+    index = dict(zip(c.var_names, range(c.nvars)))
+    rows = _project(gv, _make_plan((c.head, *c.body)), tuple((True, index[v.name]) for v in read))
+    pairs, out, inc, preds, ents = g.pair_predicates, gv.out, gv.inc, g.predicates, gv.ents
+
+    def passing(found: set) -> list:
+        return [e for e, n in Counter(map(itemgetter(2), found)).items() if n >= stop]
+
+    atoms = []
+    for v in dangling:
+        i = at[v]
+        found = {(r[0], r[1], p) for r in rows for p, _ in out.get(r[i], ())}
+        atoms += [(preds[p], v, fresh) for p in passing(found)]
+        found = {(r[0], r[1], p) for r in rows for p, _ in inc.get(r[i], ())}
+        atoms += [(preds[p], fresh, v) for p in passing(found)]
+    for v1, v2 in closing:
+        i, j = at[v1], at[v2]
+        found = {(r[0], r[1], p) for r in rows for p in pairs.get((r[i], r[j]), ())}
+        atoms += [(preds[p], v1, v2) for p in passing(found)]
+    for v in anchors:
+        i = at[v]
+        found = {(r[0], r[1], e) for r in rows for e in out.get(r[i], ())}
+        atoms += [(preds[p], v, Term.const(ents[o])) for p, o in passing(found)]
+        found = {(r[0], r[1], e) for r in rows for e in inc.get(r[i], ())}
+        atoms += [(preds[p], Term.const(ents[s]), v) for p, s in passing(found)]
+    return atoms
 
 
 def refine(
-    rule: HornRule, g: KnowledgeGraph, cfg: MinerConfig, *, closed_at_cap: bool = False
+    rule: HornRule, g: KnowledgeGraph, cfg: MinerConfig, *, pruned: bool = False
 ) -> list[tuple[str, tuple]]:
     """Candidate rules one body atom longer, by the dangling / closing /
     instantiated operators, deduplicated by canonical form: (key, signature)
     pairs sorted by key, where rule_from_signature(signature) is the
     canonical candidate and key is its key().
 
-    With closed_at_cap, candidates that reach the length cap are built only
-    if closed (every variable occurs at least twice), the only ones mine()
-    can output there. That is read off the raw atoms: a dangling atom brings
-    a variable that occurs once, and a closing or instantiated atom closes
-    the rule iff it takes every variable that occurs once in the parent."""
+    pruned applies the two prunings of AMIE+ that mine() needs, both before
+    any signature is computed. Candidates that reach the length cap are
+    built only if closed (every variable occurs at least twice), the only
+    ones mine() can output there. That is read off the raw atoms: a
+    dangling atom brings a variable that occurs once, and a closing or
+    instantiated atom closes the rule iff it takes every variable that
+    occurs once in the parent. And candidates are built only if their head
+    coverage reaches cfg.min_head_coverage, which one count query over the
+    parent's join gives for every atom at once (_supported); rule's head
+    must then be p(X, Y). Without pruned, every candidate is built."""
     if rule.length >= cfg.max_rule_length:
         return []
     parent = [(a.predicate, *a.args) for a in rule.atoms()]
@@ -610,37 +581,32 @@ def refine(
     fresh = Term.var(
         next(variable_symbol(i) for i in itertools.count() if variable_symbol(i) not in names)
     )
-    at_cap = closed_at_cap and rule.length + 1 == cfg.max_rule_length
+    at_cap = pruned and rule.length + 1 == cfg.max_rule_length
     once = {t for t, n in occurrences.items() if n == 1} if at_cap else set()
-    candidates: dict[str, tuple] = {}
-
-    def add(atom: tuple):
-        if atom in parent:
-            return
-        sig = signature(parent + [atom])
-        candidates.setdefault(signature_key(sig), sig)
-
-    preds = g.predicates
-    if not at_cap:
-        for p in preds:
-            for v in existing:
-                add((p, v, fresh))
-                add((p, fresh, v))
+    dangling = [] if at_cap else existing
     closing = [(v1, v2) for v1, v2 in itertools.permutations(existing, 2) if once <= {v1, v2}]
-    for p in preds:
-        for v1, v2 in closing:
-            add((p, v1, v2))
-    anchors = [v for v in existing if once <= {v}]
-    if cfg.allow_instantiated_atoms and anchors:
-        for p in preds:
-            subjects = [Term.const(s) for s in sorted({s for s, _ in g.pairs(p)})]
+    anchors = [v for v in existing if once <= {v}] if cfg.allow_instantiated_atoms else []
+    preds, gv = g.predicates, g.handles
+    counted = len(preds) * (2 * len(dangling) + len(closing)) + len(anchors) * (
+        len(gv.sp) + len(gv.op)
+    )
+    if pruned:
+        atoms = _supported(g, rule, cfg.min_head_coverage, dangling, fresh, closing, anchors)
+    else:
+        atoms = [(p, v, fresh) for p in preds for v in dangling]
+        atoms += [(p, fresh, v) for p in preds for v in dangling]
+        atoms += [(p, v1, v2) for p in preds for v1, v2 in closing]
+        for p in preds if anchors else ():
             objects = [Term.const(o) for o in sorted({o for _, o in g.pairs(p)})]
-            for v in anchors:
-                for c in objects:
-                    add((p, v, c))
-                for c in subjects:
-                    add((p, c, v))
-    return sorted(candidates.items())
+            subjects = [Term.const(s) for s in sorted({s for s, _ in g.pairs(p)})]
+            atoms += [(p, v, c) for v in anchors for c in objects]
+            atoms += [(p, c, v) for v in anchors for c in subjects]
+    candidates: dict[str, tuple] = {}
+    for atom in atoms:
+        if atom not in parent:
+            sig = signature(parent + [atom])
+            candidates.setdefault(signature_key(sig), sig)
+    return _Refinements(sorted(candidates.items()), counted)
 
 
 def mine(g: KnowledgeGraph, cfg: MinerConfig | None = None) -> list[MinedRule]:
@@ -655,10 +621,11 @@ def mine(g: KnowledgeGraph, cfg: MinerConfig | None = None) -> list[MinedRule]:
 
     Full metrics are only computed where the algorithm needs them: shape-valid
     dequeued rules get the exact figures and open rules below the length cap
-    get a PCA<1 early-exit check. Open candidates at the cap, which could
-    never be output, are never built: refine skips them before computing a
-    signature, so the per-length "candidates" count in the debug log counts
-    only closed ones at the cap.
+    get a PCA<1 early-exit check. Candidates that fail the head coverage
+    gate, and open candidates at the cap, which could never be output, are
+    never built: refine counts every refinement's support on the parent's
+    join and skips them before computing a signature. The debug log line of
+    each length gives the refinements counted and the candidates built.
     """
     cfg = cfg or MinerConfig()
     if len(g) == 0:
@@ -666,15 +633,13 @@ def mine(g: KnowledgeGraph, cfg: MinerConfig | None = None) -> list[MinedRule]:
     gv = g.handles
 
     queue = deque((rule_from_signature(((p, "v0", "v1"),)), 0.0) for p in g.predicates)  # p(X,Y)
-    hc_gate = _HeadCoverageGate(g, cfg.min_head_coverage)
     output: list[tuple[HornRule, RuleMetrics]] = []
     while queue:
         # one rule length at a time; the next length's rules queue up behind
-        # this one's, and no key or body recurs across lengths
+        # this one's, and no key recurs across lengths
         length, size, started = queue[0][0].length, len(queue), time.perf_counter()
         seen: set[str] = set()
-        hc_gate.supports.clear()
-        candidates = 0
+        counted = candidates = 0
         for _ in range(size):
             rule, ancestor_conf = queue.popleft()
             met: RuleMetrics | None = None
@@ -697,16 +662,19 @@ def mine(g: KnowledgeGraph, cfg: MinerConfig | None = None) -> list[MinedRule]:
             ):
                 # a candidate at the cap is never refined, so only a closed
                 # one can be output (with a p(X,Y) head closed implies safe,
-                # and refinement keeps rules connected): refine builds no other
-                refined = refine(rule, g, cfg, closed_at_cap=True)
+                # and refinement keeps rules connected): refine builds no
+                # other, and none that fails the head coverage gate
+                refined = refine(rule, g, cfg, pruned=True)
+                counted += refined.counted
                 candidates += len(refined)
                 for key, sig in refined:
-                    if key not in seen and hc_gate(sig):
+                    if key not in seen:
                         seen.add(key)
                         queue.append((rule_from_signature(sig), child_conf))
         log.debug(
-            "length %d: %d rules dequeued, %d candidates, %d enqueued, %.2f s",
-            length, size, candidates, len(queue), time.perf_counter() - started,
+            "length %d: %d rules dequeued, %d refinements counted, %d candidates built,"
+            " %d enqueued, %.2f s",
+            length, size, counted, candidates, len(queue), time.perf_counter() - started,
         )
 
     output.sort(key=lambda rm: (rm[0].head.predicate, rm[0].length, rm[0].key()))

@@ -324,6 +324,25 @@ class TestBundle:
                 a in bundle.complete.entities for a in (q.topic, *q.answers)
             )
 
+    def test_corrupted_questions_report_their_violations(self, tmp_path, uncle_world_file):
+        # every question comes from one rule, so the check compiled for it
+        # meets corrupted questions between intact ones
+        out, _ = self.build(tmp_path, uncle_world_file)
+        path = out / "questions.jsonl"
+        rows = [json.loads(line) for line in path.read_text().splitlines()]
+        assert len(rows) >= 5 and len({row["rule_id"] for row in rows}) == 1
+        still_present = next(load_bundle(out).incomplete.triples())
+        s, p, o = rows[1]["removed_triple"]
+        rows[1]["removed_triple"] = [s, p, "nobody"]
+        rows[2]["rule_id"] = "r9999"
+        rows[3]["removed_triple"] = list(still_present)
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        assert verify_bundle(out)["violations"] == [
+            f"{rows[1]['id']}: no surviving body witness for {(s, p, 'nobody')}",
+            f"{rows[2]['id']}: unknown rule id r9999",
+            f"{rows[3]['id']}: removed triple still present",
+        ]
+
     def test_question_fields_schema(self, tmp_path, uncle_world_file):
         out, _ = self.build(tmp_path, uncle_world_file)
         rows = [

@@ -3,6 +3,7 @@ import json
 import logging
 import random
 import re
+from dataclasses import replace
 
 import pytest
 
@@ -19,8 +20,6 @@ from kgreason.mining import (
     read_rules_jsonl,
     write_rules_jsonl,
     _compile,
-    _head_supports,
-    _HeadCoverageGate,
     _make_plan,
     _pca_below_one,
     _project,
@@ -98,19 +97,29 @@ class TestMetrics:
         assert m.pca_confidence == 0.5
 
     def test_support_fast_path_agrees(self):
+        # refine's count query gates a rule by its exact support: a head
+        # coverage threshold of support / heads keeps it, (support + 1) / heads
+        # drops it
         rng = random.Random(7)
         rules = [
             HornRule(Atom("p0", X, Z), (Atom("p1", X, Y), Atom("p2", Y, Z))),
             HornRule(Atom("p2", X, Y), (Atom("p2", Y, X),)),
             HornRule(Atom("p1", X, Y), (Atom("p0", X, Y), Atom("p2", X, Y))),
         ]
+        checked = 0
         for _ in range(20):
             g = random_graph(rng, 10, 3, 60)
-            gv = g.handles
             for rule in rules:
-                c = _compile(gv, rule)
-                supports = _head_supports(gv, g.pair_predicates, c)
-                assert supports.get(c.head[0], 0) == compute_metrics(g, rule).support
+                parent = HornRule(rule.head, rule.body[:-1])
+                support = compute_metrics(g, rule).support
+                heads = len(g.pairs(rule.head.predicate))
+                for needed in (support, support + 1):
+                    if 0 < needed <= heads:
+                        cfg = MinerConfig(min_head_coverage=needed / heads)
+                        keys = [k for k, _ in refine(parent, g, cfg, pruned=True)]
+                        assert (canonicalize(rule).key() in keys) == (needed == support), rule
+                        checked += 1
+        assert checked > 100
 
     def test_matches_exhaustive_oracle_small(self):
         rng = random.Random(3)
@@ -227,23 +236,47 @@ class TestHeadCoverageGate:
             yield g, _all_candidates(g, cfg) + [(_signature(r), r) for r in _ghost_rules(g)]
 
     def test_gate_matches_exhaustive_head_coverage(self):
+        # mine()'s pruned refine against the ungated one filtered two ways:
+        # closed candidates only at the cap, and head coverage by the
+        # exhaustive oracle; parents with and without constants, each refined
+        # with and without them, the body-less and absent-constant rules too
         shapes = {"disconnected": 0, "no Y in body": 0, "no X in body": 0, "ghost": 0}
-        for g, rules in self.corpus():
-            gates = [_HeadCoverageGate(g, hc) for hc in (0.1, 0.34, 0.5, 1.0)]
-            for sig, rule in rules:
-                body_vars = {v for a in rule.body for v in a.variables()}
-                shapes["disconnected"] += len(rule.body) > 1 and not check_rule_shape(
-                    HornRule(rule.body[0], rule.body[1:])
-                ).connected
-                shapes["no Y in body"] += "Y" not in body_vars
-                shapes["no X in body"] += "X" not in body_vars
-                shapes["ghost"] += any(
-                    t.name == "ghost" for a in rule.body for t in a.args if not t.is_var
-                )
-                _, hc, _, _ = exhaustive_metrics(g, rule)
-                for gate in gates:
-                    assert gate(sig) == (hc >= gate.min_head_coverage), (rule, hc)
+        outcomes = dict.fromkeys(["open at the cap", "gated out", "kept"], 0)
+        for seed, n_ents, n_preds, n_triples, max_len, _ in self.CORPUS:
+            g = random_graph(random.Random(seed), n_ents, n_preds, n_triples)
+            plain = MinerConfig(max_rule_length=max_len)
+            consts = MinerConfig(max_rule_length=max_len, allow_instantiated_atoms=True)
+            parents = [HornRule(Atom(p, X, Y)) for p in g.predicates] + _ghost_rules(g)
+            parents += [rule for _, rule in _all_candidates(g, consts if max_len == 3 else plain)]
+            hc = {}
+            for cfg in (plain, consts):
+                for parent in parents:
+                    full = refine(parent, g, cfg)
+                    closed = full
+                    if parent.length + 1 == max_len:
+                        closed = [c for c in full if closed_signature(c[1])]
+                    outcomes["open at the cap"] += len(full) - len(closed)
+                    for key, sig in closed:
+                        if key not in hc:
+                            rule = rule_from_signature(sig)
+                            hc[key] = exhaustive_metrics(g, rule)[1]
+                            body_vars = {v for a in rule.body for v in a.variables()}
+                            shapes["disconnected"] += len(rule.body) > 1 and not check_rule_shape(
+                                HornRule(rule.body[0], rule.body[1:])
+                            ).connected
+                            shapes["no Y in body"] += "Y" not in body_vars
+                            shapes["no X in body"] += "X" not in body_vars
+                            shapes["ghost"] += any(
+                                t.name == "ghost" for a in rule.body for t in a.args if not t.is_var
+                            )
+                    for threshold in (0.1, 0.34, 0.5, 1.0):
+                        want = [c for c in closed if hc[c[0]] >= threshold]
+                        pruned = replace(cfg, min_head_coverage=threshold)
+                        assert refine(parent, g, pruned, pruned=True) == want, (parent, threshold)
+                        outcomes["gated out"] += len(closed) - len(want)
+                        outcomes["kept"] += len(want)
         assert all(shapes.values()), shapes
+        assert all(outcomes.values()), outcomes
 
     @pytest.mark.parametrize(
         "seed, n_ents, n_preds, n_triples, cfg, digest",
@@ -389,16 +422,11 @@ class TestProjectionEngine:
                 c = _compile(gv, rule)
                 plan = _make_plan(c.body)
                 _, hx, hy = c.head
-                projections = [
-                    ((hx, hy), g.pair_predicates), ((hx,), gv.out), ((hy,), gv.inc),
-                    # a constant in the key, as in a head p(X, c); -2 is absent
-                    ((hx, (False, 0)), g.pair_predicates), (((False, -2), hy), g.pair_predicates),
-                ]
-                for proj, keep in projections:
-                    for k in (None, keep):
-                        assert _project(gv, plan, proj, k) == walk_project(
-                            gv, plan, c.nvars, proj, k
-                        ), (rule, proj, k is None)
+                # a constant in the key, as in a head p(X, c); -2 is absent
+                for proj in ((hx, hy), (hx,), (hy,), (hx, (False, 0)), ((False, -2), hy)):
+                    assert _project(gv, plan, proj) == walk_project(
+                        gv, plan, c.nvars, proj
+                    ), (rule, proj)
         assert all(shapes.values()), shapes
 
     def test_enumerate_groundings_matches_walk_oracle(self):
@@ -465,28 +493,6 @@ class TestRefine:
                     got = [(key, rule_from_signature(sig)) for key, sig in refine(parent, g, cfg)]
                     want = [(c.key(), c) for c in permutation_refine(parent, g, cfg)]
                     assert got == want, parent
-
-
-    def test_closed_at_cap_matches_closed_filter(self):
-        # the same parents as above; closed_at_cap only drops the open
-        # candidates at the cap, and leaves shorter ones alone
-        dropped = kept = 0
-        for seed, n_ents, n_preds, n_triples, max_len, _ in TestHeadCoverageGate.CORPUS:
-            g = random_graph(random.Random(seed), n_ents, n_preds, n_triples)
-            plain = MinerConfig(max_rule_length=max_len)
-            consts = MinerConfig(max_rule_length=max_len, allow_instantiated_atoms=True)
-            parents = [HornRule(Atom(p, X, Y)) for p in g.predicates]
-            parents += [rule for _, rule in _all_candidates(g, consts if max_len == 3 else plain)]
-            for cfg in (plain, consts):
-                for parent in parents:
-                    full = refine(parent, g, cfg)
-                    want = full
-                    if parent.length + 1 == max_len:
-                        want = [c for c in full if closed_signature(c[1])]
-                        dropped += len(full) - len(want)
-                        kept += len(want)
-                    assert refine(parent, g, cfg, closed_at_cap=True) == want, parent
-        assert dropped and kept
 
 
 class TestMine:
