@@ -494,6 +494,35 @@ class TestRefine:
                     want = [(c.key(), c) for c in permutation_refine(parent, g, cfg)]
                     assert got == want, parent
 
+    def test_closed_at_cap_matches_closed_filter(self):
+        # the same parents as above, with the gate at its lowest (a support
+        # of one): pruned then only drops the open candidates at the cap and
+        # those no head fact supports, and leaves shorter open ones alone
+        dropped = kept = open_kept = 0
+        for seed, n_ents, n_preds, n_triples, max_len, _ in TestHeadCoverageGate.CORPUS:
+            g = random_graph(random.Random(seed), n_ents, n_preds, n_triples)
+            plain = MinerConfig(max_rule_length=max_len, min_head_coverage=1e-9)
+            consts = replace(plain, allow_instantiated_atoms=True)
+            parents = [HornRule(Atom(p, X, Y)) for p in g.predicates]
+            parents += [rule for _, rule in _all_candidates(g, consts if max_len == 3 else plain)]
+            supported = {}
+            for cfg in (plain, consts):
+                for parent in parents:
+                    full = refine(parent, g, cfg)
+                    for key, sig in full:
+                        if key not in supported:
+                            supported[key] = exhaustive_metrics(g, rule_from_signature(sig))[1] > 0
+                    want = [c for c in full if supported[c[0]]]
+                    if parent.length + 1 == max_len:
+                        closed = [c for c in want if closed_signature(c[1])]
+                        dropped += len(want) - len(closed)
+                        kept += len(closed)
+                        want = closed
+                    else:
+                        open_kept += sum(not closed_signature(sig) for _, sig in want)
+                    assert refine(parent, g, cfg, pruned=True) == want, parent
+        assert dropped and kept and open_kept
+
 
 class TestMine:
     def test_toy_includes_composition(self, toy_family):
