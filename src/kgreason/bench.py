@@ -12,9 +12,13 @@ import hashlib
 import json
 import logging
 import math
+import os
 import random
 import re
+import shutil
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
@@ -169,32 +173,44 @@ def plan_removals(g: KnowledgeGraph, mined: list[MinedRule], cfg: GenConfig) -> 
     removal alive in the final incomplete graph.
 
     Rules are processed by descending PCA confidence then canonical form;
-    per rule, up to groundings_per_rule head-present groundings are drawn by
-    seeded sampling. An entry commits only if its head is not already gone,
-    is not a witness of an earlier entry, and none of its own witness triples
-    were removed before.
+    per rule, up to groundings_per_rule of its support groundings (body and
+    head both hold) are drawn by seeded sampling, and only the drawn ones
+    are decoded. An entry commits only if its head is no self-loop, is not
+    already gone, is not a witness of an earlier entry or its own, and none
+    of its own witness triples were removed before. One debug line gives
+    the totals, with the skipped groundings counted by the first of those
+    tests they fail.
     """
     ordered = sorted(mined, key=lambda mr: (-mr.metrics.pca_confidence, mr.rule.key()))
     removed: set[Triple] = set()
     witness_used: set[Triple] = set()
     entries: list[RemovalEntry] = []
     per_rule: dict[str, int] = {}
+    supported = sampled = 0
+    skips = dict.fromkeys(
+        ("self-loop", "head already removed", "head is a witness", "witness removed"), 0
+    )
     for mr in ordered:
-        groundings = [
-            sigma for sigma, present in enumerate_groundings(g, mr.rule) if present
-        ]
+        groundings = enumerate_groundings(g, mr.rule)
         rng = _stable_rng(cfg.seed, "removal", mr.rule.key())
         k = min(cfg.groundings_per_rule, len(groundings))
         sample = rng.sample(groundings, k)
+        supported += len(groundings)
+        sampled += k
         count = 0
         for sigma in sample:
             head_t = substitute_head(mr.rule, sigma)
             witness = set(substitute_body(mr.rule, sigma))
-            if head_t[0] == head_t[2]:
-                continue  # a question about a self-loop would name its own answer
-            if head_t in removed or head_t in witness_used or head_t in witness:
-                continue
-            if witness & removed:
+            skip = (
+                # a question about a self-loop would name its own answer
+                "self-loop" if head_t[0] == head_t[2]
+                else "head already removed" if head_t in removed
+                else "head is a witness" if head_t in witness_used or head_t in witness
+                else "witness removed" if witness & removed
+                else None
+            )
+            if skip:
+                skips[skip] += 1
                 continue
             removed.add(head_t)
             witness_used.update(witness)
@@ -205,6 +221,11 @@ def plan_removals(g: KnowledgeGraph, mined: list[MinedRule], cfg: GenConfig) -> 
         per_rule[mr.rule_id] = count
         if count == 0:
             log.info("rule %s contributed no removals", mr.rule_id)
+    log.debug(
+        "removal plan: %d rules, %d support groundings, %d sampled, %d removals, skipped %s",
+        len(ordered), supported, sampled, len(entries),
+        ", ".join(f"{n} {reason}" for reason, n in skips.items()),
+    )
     return RemovalPlan(entries, per_rule)
 
 
@@ -422,6 +443,26 @@ BUNDLE_FILES = (
     "rules.jsonl",
     "manifest.json",
 )
+ANONYMIZATION_MAP = "anonymization_map.json"  # only in anonymized bundles
+
+
+@contextmanager
+def _replacing_dir(out: Path):
+    """A fresh directory beside `out` that replaces it when the block
+    succeeds; when the block fails, the directory is removed and `out` is
+    untouched."""
+    tmp = out.with_name(f".{out.name}.{os.getpid()}.tmp")
+    old = tmp.with_suffix(".old")
+    out.parent.mkdir(parents=True, exist_ok=True)
+    tmp.mkdir()
+    try:
+        yield tmp
+        if out.exists():
+            out.rename(old)
+        tmp.rename(out)
+        shutil.rmtree(old, ignore_errors=True)
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
 
 
 @dataclass
@@ -489,10 +530,18 @@ def build_bundle(
 ) -> dict:
     """Run the full generation pipeline and write the dataset bundle.
 
-    Returns the manifest. Nothing is written until every question passes the
-    answerability check. With the external question backend the endpoint is
-    probed before removal planning, so a dead endpoint fails fast.
+    Returns the manifest. An existing out_dir that holds any file a bundle
+    does not write is refused before anything runs. Nothing is written until
+    every question passes the answerability check, and then the bundle is
+    written into a fresh sibling directory that replaces out_dir only once
+    every file is complete. With the external question backend the endpoint
+    is probed before removal planning, so a dead endpoint fails fast.
     """
+    out = Path(out_dir).resolve()
+    if out.exists():
+        foreign = sorted({p.name for p in out.iterdir()} - {*BUNDLE_FILES, ANONYMIZATION_MAP})
+        if foreign:
+            raise ValueError(f"{out_dir} holds files that are not part of a bundle: {foreign[:5]}")
     complete = KnowledgeGraph.load(kg_path)
     mined = read_rules_jsonl(rules_path)
     notes: list[str] = []
@@ -520,7 +569,7 @@ def build_bundle(
             remapped.append(RemovalEntry(e.rule_id, sigma, rm, wit))
         plan = RemovalPlan(remapped, plan.per_rule)
         mined = [replace(mr, rule=_rename_constants(mr.rule, anon_map)) for mr in mined]
-        notes.append("entities anonymized; map in anonymization_map.json")
+        notes.append(f"entities anonymized; map in {ANONYMIZATION_MAP}")
 
     # downsampling reads only ids and hard answers, so it runs before any
     # question text is asked of the endpoint
@@ -538,30 +587,6 @@ def build_bundle(
     if problems:
         raise ValueError(f"answerability check failed: {problems[:5]}")
 
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    if cfg.anonymize_seed is not None:
-        write_anonymization_map(anon_map, out / "anonymization_map.json")
-    else:
-        (out / "anonymization_map.json").unlink(missing_ok=True)
-    complete.save(out / "complete.tsv")
-    incomplete.save(out / "incomplete.tsv")
-    with open(out / "removals.jsonl", "w", encoding="utf-8") as fh:
-        for e in plan.entries:
-            fh.write(json.dumps(e.to_json(), sort_keys=True) + "\n")
-    with open(out / "questions.jsonl", "w", encoding="utf-8") as fh:
-        for q in questions:
-            fh.write(json.dumps(q.to_json(), sort_keys=True) + "\n")
-    write_rules_jsonl(mined, out / "rules.jsonl")
-
-    split_counts: dict[str, int] = {}
-    for q in questions:
-        split_counts[q.split] = split_counts.get(q.split, 0) + 1
-    topic_pred = {}
-    for q in questions:
-        topic_pred[(q.topic, q.predicate)] = topic_pred.get((q.topic, q.predicate), 0) + 1
-    duplicates = sum(c - 1 for c in topic_pred.values() if c > 1)
-
     manifest = {
         "config": cfg.to_json(),
         "inputs": {
@@ -574,16 +599,30 @@ def build_bundle(
             "removals": len(plan.entries),
             "questions_generated": generated,
             "questions_final": len(questions),
-            "splits": split_counts,
+            "splits": dict(Counter(q.split for q in questions)),
         },
         "rule_type_histogram": rule_type_histogram(mined),
         "per_rule_removals": plan.per_rule,
-        "duplicate_topic_predicate_questions": duplicates,
+        "duplicate_topic_predicate_questions": (
+            len(questions) - len({(q.topic, q.predicate) for q in questions})
+        ),
         "answerability": {"checked": len(questions), "violations": 0},
         "notes": notes,
     }
-    with open(out / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+    with _replacing_dir(out) as tmp:
+        if cfg.anonymize_seed is not None:
+            write_anonymization_map(anon_map, tmp / ANONYMIZATION_MAP)
+        complete.save(tmp / "complete.tsv")
+        incomplete.save(tmp / "incomplete.tsv")
+        with open(tmp / "removals.jsonl", "w", encoding="utf-8") as fh:
+            for e in plan.entries:
+                fh.write(json.dumps(e.to_json(), sort_keys=True) + "\n")
+        with open(tmp / "questions.jsonl", "w", encoding="utf-8") as fh:
+            for q in questions:
+                fh.write(json.dumps(q.to_json(), sort_keys=True) + "\n")
+        write_rules_jsonl(mined, tmp / "rules.jsonl")
+        with open(tmp / "manifest.json", "w", encoding="utf-8") as fh:
+            json.dump(manifest, fh, indent=2, sort_keys=True)
     return manifest
 
 

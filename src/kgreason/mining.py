@@ -15,13 +15,15 @@ rows keep only the variables a later atom or the projection still needs, so
 every step deduplicates (semi-join reduction, then join: Yannakakis, VLDB
 1981; AMIE 3 gets the same effect from per-variable count queries). The
 steps are built once per shape of plan, and a one-atom body is read straight
-off the indices. The metrics, the head-coverage gate, the PCA<1 check and
-grounding enumeration project onto head or body variables; an existence
-check -- body_holds_with_head_binding, whose head bindings enter the body as
-constants, or a body component holding neither head variable -- is a
-projection onto no variable, non-empty iff the body holds. Handles are
-assigned in lexicographic id order, so integer ordering doubles as the
-deterministic lexicographic ordering the public contracts promise.
+off the indices. The metrics and the PCA<1 check project the body onto
+head variables. Grounding enumeration, like the count query below, joins
+the head in after the body, so it yields only the support groundings (body
+and head both hold) and decodes them to entity ids only as they are read.
+An existence check -- body_holds_with_head_binding, whose head bindings
+enter the body as constants, or a body component holding neither head
+variable -- is a projection onto no variable, non-empty iff the body holds.
+Handles are assigned in lexicographic id order, so integer ordering doubles
+as the deterministic lexicographic ordering the public contracts promise.
 
 Refinement works on plain tuples: a candidate is its canonical signature
 (rules.signature) plus the key formatted from it, and a HornRule is built
@@ -48,6 +50,7 @@ import logging
 import math
 import time
 from collections import Counter, deque
+from collections.abc import Sequence
 from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
@@ -412,29 +415,43 @@ def compute_metrics(g: KnowledgeGraph, rule: HornRule) -> RuleMetrics:
     return RuleMetrics(support, hc, confidence, pca)
 
 
-def enumerate_groundings(g: KnowledgeGraph, rule: HornRule) -> list[tuple[dict[str, str], bool]]:
-    """Total substitutions satisfying every body atom, each with a flag for
-    whether the substituted head triple is present in g.
+class _Groundings(Sequence):
+    """Sorted value tuples read as {variable: entity id} dicts, each dict
+    built only when its item is read."""
 
-    Deterministic: sorted lexicographically over bound entity ids with
-    variables in canonical (first-appearance, head-first) order.
+    def __init__(self, rows: list, names: tuple, ents: tuple):
+        self.rows, self.names, self.ents = rows, names, ents
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        return dict(zip(self.names, map(self.ents.__getitem__, self.rows[i])))
+
+
+def enumerate_groundings(g: KnowledgeGraph, rule: HornRule) -> Sequence[dict[str, str]]:
+    """The rule's support groundings: total substitutions under which every
+    body atom and the head hold in g. A rule whose head holds a variable
+    that no body atom holds has none.
+
+    One join of body and head, the head last so that it filters as soon as
+    its arguments are bound. Deterministic: sorted lexicographically over
+    bound entity ids with variables in canonical (first-appearance,
+    head-first) order. The result is a read-only sequence that decodes an
+    item only when it is read, so sampling a few pays for those few.
     """
     gv = g.handles
     c = _compile(gv, rule)
-    every = tuple((True, i) for i in range(c.nvars))
-    sols = _project(gv, _make_plan(c.body), every)
+    sols = set()
+    # joined in, the head must not bind a variable that the body leaves free
+    if len({a[1] for atom in c.body for a in atom[1:] if a[0]}) == c.nvars:
+        every = tuple((True, i) for i in range(c.nvars))
+        sols = _project(gv, _make_plan(c.body + (c.head,)), every)
     if c.nvars == 1:
         sols = {(v,) for v in sols}
-    h_p, h1, h2 = c.head
-    ents = gv.ents
-    out = []
-    for b in sorted(sols):
-        sigma = {name: ents[val] for name, val in zip(c.var_names, b)}
-        s = b[h1[1]] if h1[0] else h1[1]
-        o = b[h2[1]] if h2[0] else h2[1]
-        present = (s, h_p, o) in gv.tri
-        out.append((sigma, present))
-    return out
+    return _Groundings(sorted(sols), c.var_names, gv.ents)
 
 
 def _substitute(a: Atom, sigma: dict[str, str]) -> tuple[str, str, str]:

@@ -7,8 +7,9 @@ from __future__ import annotations
 
 import itertools
 
+from kgreason.bench import RemovalEntry, RemovalPlan, _stable_rng
 from kgreason.kg import KnowledgeGraph
-from kgreason.mining import _compile, _facts, _make_plan
+from kgreason.mining import _compile, _facts, _make_plan, substitute_body, substitute_head
 from kgreason.rules import Atom, HornRule, Term, variable_symbol
 
 
@@ -254,6 +255,42 @@ def walk_groundings(g: KnowledgeGraph, rule: HornRule) -> list[tuple[dict[str, s
         present = (s, h_p, o) in gv.tri
         out.append((sigma, present))
     return out
+
+
+def reference_plan_removals(g: KnowledgeGraph, mined: list, cfg):
+    """plan_removals as it was when it sampled the head-present body
+    groundings, kept as the oracle of the version that samples support
+    groundings; its groundings come from walk_groundings."""
+    ordered = sorted(mined, key=lambda mr: (-mr.metrics.pca_confidence, mr.rule.key()))
+    removed: set = set()
+    witness_used: set = set()
+    entries: list = []
+    per_rule: dict[str, int] = {}
+    for mr in ordered:
+        groundings = [
+            sigma for sigma, present in walk_groundings(g, mr.rule) if present
+        ]
+        rng = _stable_rng(cfg.seed, "removal", mr.rule.key())
+        k = min(cfg.groundings_per_rule, len(groundings))
+        sample = rng.sample(groundings, k)
+        count = 0
+        for sigma in sample:
+            head_t = substitute_head(mr.rule, sigma)
+            witness = set(substitute_body(mr.rule, sigma))
+            if head_t[0] == head_t[2]:
+                continue  # a question about a self-loop would name its own answer
+            if head_t in removed or head_t in witness_used or head_t in witness:
+                continue
+            if witness & removed:
+                continue
+            removed.add(head_t)
+            witness_used.update(witness)
+            entries.append(
+                RemovalEntry(mr.rule_id, dict(sorted(sigma.items())), head_t, tuple(sorted(witness)))
+            )
+            count += 1
+        per_rule[mr.rule_id] = count
+    return RemovalPlan(entries, per_rule)
 
 
 def closed_signature(sig: tuple) -> bool:

@@ -1,6 +1,8 @@
 import json
+import logging
 import math
 import random
+import re
 
 import pytest
 
@@ -23,8 +25,19 @@ from kgreason.bench import (
     verify_bundle,
 )
 from kgreason.kg import KnowledgeGraph
-from kgreason.mining import MinedRule, MinerConfig, RuleMetrics, mine, write_rules_jsonl
+from kgreason.mining import (
+    MinedRule,
+    MinerConfig,
+    RuleMetrics,
+    enumerate_groundings,
+    mine,
+    write_rules_jsonl,
+)
 from kgreason.rules import Atom, HornRule, Term
+
+import test_mining
+from conftest import UNCLE_WORLD
+from oracles import reference_plan_removals
 
 X, Y, Z = Term.var("X"), Term.var("Y"), Term.var("Z")
 
@@ -92,6 +105,55 @@ class TestPlanRemovals:
         p1 = plan_removals(uncle_world, rules, GenConfig(seed=9))
         p2 = plan_removals(uncle_world, rules, GenConfig(seed=9))
         assert p1.entries == p2.entries
+
+    def test_debug_line_counts_add_up(self, uncle_world, caplog):
+        rules = mine(uncle_world, MinerConfig(max_rule_length=3))
+        with caplog.at_level(logging.DEBUG, logger="kgreason.bench"):
+            plan = plan_removals(uncle_world, rules, GenConfig(seed=3))
+        lines = [r.getMessage() for r in caplog.records]
+        lines = [m for m in lines if m.startswith("removal plan")]
+        assert len(lines) == 1
+        n_rules, supported, sampled, removals, *skips = map(int, re.findall(r"\d+", lines[0]))
+        assert len(skips) == 4 and sum(skips) > 0
+        assert n_rules == len(rules)
+        assert removals == len(plan.entries) == sum(plan.per_rule.values())
+        assert sampled == removals + sum(skips) <= supported
+
+
+class TestRemovalPlanOracle:
+    """plan_removals, which samples support groundings and decodes the drawn
+    ones, against the reference that sampled the walk oracle's head-present
+    body groundings."""
+
+    KS = (1, 3, 30)
+
+    @staticmethod
+    def corpus():
+        g = KnowledgeGraph(UNCLE_WORLD)
+        yield g, mine(g, MinerConfig(max_rule_length=3))
+        # reflexive atoms, constants, absent constants, bodies without X or Y;
+        # the PCA values interleave rules of every shape in the plan order
+        for g, rules in test_mining.TestProjectionEngine.rules():
+            yield g, [
+                mined(rule, f"r{i:04d}", pca=(i * 7 % 10) / 10) for i, rule in enumerate(rules)
+            ]
+
+    def test_plans_match_reference(self):
+        sizes = set()
+        for g, rules in self.corpus():
+            sizes.update(len(enumerate_groundings(g, mr.rule)) for mr in rules)
+            for seed in range(3):
+                for k in self.KS:
+                    cfg = GenConfig(seed=seed, groundings_per_rule=k)
+                    got, want = plan_removals(g, rules, cfg), reference_plan_removals(g, rules, cfg)
+                    assert got.entries == want.entries, (seed, k)
+                    assert got.per_rule == want.per_rule, (seed, k)
+        # random.sample copies a population of at most 21 items (for k <= 5)
+        # and indexes a larger one directly: both ways, and short populations
+        for k in (k for k in self.KS if k <= 5):
+            assert any(n < k for n in sizes), k
+            assert any(k <= n <= 21 for n in sizes), k
+            assert any(n > 21 for n in sizes), k
 
 
 class TestQuestionGeneration:
@@ -389,6 +451,24 @@ class TestBundle:
         out, _ = self.build(tmp_path, uncle_world_file)
         assert not (out / "anonymization_map.json").exists()
         assert verify_bundle(out)["ok"]
+
+    def test_failed_write_keeps_previous_bundle(self, tmp_path, uncle_world_file, monkeypatch):
+        # the rebuild has no map to write, so a bundle written in place would
+        # lose its map and every data file before the rules fail
+        old, _ = self.build(tmp_path, uncle_world_file, anonymize_seed=4)
+        before = {p.name: p.read_bytes() for p in old.iterdir()}
+        siblings = sorted(tmp_path.iterdir())
+
+        def boom(mined_rules, path):
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write("{\n")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(bench, "write_rules_jsonl", boom)
+        with pytest.raises(OSError, match="disk full"):
+            self.build(tmp_path, uncle_world_file)
+        assert {p.name: p.read_bytes() for p in old.iterdir()} == before
+        assert sorted(tmp_path.iterdir()) == siblings
 
     def test_anonymized_bundle_maps_rule_constants(self, tmp_path):
         # sibling(X,Y) & gender(Y,'male') => brother(X,Y) on ten families of two

@@ -139,6 +139,21 @@ class TestBench:
         assert rc == 1
         assert ENDPOINT_URL_VAR in capsys.readouterr().err
 
+    def test_out_dir_with_foreign_file_is_refused(
+        self, bundle_dir, uncle_world_file, mined_rules, monkeypatch, capsys
+    ):
+        from kgreason import bench
+
+        (bundle_dir / "notes.txt").write_text("not part of a bundle")
+        before = {p.name: p.read_bytes() for p in bundle_dir.iterdir()}
+        # refused before any removal is planned
+        monkeypatch.setattr(bench, "plan_removals", lambda *args: pytest.fail("planned"))
+        rc = main(["bench", "--kg", str(uncle_world_file), "--rules", str(mined_rules),
+                   "--out-dir", str(bundle_dir), "--seed", "8"])
+        assert rc == 1
+        assert "notes.txt" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in bundle_dir.iterdir()} == before
+
     def test_tau_one_keeps_everything(self, tmp_path, uncle_world_file, mined_rules):
         out1 = tmp_path / "b_tau1"
         rc = main(

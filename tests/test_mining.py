@@ -52,11 +52,11 @@ class TestGroundings:
     def test_toy_single_grounding(self, toy_family, composition_rule):
         # derived by exhaustive join over the 4-triple toy
         result = enumerate_groundings(toy_family, composition_rule)
-        assert result == [({"X": "justin", "Z": "jaxon", "Y": "jeremy"}, True)]
+        assert list(result) == [{"X": "justin", "Z": "jaxon", "Y": "jeremy"}]
 
     def test_absent_predicate_gives_empty(self, toy_family):
         rule = HornRule(Atom("hasSibling", X, Y), (Atom("noSuchPred", X, Y),))
-        assert enumerate_groundings(toy_family, rule) == []
+        assert list(enumerate_groundings(toy_family, rule)) == []
 
     def test_matches_exhaustive_oracle(self):
         rng = random.Random(42)
@@ -69,8 +69,23 @@ class TestGroundings:
             g = random_graph(rng, 8, 3, 40)
             for rule in rules:
                 got = enumerate_groundings(g, rule)
-                expected = exhaustive_groundings(g, rule)
-                assert got == expected
+                expected = [sigma for sigma, present in exhaustive_groundings(g, rule) if present]
+                assert list(got) == expected
+
+    def test_reads_like_a_list(self):
+        g = random_graph(random.Random(7), 6, 2, 24)
+        rule = HornRule(Atom("p0", X, Y), (Atom("p1", X, Z), Atom("p0", Z, Y)))
+        got = enumerate_groundings(g, rule)
+        items = list(got)
+        assert len(got) == len(items) > 3
+        assert [got[i] for i in range(-len(got), len(got))] == items + items
+        assert got[1:-1] == items[1:-1] and got[::2] == items[::2]
+        with pytest.raises(IndexError):
+            got[len(got)]
+        # each read builds a new dict: a caller's edits stay its own
+        edited = got[0]
+        edited["X"] = "edited"
+        assert got[0] == items[0] != edited
 
 
 class TestMetrics:
@@ -369,7 +384,7 @@ class TestJoinConsumers:
                 pca = exhaustive_metrics(g, rule)[3]
                 if {"X", "Y"} <= {v for a in rule.body for v in a.variables()}:
                     assert _pca_below_one(gv, _compile(gv, rule)) == (pca < 1.0), rule
-                    if not enumerate_groundings(g, rule):
+                    if not walk_groundings(g, rule):
                         shapes["no grounding"] += 1
                     else:
                         joined = "joined" if _connects(rule.body, "X", "Y") else "separate"
@@ -432,7 +447,8 @@ class TestProjectionEngine:
     def test_enumerate_groundings_matches_walk_oracle(self):
         for g, rules in self.rules():
             for rule in rules:
-                assert enumerate_groundings(g, rule) == walk_groundings(g, rule), rule
+                expected = [sigma for sigma, present in walk_groundings(g, rule) if present]
+                assert list(enumerate_groundings(g, rule)) == expected, rule
 
 
 class TestRefine:
