@@ -467,13 +467,20 @@ def _replacing_dir(out: Path):
 
 @dataclass
 class Bundle:
-    """A bundle on disk; each graph is parsed on first use."""
+    """A bundle on disk; each graph, the removals and the rules are parsed
+    on first use."""
 
     directory: Path
     questions: list[QAInstance]
-    removals: list[RemovalEntry]
-    rules: list[MinedRule]
     manifest: dict
+
+    @cached_property
+    def removals(self) -> list[RemovalEntry]:
+        return [RemovalEntry.from_json(r) for r in read_jsonl(self.directory / "removals.jsonl")]
+
+    @cached_property
+    def rules(self) -> list[MinedRule]:
+        return read_rules_jsonl(self.directory / "rules.jsonl")
 
     @cached_property
     def complete(self) -> KnowledgeGraph:
@@ -634,14 +641,7 @@ def load_bundle(directory: str | Path) -> Bundle:
     with open(d / "manifest.json", encoding="utf-8") as fh:
         manifest = json.load(fh)
     questions = [QAInstance.from_json(r) for r in read_jsonl(d / "questions.jsonl")]
-    removals = [RemovalEntry.from_json(r) for r in read_jsonl(d / "removals.jsonl")]
-    return Bundle(
-        directory=d,
-        questions=questions,
-        removals=removals,
-        rules=read_rules_jsonl(d / "rules.jsonl"),
-        manifest=manifest,
-    )
+    return Bundle(directory=d, questions=questions, manifest=manifest)
 
 
 def verify_bundle(directory: str | Path) -> dict:

@@ -13,6 +13,7 @@ import json
 import logging
 import os
 import sys
+from collections import deque
 from contextlib import ExitStack, contextmanager, suppress
 from pathlib import Path
 
@@ -184,14 +185,6 @@ def cmd_run(args: argparse.Namespace) -> int:
             policy = agent.LLMPolicy(q.question, q.topic, client)
         return agent.run_episode(g, q.to_json(), policy, budget, env_cfg)
 
-    if parallel > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=parallel) as pool:
-            traces = list(pool.map(episode, questions))
-    else:
-        traces = [episode(q) for q in questions]
-
     manifest = {
         "command": "run",
         "config": {
@@ -204,34 +197,57 @@ def cmd_run(args: argparse.Namespace) -> int:
             "bundle": str(args.bundle),
             "questions_sha256": sha256_file(Path(args.bundle) / "questions.jsonl"),
         },
-        "outputs": {"predictions": str(args.out), "count": len(traces)},
+        "outputs": {"predictions": str(args.out), "count": len(questions)},
     }
-    # every file is written in full before any replaces the old one
+    errored = 0
+    # each episode's row and trace lines are written as it finishes, in
+    # question order; every file is complete before any replaces the old one
     # (predictions first, the manifest last), as in cmd_mine
     with ExitStack() as stack:
         manifest_tmp = stack.enter_context(_replacing(str(args.out) + ".manifest.json"))
         traces_tmp = stack.enter_context(_replacing(args.traces)) if args.traces else None
         predictions_tmp = stack.enter_context(_replacing(args.out))
-        with open(predictions_tmp, "w", encoding="utf-8") as fh:
-            for t in traces:
-                row = {
-                    "id": t.question_id,
-                    "prediction": t.prediction,
-                    "terminated": t.termination == "synthesized",
-                }
-                fh.write(json.dumps(row, sort_keys=True) + "\n")
-        if traces_tmp:
-            with open(traces_tmp, "w", encoding="utf-8") as fh:
-                for t in traces:
-                    for line in t.to_json_lines():
-                        fh.write(line + "\n")
+        predictions_fh = stack.enter_context(open(predictions_tmp, "w", encoding="utf-8"))
+        traces_fh = stack.enter_context(open(traces_tmp, "w", encoding="utf-8")) if traces_tmp else None
+        if parallel > 1:
+            from concurrent.futures import ThreadPoolExecutor
+
+            pool = ThreadPoolExecutor(max_workers=parallel)
+            # a failed run waits only for the episodes already started
+            stack.callback(pool.shutdown, cancel_futures=True)
+            traces = _in_order(pool, episode, questions, ahead=2 * parallel)
+        else:
+            traces = map(episode, questions)
+        for t in traces:
+            row = {
+                "id": t.question_id,
+                "prediction": t.prediction,
+                "terminated": t.termination == "synthesized",
+            }
+            predictions_fh.write(json.dumps(row, sort_keys=True) + "\n")
+            if traces_fh:
+                for line in t.to_json_lines():
+                    traces_fh.write(line + "\n")
+            errored += t.termination == "error"
         with open(manifest_tmp, "w", encoding="utf-8") as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True)
-    log.info("ran %d episodes, predictions in %s", len(traces), args.out)
-    errored = sum(t.termination == "error" for t in traces)
+    log.info("ran %d episodes, predictions in %s", len(questions), args.out)
     if errored:
-        log.warning("%d of %d episodes ended in an endpoint error", errored, len(traces))
+        log.warning("%d of %d episodes ended in an endpoint error", errored, len(questions))
     return 0
+
+
+def _in_order(pool, fn, items, ahead: int):
+    """fn(item) for each item, in order, computed on the pool with at most
+    `ahead` calls submitted and not yet read, so finished results wait for
+    a slow one without piling up."""
+    pending = deque()
+    for item in items:
+        pending.append(pool.submit(fn, item))
+        if len(pending) >= ahead:
+            yield pending.popleft().result()
+    while pending:
+        yield pending.popleft().result()
 
 
 def cmd_eval(args: argparse.Namespace) -> int:

@@ -2,8 +2,12 @@
 
 Triples are (subject, predicate, object) id strings. Entities and predicates
 are interned to integer handles internally; handles are assigned in
-lexicographic id order, so sorting by handle equals sorting by id string and
-every index list comes out in deterministic lexicographic order.
+lexicographic id order, so sorting by handle equals sorting by id string. A
+graph keeps one sorted list of (s, p, o) handle triples, which `triples()`,
+`save()` and `remove()` read as it is. Each index is built from that list, or
+from one re-sort of it, the first time it is read, so its tuples come out in
+deterministic lexicographic order without a sort per key, and a stage pays
+only for the indices it reads.
 """
 
 from __future__ import annotations
@@ -12,6 +16,9 @@ import hashlib
 import json
 import logging
 import random
+from functools import cached_property
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
@@ -36,16 +43,25 @@ class HandleIndex(NamedTuple):
     ents: tuple      # handle -> entity id
 
 
+_FIRST, _FIRST_TWO = itemgetter(0), itemgetter(0, 1)
+_LAST_TWO, _LAST = itemgetter(1, 2), itemgetter(2)
+
+
+def _group(rows: list, key, value) -> dict:
+    """{key(row): tuple of value(row)} over rows sorted by key, so every
+    tuple comes out in row order."""
+    return {k: tuple(map(value, run)) for k, run in groupby(rows, key)}
+
+
 class KnowledgeGraph:
     """Immutable indexed triple set.
 
-    Safe to share across concurrent readers; mutation ops return new graphs.
+    Holds the interned entity and predicate tables and one sorted list of
+    (s, p, o) handle triples. Every index is built from that list the first
+    time it is read and cached: a racing first read may build one twice,
+    but publishes it only once it is complete, so the graph is safe to
+    share across concurrent readers. Mutation ops return new graphs.
     """
-
-    __slots__ = (
-        "_ents", "_eid", "_preds", "_pid", "_tri",
-        "_out", "_in", "_sp", "_op", "_byp", "_pair_preds", "duplicates_collapsed",
-    )
 
     def __init__(self, triples: Iterable[Triple]):
         tri = set()
@@ -53,36 +69,38 @@ class KnowledgeGraph:
         for s, p, o in triples:
             raw += 1
             tri.add((s, p, o))
-        self.duplicates_collapsed = raw - len(tri)
-
         ents = sorted({s for s, _, _ in tri} | {o for _, _, o in tri})
         preds = sorted({p for _, p, _ in tri})
-        self._ents: tuple[str, ...] = tuple(ents)
-        self._preds: tuple[str, ...] = tuple(preds)
-        self._eid = {e: i for i, e in enumerate(ents)}
-        self._pid = {p: i for i, p in enumerate(preds)}
+        eid = {e: i for i, e in enumerate(ents)}
+        pid = {p: i for i, p in enumerate(preds)}
+        spo = sorted([(eid[s], pid[p], eid[o]) for s, p, o in tri])
+        self._ents, self._eid, self._preds, self._pid = tuple(ents), eid, tuple(preds), pid
+        self._spo: list[tuple[int, int, int]] = spo
+        self.duplicates_collapsed = raw - len(tri)
 
-        eid, pid = self._eid, self._pid
-        itri = {(eid[s], pid[p], eid[o]) for s, p, o in tri}
-        self._tri = frozenset(itri)
+    # -- indices, each built on first read --------------------------------------
 
-        out: dict[int, list] = {}
-        inc: dict[int, list] = {}
-        sp: dict[tuple[int, int], list] = {}
-        op: dict[tuple[int, int], list] = {}
-        byp: dict[int, list] = {}
-        for s, p, o in itri:
-            out.setdefault(s, []).append((p, o))
-            inc.setdefault(o, []).append((p, s))
-            sp.setdefault((s, p), []).append(o)
-            op.setdefault((o, p), []).append(s)
-            byp.setdefault(p, []).append((s, o))
-        self._out = {k: tuple(sorted(v)) for k, v in out.items()}
-        self._in = {k: tuple(sorted(v)) for k, v in inc.items()}
-        self._sp = {k: tuple(sorted(v)) for k, v in sp.items()}
-        self._op = {k: tuple(sorted(v)) for k, v in op.items()}
-        self._byp = {k: tuple(sorted(v)) for k, v in byp.items()}
-        self._pair_preds: dict[tuple[int, int], tuple[int, ...]] | None = None
+    @cached_property
+    def _tri(self) -> frozenset:
+        return frozenset(self._spo)
+
+    @cached_property
+    def _out(self) -> dict:
+        return _group(self._spo, _FIRST, _LAST_TWO)
+
+    @cached_property
+    def _sp(self) -> dict:
+        return _group(self._spo, _FIRST_TWO, _LAST)
+
+    @cached_property
+    def _by_object(self) -> tuple[dict, dict]:
+        """(in, op) from one (o, p, s) sort."""
+        ops = sorted([(o, p, s) for s, p, o in self._spo])
+        return _group(ops, _FIRST, _LAST_TWO), _group(ops, _FIRST_TWO, _LAST)
+
+    @cached_property
+    def _byp(self) -> dict:
+        return _group(sorted([(p, s, o) for s, p, o in self._spo]), _FIRST, _LAST_TWO)
 
     # -- construction ------------------------------------------------------
 
@@ -117,7 +135,7 @@ class KnowledgeGraph:
     # -- queries -----------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._tri)
+        return len(self._spo)
 
     def __contains__(self, t: Triple) -> bool:
         s, p, o = t
@@ -144,29 +162,28 @@ class KnowledgeGraph:
     def predicates(self) -> tuple[str, ...]:
         return self._preds
 
-    @property
+    @cached_property
     def handles(self) -> HandleIndex:
         """The integer-handle indices, for the rule miner; read-only."""
+        inc, op = self._by_object
         return HandleIndex(
-            self._tri, self._sp, self._op, self._byp, self._out, self._in,
+            self._tri, self._sp, op, self._byp, self._out, inc,
             self._eid, self._pid, self._ents,
         )
 
-    @property
+    @cached_property
     def pair_predicates(self) -> dict[tuple[int, int], tuple[int, ...]]:
         """(subject, object) handles -> predicate handles linking them;
         built on first use, read-only."""
-        if self._pair_preds is None:
-            pp: dict[tuple[int, int], list] = {}
-            for s, p, o in self._tri:
-                pp.setdefault((s, o), []).append(p)
-            self._pair_preds = {k: tuple(sorted(v)) for k, v in pp.items()}
-        return self._pair_preds
+        pp: dict[tuple[int, int], list] = {}
+        for s, p, o in self._spo:  # sorted, so each pair's predicates come in order
+            pp.setdefault((s, o), []).append(p)
+        return {k: tuple(v) for k, v in pp.items()}
 
     def triples(self) -> Iterator[Triple]:
         """All triples in lexicographic order."""
         ents, preds = self._ents, self._preds
-        for s, p, o in sorted(self._tri):
+        for s, p, o in self._spo:
             yield (ents[s], preds[p], ents[o])
 
     def outgoing(self, e: str) -> tuple[tuple[str, str], ...]:
@@ -183,7 +200,7 @@ class KnowledgeGraph:
         if ei is None:
             return ()
         ents, preds = self._ents, self._preds
-        return tuple((preds[p], ents[s]) for p, s in self._in.get(ei, ()))
+        return tuple((preds[p], ents[s]) for p, s in self._by_object[0].get(ei, ()))
 
     def objects(self, s: str, p: str) -> tuple[str, ...]:
         """Objects o with (s, p, o) in the graph."""
@@ -201,7 +218,7 @@ class KnowledgeGraph:
         if oi is None or pi is None:
             return ()
         ents = self._ents
-        return tuple(ents[s] for s in self._op.get((oi, pi), ()))
+        return tuple(ents[s] for s in self._by_object[1].get((oi, pi), ()))
 
     def pairs(self, p: str) -> tuple[tuple[str, str], ...]:
         """All (subject, object) pairs of predicate p."""
@@ -222,13 +239,31 @@ class KnowledgeGraph:
     # -- mutation by copy --------------------------------------------------
 
     def remove(self, victims: Iterable[Triple]) -> "KnowledgeGraph":
-        """New graph without the victim triples; every victim must be present."""
+        """New graph without the victim triples; every victim must be present.
+        Survivors keep their order; handles are renumbered, in order, only
+        when an entity or a predicate loses its last triple."""
         victims = set(victims)
         for t in victims:
             if t not in self:
                 raise ValueError(f"triple not in graph: {t}")
-        remaining = [t for t in self.triples() if t not in victims]
-        return KnowledgeGraph(remaining)
+        eid, pid = self._eid, self._pid
+        drop = {(eid[s], pid[p], eid[o]) for s, p, o in victims}
+        spo = [t for t in self._spo if t not in drop]
+        ents, preds = self._ents, self._preds
+        kept_ents = {s for s, _, _ in spo} | {o for _, _, o in spo}
+        kept_preds = {p for _, p, _ in spo}
+        if len(kept_ents) < len(ents) or len(kept_preds) < len(preds):
+            enew = {e: i for i, e in enumerate(sorted(kept_ents))}
+            pnew = {p: i for i, p in enumerate(sorted(kept_preds))}
+            spo = [(enew[s], pnew[p], enew[o]) for s, p, o in spo]
+            ents = tuple(ents[e] for e in enew)
+            preds = tuple(preds[p] for p in pnew)
+            eid = {e: i for i, e in enumerate(ents)}
+            pid = {p: i for i, p in enumerate(preds)}
+        g = KnowledgeGraph.__new__(KnowledgeGraph)
+        g._ents, g._eid, g._preds, g._pid, g._spo = ents, eid, preds, pid, spo
+        g.duplicates_collapsed = 0
+        return g
 
     def rename_entities(self, mapping: dict[str, str]) -> "KnowledgeGraph":
         """Apply a bijective entity renaming; every entity must be mapped."""

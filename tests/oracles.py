@@ -293,6 +293,52 @@ def reference_plan_removals(g: KnowledgeGraph, mined: list, cfg):
     return RemovalPlan(entries, per_rule)
 
 
+def reference_graph_index(triples) -> dict:
+    """The eager index builder KnowledgeGraph ran in its constructor before
+    it kept one sorted handle list and built each index on first read, kept
+    as that graph's oracle: every index collected in a dict per key and each
+    key's values sorted on their own. Returns every field the graph exposes:
+    the HandleIndex fields by name, plus "preds", "pair_predicates",
+    "triples" (sorted id triples) and "duplicates_collapsed"."""
+    tri = set()
+    raw = 0
+    for s, p, o in triples:
+        raw += 1
+        tri.add((s, p, o))
+    ents = sorted({s for s, _, _ in tri} | {o for _, _, o in tri})
+    preds = sorted({p for _, p, _ in tri})
+    eid = {e: i for i, e in enumerate(ents)}
+    pid = {p: i for i, p in enumerate(preds)}
+    itri = {(eid[s], pid[p], eid[o]) for s, p, o in tri}
+    out, inc, sp, op, byp, pp = {}, {}, {}, {}, {}, {}
+    for s, p, o in itri:
+        out.setdefault(s, []).append((p, o))
+        inc.setdefault(o, []).append((p, s))
+        sp.setdefault((s, p), []).append(o)
+        op.setdefault((o, p), []).append(s)
+        byp.setdefault(p, []).append((s, o))
+        pp.setdefault((s, o), []).append(p)
+
+    def sort_values(index):
+        return {k: tuple(sorted(v)) for k, v in index.items()}
+
+    return {
+        "tri": frozenset(itri),
+        "sp": sort_values(sp),
+        "op": sort_values(op),
+        "byp": sort_values(byp),
+        "out": sort_values(out),
+        "inc": sort_values(inc),
+        "eid": eid,
+        "pid": pid,
+        "ents": tuple(ents),
+        "preds": tuple(preds),
+        "pair_predicates": sort_values(pp),
+        "triples": sorted(tri),
+        "duplicates_collapsed": raw - len(tri),
+    }
+
+
 def closed_signature(sig: tuple) -> bool:
     """Whether every variable of a rules.signature occurs at least twice."""
     tags = [t for row in sig for t in row[1:] if t[0] == "v"]

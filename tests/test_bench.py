@@ -374,6 +374,16 @@ class TestBundle:
         result = verify_bundle(out)
         assert result["ok"], result["violations"]
 
+    def test_verify_bundle_reports_a_lost_removal(self, tmp_path, uncle_world_file):
+        out, _ = self.build(tmp_path, uncle_world_file)
+        path = out / "removals.jsonl"
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[1:]))
+        result = verify_bundle(out)
+        assert result["removals"] == len(lines) - 1
+        assert [v for v in result["violations"] if v.startswith("size mismatch")]
+        assert not result["ok"]
+
     def test_answerability_invariant_per_question(self, tmp_path, uncle_world_file):
         out, _ = self.build(tmp_path, uncle_world_file)
         bundle = load_bundle(out)

@@ -1,11 +1,14 @@
 import hashlib
 import json
+import shutil
 import subprocess
 import sys
+import threading
+import weakref
 
 import pytest
 
-from kgreason import mining
+from kgreason import agent, mining
 from kgreason.agent import EpisodeTrace
 from kgreason.cli import main
 from kgreason.llm import ENDPOINT_URL_VAR
@@ -481,3 +484,96 @@ class TestAtomicOutputs:
             monkeypatch.setattr(csv, "writer", boom)
         assert main(argv) == 1
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+@pytest.fixture
+def wide_bundle(tmp_path, bundle_dir):
+    """bundle_dir with its questions repeated under new ids, so that a run
+    has many more episodes than any bound on what it may hold."""
+    out = tmp_path / "wide"
+    shutil.copytree(bundle_dir, out)
+    rows = [json.loads(line) for line in (bundle_dir / "questions.jsonl").read_text().splitlines()]
+    with open(out / "questions.jsonl", "w", encoding="utf-8") as fh:
+        for k in range(-(-60 // len(rows))):
+            for row in rows:
+                fh.write(json.dumps({**row, "id": f"{row['id']}-{k}"}, sort_keys=True) + "\n")
+    return out
+
+
+class TestStreamingRun:
+    """`run` writes each episode as it finishes and holds no finished trace
+    beyond those a bounded number of workers may have computed ahead."""
+
+    def run_argv(self, bundle, out, synonyms_file, parallel):
+        return ["run", "--bundle", str(bundle), "--split", "all",
+                "--out", str(out / "p.jsonl"), "--traces", str(out / "t.jsonl"),
+                "--synonyms", str(synonyms_file), "--parallel", str(parallel)]
+
+    @pytest.mark.parametrize("parallel", [1, 4])
+    def test_keeps_no_finished_trace_alive(self, tmp_path, wide_bundle, synonyms_file, monkeypatch, parallel):
+        serial = tmp_path / "serial"
+        serial.mkdir()
+        assert main(self.run_argv(wide_bundle, serial, synonyms_file, 1)) == 0
+
+        real = agent.run_episode
+        refs: list = []
+        most_alive = [0]
+        lock = threading.Lock()
+
+        def tracked(*args, **kwargs):
+            with lock:
+                most_alive[0] = max(most_alive[0], sum(r() is not None for r in refs))
+            trace = real(*args, **kwargs)
+            with lock:
+                refs.append(weakref.ref(trace))
+            return trace
+
+        monkeypatch.setattr(agent, "run_episode", tracked)
+        out = tmp_path / "tracked"
+        out.mkdir()
+        assert main(self.run_argv(wide_bundle, out, synonyms_file, parallel)) == 0
+        questions = (wide_bundle / "questions.jsonl").read_text().splitlines()
+        assert len(refs) == len(questions) >= 60
+        assert most_alive[0] <= 2 * parallel + 1
+        for name in ("p.jsonl", "t.jsonl"):
+            assert (out / name).read_bytes() == (serial / name).read_bytes()
+
+    @pytest.mark.parametrize("parallel", [1, 4])
+    def test_failed_episode_changes_nothing(self, tmp_path, wide_bundle, synonyms_file, monkeypatch, parallel):
+        out = tmp_path / "run"
+        out.mkdir()
+        argv = self.run_argv(wide_bundle, out, synonyms_file, parallel)
+        assert main(argv + ["--max-actions", "1"]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert set(before) == {"p.jsonl", "t.jsonl", "p.jsonl.manifest.json"}
+        third = json.loads((wide_bundle / "questions.jsonl").read_text().splitlines()[2])["id"]
+        real = agent.run_episode
+
+        def boom(g, question, *args, **kwargs):
+            if question["id"] == third:
+                raise RuntimeError("episode failed")
+            return real(g, question, *args, **kwargs)
+
+        monkeypatch.setattr(agent, "run_episode", boom)
+        assert main(argv) == 1
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        assert not list(tmp_path.rglob("*.tmp"))
+
+    def test_run_and_eval_skip_removals_and_rules(self, tmp_path, bundle_dir, synonyms_file, capsys):
+        broken = tmp_path / "broken"
+        shutil.copytree(bundle_dir, broken)
+        for name in ("removals.jsonl", "rules.jsonl"):
+            (broken / name).write_text("not json {\n")
+        outputs = {}
+        for bundle in (bundle_dir, broken):
+            out = tmp_path / f"out-{bundle.name}"
+            out.mkdir()
+            assert main(self.run_argv(bundle, out, synonyms_file, 1)) == 0
+            assert main(["eval", "--bundle", str(bundle), "--predictions", str(out / "p.jsonl"),
+                         "--split", "all", "--out", str(out / "r.json")]) == 0
+            outputs[bundle] = [(out / name).read_bytes() for name in ("p.jsonl", "t.jsonl", "r.json")]
+        assert outputs[broken] == outputs[bundle_dir]
+        # verification still reads both parts
+        capsys.readouterr()
+        assert main(["inspect", "--bundle", str(broken)]) == 1
+        assert "error" in capsys.readouterr().err

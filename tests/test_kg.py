@@ -1,11 +1,14 @@
 import json
 import random
+import sys
+import threading
 
 import pytest
 
 from kgreason.kg import KnowledgeGraph, write_anonymization_map
 
 from conftest import random_graph
+from oracles import reference_graph_index
 
 
 def write_tsv(path, rows):
@@ -171,3 +174,138 @@ def test_random_roundtrips_preserve_triple_set(tmp_path):
         anon, _ = g.anonymize(i)
         assert len(anon) == len(g)
         assert len(anon.entities) == len(g.entities)
+
+
+def corpus_rows(seed: int) -> list:
+    """Random triples with self-loops and repeated rows, in file order."""
+    rng = random.Random(seed)
+    ents = [f"e{i}" for i in range(rng.randint(2, 25))]
+    preds = [f"p{i}" for i in range(rng.randint(1, 5))]
+    rows = [(rng.choice(ents), rng.choice(preds), rng.choice(ents)) for _ in range(rng.randint(1, 90))]
+    rows += [(e, rng.choice(preds), e) for e in rng.sample(ents, 2)]
+    rows += rng.sample(rows, min(len(rows), 5))
+    rng.shuffle(rows)
+    return rows
+
+
+def graph_fields(g: KnowledgeGraph) -> dict:
+    """Everything a graph exposes, by the names reference_graph_index uses."""
+    return {
+        **g.handles._asdict(),
+        "preds": g.predicates,
+        "pair_predicates": g.pair_predicates,
+        "triples": list(g.triples()),
+        "duplicates_collapsed": g.duplicates_collapsed,
+    }
+
+
+def decoded_queries(g: KnowledgeGraph) -> dict:
+    return {
+        "entities": g.entities,
+        "outgoing": {e: g.outgoing(e) for e in (*g.entities, "nobody")},
+        "incoming": {e: g.incoming(e) for e in (*g.entities, "nobody")},
+        "objects": {(e, p): g.objects(e, p) for e in g.entities for p in (*g.predicates, "q")},
+        "subjects": {(e, p): g.subjects(e, p) for e in g.entities for p in (*g.predicates, "q")},
+        "pairs": {p: g.pairs(p) for p in g.predicates},
+    }
+
+
+def reference_queries(ref: dict) -> dict:
+    """decoded_queries computed from the reference's string triples."""
+    triples, ents = ref["triples"], ref["ents"]
+    preds = (*ref["preds"], "q")
+    return {
+        "entities": ents,
+        "outgoing": {e: tuple(sorted((p, o) for s, p, o in triples if s == e)) for e in (*ents, "nobody")},
+        "incoming": {e: tuple(sorted((p, s) for s, p, o in triples if o == e)) for e in (*ents, "nobody")},
+        "objects": {(e, q): tuple(o for s, p, o in triples if (s, p) == (e, q)) for e in ents for q in preds},
+        "subjects": {(e, q): tuple(s for s, p, o in triples if (o, p) == (e, q)) for e in ents for q in preds},
+        "pairs": {q: tuple((s, o) for s, p, o in triples if p == q) for q in ref["preds"]},
+    }
+
+
+class TestMatchesReferenceIndex:
+    """The sorted handle list and the indices built from it on first read
+    equal the eager per-key-sorted indices, on random corpora with
+    self-loops and duplicate rows."""
+
+    SEEDS = range(12)
+
+    def test_indices_and_queries(self):
+        for seed in self.SEEDS:
+            rows = corpus_rows(seed)
+            ref = reference_graph_index(rows)
+            g = KnowledgeGraph(rows)
+            assert g.duplicates_collapsed == ref["duplicates_collapsed"] > 0
+            assert decoded_queries(g) == reference_queries(ref)
+            assert graph_fields(g) == ref
+            assert len(g) == len(ref["tri"])
+            assert all(t in g for t in rows)
+
+    def test_remove_equals_rebuild(self):
+        for seed in self.SEEDS:
+            g = KnowledgeGraph(corpus_rows(seed))
+            before = graph_fields(g)
+            rng = random.Random(seed)
+            triples = list(g.triples())
+            lone = {e for e in g.entities if sum(e in (s, o) for s, _, o in triples) == 1}
+            cases = [
+                set(),
+                set(rng.sample(triples, len(triples) // 3)),
+                {t for t in triples if t[1] == g.predicates[0]},         # a whole predicate
+                {t for t in triples if t[0] == triples[0][0] or t[2] == triples[0][0]},  # an entity
+                {t for t in triples if t[0] in lone or t[2] in lone},
+            ]
+            for victims in cases:
+                if len(victims) == len(triples):
+                    continue
+                removed = g.remove(victims)
+                rebuilt = KnowledgeGraph(set(triples) - victims)
+                assert graph_fields(removed) == graph_fields(rebuilt)
+                assert decoded_queries(removed) == decoded_queries(rebuilt)
+                assert graph_fields(g) == before
+
+    def test_remove_that_drops_an_entity_and_a_predicate_renumbers(self):
+        g = KnowledgeGraph([("a", "p", "b"), ("b", "q", "c"), ("c", "r", "d")])
+        h = g.remove([("b", "q", "c")])
+        assert h.predicates == ("p", "r") and h.entities == ("a", "b", "c", "d")
+        h = g.remove([("a", "p", "b")])
+        assert h.predicates == ("q", "r") and h.entities == ("b", "c", "d")
+        assert h.handles.tri == frozenset({(0, 0, 1), (1, 1, 2)})
+
+    def test_concurrent_first_reads_see_whole_indices(self):
+        rows = corpus_rows(3) * 40
+        ref = reference_graph_index(rows)
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                g = KnowledgeGraph(rows)
+                barrier = threading.Barrier(8)
+                seen = []
+
+                def read(order):
+                    barrier.wait(timeout=10)
+                    got = {}
+                    for name in order:
+                        if name == "queries":
+                            got[name] = decoded_queries(g)
+                        else:
+                            got[name] = graph_fields(g)
+                    seen.append(got)
+
+                threads = [
+                    threading.Thread(target=read, args=((["queries", "fields"], ["fields", "queries"])[i % 2],))
+                    for i in range(8)
+                ]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=30)
+                    assert not t.is_alive()
+                assert len(seen) == 8
+                for got in seen:
+                    assert got["fields"] == ref
+                    assert got["queries"] == reference_queries(ref)
+        finally:
+            sys.setswitchinterval(old)
