@@ -1,13 +1,25 @@
 """In-memory knowledge graph: loading, indexing, copy-on-remove, anonymization.
 
 Triples are (subject, predicate, object) id strings. Entities and predicates
-are interned to integer handles internally; handles are assigned in
+are interned to integer handles; handles are assigned in
 lexicographic id order, so sorting by handle equals sorting by id string. A
 graph keeps one sorted list of (s, p, o) handle triples, which `triples()`,
-`save()` and `remove()` read as it is. Each index is built from that list, or
-from one re-sort of it, the first time it is read, so its tuples come out in
-deterministic lexicographic order without a sort per key, and a stage pays
-only for the indices it reads.
+`save()` and `remove()` read as it is. The rule miner joins over the public,
+read-only handle indices, in which an entity handle is a position in
+`entities` and a predicate handle one in `predicates`:
+
+    tri  frozenset of (s, p, o)
+    sp   (s, p) -> objects             op   (o, p) -> subjects
+    byp  p -> (s, o) pairs
+    out  s -> (p, o) pairs             inc  o -> (p, s) pairs
+    eid  entity id -> handle           pid  predicate -> handle
+
+The values of sp, op, byp, out and inc are sorted tuples. Each of these
+indices, and tri, is built from the list, or from one re-sort of it, the
+first time it is read, so its tuples come out in deterministic lexicographic
+order without a sort per key, and a stage pays only for the indices it
+reads: the joins of `bench` read tri, sp, op and byp, and never build the
+edge lists out and inc.
 """
 
 from __future__ import annotations
@@ -20,27 +32,11 @@ from functools import cached_property
 from itertools import groupby
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
 log = logging.getLogger(__name__)
 
 Triple = tuple[str, str, str]
-
-
-class HandleIndex(NamedTuple):
-    """A graph's indices over integer handles: entity and predicate handles
-    are positions in `entities` / `predicates`, and index values are sorted
-    tuples."""
-
-    tri: frozenset   # (s, p, o)
-    sp: dict         # (s, p) -> objects
-    op: dict         # (o, p) -> subjects
-    byp: dict        # p -> (s, o) pairs
-    out: dict        # s -> (p, o) pairs
-    inc: dict        # o -> (p, s) pairs
-    eid: dict        # entity id -> handle
-    pid: dict        # predicate -> handle
-    ents: tuple      # handle -> entity id
 
 
 _FIRST, _FIRST_TWO = itemgetter(0), itemgetter(0, 1)
@@ -57,10 +53,11 @@ class KnowledgeGraph:
     """Immutable indexed triple set.
 
     Holds the interned entity and predicate tables and one sorted list of
-    (s, p, o) handle triples. Every index is built from that list the first
-    time it is read and cached: a racing first read may build one twice,
-    but publishes it only once it is complete, so the graph is safe to
-    share across concurrent readers. Mutation ops return new graphs.
+    (s, p, o) handle triples. The handle indices listed in the module
+    docstring, and `pair_predicates`, are each built from that list the
+    first time they are read and cached: a racing first read may build one
+    twice, but publishes it only once it is complete, so the graph is safe
+    to share across concurrent readers. Mutation ops return new graphs.
     """
 
     def __init__(self, triples: Iterable[Triple]):
@@ -74,33 +71,43 @@ class KnowledgeGraph:
         eid = {e: i for i, e in enumerate(ents)}
         pid = {p: i for i, p in enumerate(preds)}
         spo = sorted([(eid[s], pid[p], eid[o]) for s, p, o in tri])
-        self._ents, self._eid, self._preds, self._pid = tuple(ents), eid, tuple(preds), pid
+        self._ents, self.eid, self._preds, self.pid = tuple(ents), eid, tuple(preds), pid
         self._spo: list[tuple[int, int, int]] = spo
         self.duplicates_collapsed = raw - len(tri)
 
-    # -- indices, each built on first read --------------------------------------
+    # -- handle indices, each built on first read; read-only -------------------
 
     @cached_property
-    def _tri(self) -> frozenset:
+    def tri(self) -> frozenset:
         return frozenset(self._spo)
 
     @cached_property
-    def _out(self) -> dict:
-        return _group(self._spo, _FIRST, _LAST_TWO)
-
-    @cached_property
-    def _sp(self) -> dict:
+    def sp(self) -> dict:
         return _group(self._spo, _FIRST_TWO, _LAST)
 
     @cached_property
-    def _by_object(self) -> tuple[dict, dict]:
-        """(in, op) from one (o, p, s) sort."""
-        ops = sorted([(o, p, s) for s, p, o in self._spo])
-        return _group(ops, _FIRST, _LAST_TWO), _group(ops, _FIRST_TWO, _LAST)
+    def op(self) -> dict:
+        return _group(sorted([(o, p, s) for s, p, o in self._spo]), _FIRST_TWO, _LAST)
 
     @cached_property
-    def _byp(self) -> dict:
+    def byp(self) -> dict:
         return _group(sorted([(p, s, o) for s, p, o in self._spo]), _FIRST, _LAST_TWO)
+
+    @cached_property
+    def out(self) -> dict:
+        return _group(self._spo, _FIRST, _LAST_TWO)
+
+    @cached_property
+    def inc(self) -> dict:
+        return _group(sorted([(o, p, s) for s, p, o in self._spo]), _FIRST, _LAST_TWO)
+
+    @cached_property
+    def pair_predicates(self) -> dict[tuple[int, int], tuple[int, ...]]:
+        """(subject, object) handles -> predicate handles linking them."""
+        pp: dict[tuple[int, int], list] = {}
+        for s, p, o in self._spo:  # sorted, so each pair's predicates come in order
+            pp.setdefault((s, o), []).append(p)
+        return {k: tuple(v) for k, v in pp.items()}
 
     # -- construction ------------------------------------------------------
 
@@ -139,12 +146,12 @@ class KnowledgeGraph:
 
     def __contains__(self, t: Triple) -> bool:
         s, p, o = t
-        si = self._eid.get(s)
-        pi = self._pid.get(p)
-        oi = self._eid.get(o)
+        si = self.eid.get(s)
+        pi = self.pid.get(p)
+        oi = self.eid.get(o)
         if si is None or pi is None or oi is None:
             return False
-        return (si, pi, oi) in self._tri
+        return (si, pi, oi) in self.tri
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, KnowledgeGraph):
@@ -162,24 +169,6 @@ class KnowledgeGraph:
     def predicates(self) -> tuple[str, ...]:
         return self._preds
 
-    @cached_property
-    def handles(self) -> HandleIndex:
-        """The integer-handle indices, for the rule miner; read-only."""
-        inc, op = self._by_object
-        return HandleIndex(
-            self._tri, self._sp, op, self._byp, self._out, inc,
-            self._eid, self._pid, self._ents,
-        )
-
-    @cached_property
-    def pair_predicates(self) -> dict[tuple[int, int], tuple[int, ...]]:
-        """(subject, object) handles -> predicate handles linking them;
-        built on first use, read-only."""
-        pp: dict[tuple[int, int], list] = {}
-        for s, p, o in self._spo:  # sorted, so each pair's predicates come in order
-            pp.setdefault((s, o), []).append(p)
-        return {k: tuple(v) for k, v in pp.items()}
-
     def triples(self) -> Iterator[Triple]:
         """All triples in lexicographic order."""
         ents, preds = self._ents, self._preds
@@ -188,53 +177,45 @@ class KnowledgeGraph:
 
     def outgoing(self, e: str) -> tuple[tuple[str, str], ...]:
         """(predicate, object) pairs for edges leaving e; unknown entity -> ()."""
-        ei = self._eid.get(e)
+        ei = self.eid.get(e)
         if ei is None:
             return ()
         ents, preds = self._ents, self._preds
-        return tuple((preds[p], ents[o]) for p, o in self._out.get(ei, ()))
+        return tuple((preds[p], ents[o]) for p, o in self.out.get(ei, ()))
 
     def incoming(self, e: str) -> tuple[tuple[str, str], ...]:
         """(predicate, subject) pairs for edges entering e."""
-        ei = self._eid.get(e)
+        ei = self.eid.get(e)
         if ei is None:
             return ()
         ents, preds = self._ents, self._preds
-        return tuple((preds[p], ents[s]) for p, s in self._by_object[0].get(ei, ()))
+        return tuple((preds[p], ents[s]) for p, s in self.inc.get(ei, ()))
 
     def objects(self, s: str, p: str) -> tuple[str, ...]:
         """Objects o with (s, p, o) in the graph."""
-        si = self._eid.get(s)
-        pi = self._pid.get(p)
+        si = self.eid.get(s)
+        pi = self.pid.get(p)
         if si is None or pi is None:
             return ()
         ents = self._ents
-        return tuple(ents[o] for o in self._sp.get((si, pi), ()))
+        return tuple(ents[o] for o in self.sp.get((si, pi), ()))
 
     def subjects(self, o: str, p: str) -> tuple[str, ...]:
         """Subjects s with (s, p, o) in the graph."""
-        oi = self._eid.get(o)
-        pi = self._pid.get(p)
+        oi = self.eid.get(o)
+        pi = self.pid.get(p)
         if oi is None or pi is None:
             return ()
         ents = self._ents
-        return tuple(ents[s] for s in self._by_object[1].get((oi, pi), ()))
+        return tuple(ents[s] for s in self.op.get((oi, pi), ()))
 
     def pairs(self, p: str) -> tuple[tuple[str, str], ...]:
         """All (subject, object) pairs of predicate p."""
-        pi = self._pid.get(p)
+        pi = self.pid.get(p)
         if pi is None:
             return ()
         ents = self._ents
-        return tuple((ents[s], ents[o]) for s, o in self._byp.get(pi, ()))
-
-    def has_subject(self, s: str, p: str) -> bool:
-        """True if some (s, p, y') exists (the partial-completeness witness)."""
-        si = self._eid.get(s)
-        pi = self._pid.get(p)
-        if si is None or pi is None:
-            return False
-        return (si, pi) in self._sp
+        return tuple((ents[s], ents[o]) for s, o in self.byp.get(pi, ()))
 
     # -- mutation by copy --------------------------------------------------
 
@@ -246,7 +227,7 @@ class KnowledgeGraph:
         for t in victims:
             if t not in self:
                 raise ValueError(f"triple not in graph: {t}")
-        eid, pid = self._eid, self._pid
+        eid, pid = self.eid, self.pid
         drop = {(eid[s], pid[p], eid[o]) for s, p, o in victims}
         spo = [t for t in self._spo if t not in drop]
         ents, preds = self._ents, self._preds
@@ -261,7 +242,7 @@ class KnowledgeGraph:
             eid = {e: i for i, e in enumerate(ents)}
             pid = {p: i for i, p in enumerate(preds)}
         g = KnowledgeGraph.__new__(KnowledgeGraph)
-        g._ents, g._eid, g._preds, g._pid, g._spo = ents, eid, preds, pid, spo
+        g._ents, g.eid, g._preds, g.pid, g._spo = ents, eid, preds, pid, spo
         g.duplicates_collapsed = 0
         return g
 

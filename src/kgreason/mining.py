@@ -19,9 +19,9 @@ off the indices. The metrics and the PCA<1 check project the body onto
 head variables. Grounding enumeration, like the count query below, joins
 the head in after the body, so it yields only the support groundings (body
 and head both hold) and decodes them to entity ids only as they are read.
-An existence check -- body_holds_with_head_binding, whose head bindings
-enter the body as constants, or a body component holding neither head
-variable -- is a projection onto no variable, non-empty iff the body holds.
+An existence check -- head_binding_check, whose head bindings enter the
+body as constants, or a body component holding neither head variable -- is
+a projection onto no variable, non-empty iff the body holds.
 Handles are assigned in lexicographic id order, so integer ordering doubles
 as the deterministic lexicographic ordering the public contracts promise.
 
@@ -56,7 +56,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
-from .kg import HandleIndex, KnowledgeGraph
+from .kg import KnowledgeGraph
 from .rules import (
     RULE_TYPES,
     Atom,
@@ -135,16 +135,16 @@ class _Compiled(NamedTuple):
     var_names: tuple
 
 
-def _compile(gv: HandleIndex, rule: HornRule) -> _Compiled:
+def _compile(g: KnowledgeGraph, rule: HornRule) -> _Compiled:
     """Compile a rule as written, tagged as in rules.signature: variables
     are numbered by first appearance, and variable "v{i}" becomes index i."""
     tags: dict[str, str] = {}
     rows = [(a.predicate, term_tag(a.arg1, tags), term_tag(a.arg2, tags)) for a in rule.atoms()]
 
     def carg(tag: str):
-        return (True, int(tag[1:])) if tag[0] == "v" else (False, gv.eid.get(tag[2:], -2))
+        return (True, int(tag[1:])) if tag[0] == "v" else (False, g.eid.get(tag[2:], -2))
 
-    head, *body = [(gv.pid.get(p, -1), carg(t1), carg(t2)) for p, t1, t2 in rows]
+    head, *body = [(g.pid.get(p, -1), carg(t1), carg(t2)) for p, t1, t2 in rows]
     return _Compiled(head, tuple(body), len(tags), tuple(tags))
 
 
@@ -230,17 +230,17 @@ def _picker(idx, scalar=False):
     return itemgetter(*idx)
 
 
-def _facts(gv, atom) -> list | tuple:
+def _facts(g: KnowledgeGraph, atom) -> list | tuple:
     """The (s, o) pairs of the facts that one atom matches, as its
     constants and a repeated variable constrain them."""
     p, (v1, x1), (v2, x2) = atom
     if not v1 and not v2:
-        return [(x1, x2)] if (x1, p, x2) in gv.tri else []
+        return [(x1, x2)] if (x1, p, x2) in g.tri else []
     if not v1:
-        return [(x1, o) for o in gv.sp.get((x1, p), ())]
+        return [(x1, o) for o in g.sp.get((x1, p), ())]
     if not v2:
-        return [(s, x2) for s in gv.op.get((x2, p), ())]
-    facts = gv.byp.get(p, ())
+        return [(s, x2) for s in g.op.get((x2, p), ())]
+    facts = g.byp.get(p, ())
     return [f for f in facts if f[0] == f[1]] if x1 == x2 else facts
 
 
@@ -256,7 +256,7 @@ def _columns(facts, cols) -> list | set | tuple:
     return [()] * bool(facts)
 
 
-def _project(gv, plan, proj) -> set:
+def _project(g: KnowledgeGraph, plan, proj) -> set:
     """Distinct projections of the groundings of plan onto proj.
 
     proj holds argspecs; keys are values for one argspec, value tuples for
@@ -266,11 +266,12 @@ def _project(gv, plan, proj) -> set:
     graph's indices, then drops the columns no later atom and no key
     needs, so the set deduplicates rows that only differed there. A
     variable no later atom or key needs is only checked to exist. The set
-    is empty when a projected variable occurs in no atom.
+    is empty when a projected variable occurs in no atom. Only the indices
+    a step reads are built.
     """
     if len(plan) == 1:
         # one atom: the keys come straight from its facts
-        (_, a1, a2), facts = plan[0], _facts(gv, plan[0])
+        (_, a1, a2), facts = plan[0], _facts(g, plan[0])
         if proj == (a1, a2):
             return set(facts)
         if proj == (a2, a1):
@@ -284,23 +285,24 @@ def _project(gv, plan, proj) -> set:
     if compiled is None:
         return set()
     steps, key = compiled
-    sp, op, tri = gv.sp, gv.op, gv.tri
     rows = {tuple(a[1] for a in args if not a[0])}
     for (p, a1, a2), (kind, j1, j2, pick, extend, scan) in zip(plan, steps):
         if not rows:
             return set()
         if kind == "tri":
+            tri = g.tri
             rows = {pick(r) for r in rows if (r[j1], p, r[j2]) in tri}
-        elif kind == "sp" and extend:
-            rows = {b + (v,) for r in rows for b in (pick(r),) for v in sp.get((r[j1], p), ())}
-        elif kind == "sp":
-            rows = {pick(r) for r in rows if (r[j1], p) in sp}
-        elif kind == "op" and extend:
-            rows = {b + (v,) for r in rows for b in (pick(r),) for v in op.get((r[j2], p), ())}
-        elif kind == "op":
-            rows = {pick(r) for r in rows if (r[j2], p) in op}
+        elif kind != "scan":
+            # sp binds the object from the subject, op the subject from the object
+            index, j = (g.sp, j1) if kind == "sp" else (g.op, j2)
+            if extend:
+                rows = {
+                    b + (v,) for r in rows for b in (pick(r),) for v in index.get((r[j], p), ())
+                }
+            else:
+                rows = {pick(r) for r in rows if (r[j], p) in index}
         else:
-            values = _columns(_facts(gv, (p, a1, a2)), scan)
+            values = _columns(_facts(g, (p, a1, a2)), scan)
             bases = {pick(r) for r in rows}
             rows = set(values) if bases == {()} else {b + v for b in bases for v in values}
     return rows if key is None else {key(r) for r in rows}
@@ -325,7 +327,7 @@ def _components(body) -> list[tuple[set, list]]:
     return groups
 
 
-def _head_projections(gv, c: _Compiled) -> tuple | None:
+def _head_projections(g: KnowledgeGraph, c: _Compiled) -> tuple | None:
     """(pairs, xs, ys): each connected component of c's body projected onto
     the head variables it holds, (X, Y) pairs, X values or Y values, with
     None for what no component holds. A component with neither only has to
@@ -336,19 +338,19 @@ def _head_projections(gv, c: _Compiled) -> tuple | None:
     for vs, atoms in _components(c.body):
         plan = _make_plan(atoms)
         if hx[1] in vs and hy[1] in vs:
-            found = pairs = _project(gv, plan, (hx, hy))
+            found = pairs = _project(g, plan, (hx, hy))
         elif hx[1] in vs:
-            found = xs = _project(gv, plan, (hx,))
+            found = xs = _project(g, plan, (hx,))
         elif hy[1] in vs:
-            found = ys = _project(gv, plan, (hy,))
+            found = ys = _project(g, plan, (hy,))
         else:
-            found = _project(gv, plan, ())
+            found = _project(g, plan, ())
         if not found:
             return None
     return pairs, xs, ys
 
 
-def _pca_below_one(gv, c: _Compiled) -> bool:
+def _pca_below_one(g: KnowledgeGraph, c: _Compiled) -> bool:
     """Whether PCA confidence is strictly below 1.0: no body pair (x, y) is
     covered (x has a fact of the head predicate), or a covered pair is no
     fact.
@@ -361,23 +363,23 @@ def _pca_below_one(gv, c: _Compiled) -> bool:
     h_p, hx, hy = c.head
     if not {hx[1], hy[1]} <= {a[1] for atom in c.body for a in atom[1:] if a[0]}:
         return True
-    projections = _head_projections(gv, c)
+    projections = _head_projections(g, c)
     if projections is None:
         return True
     pairs, xs, ys = projections
     if pairs is None:
-        covered = ((x, y) for x in xs if (x, h_p) in gv.sp for y in ys)
+        covered = ((x, y) for x in xs if (x, h_p) in g.sp for y in ys)
     else:
-        covered = ((x, y) for x, y in pairs if (x, h_p) in gv.sp)
-    facts = ((x, h_p, y) in gv.tri for x, y in covered)
+        covered = ((x, y) for x, y in pairs if (x, h_p) in g.sp)
+    facts = ((x, h_p, y) in g.tri for x, y in covered)
     # an empty PCA denominator means PCA confidence 0
     return not next(facts, False) or not all(facts)
 
 
-def _empty_body_metrics(g: KnowledgeGraph, gv, chead) -> RuleMetrics:
+def _empty_body_metrics(g: KnowledgeGraph, chead) -> RuleMetrics:
     """Metrics for a body-less candidate: every substitution satisfies the
     empty body, so the denominators are computed arithmetically."""
-    heads = len(_facts(gv, chead))
+    heads = len(_facts(g, chead))
     n_ents = len(g.entities)
     _, a1, a2 = chead
     head_vars = {a[1] for a in (a1, a2) if a[0]}
@@ -385,11 +387,11 @@ def _empty_body_metrics(g: KnowledgeGraph, gv, chead) -> RuleMetrics:
     conf = heads / body_count if body_count else 0.0
     p = chead[0]
     if a1[0]:
-        n_subj = len({s for s, _ in gv.byp.get(p, ())})
+        n_subj = len({s for s, _ in g.byp.get(p, ())})
         per_subject = n_ents if (a2[0] and a2[1] != a1[1]) else 1
         pca_den = n_subj * per_subject
     else:
-        has = (a1[1], p) in gv.sp
+        has = (a1[1], p) in g.sp
         pca_den = (n_ents if a2[0] else 1) if has else 0
     pca = heads / pca_den if pca_den else 0.0
     hc = 1.0 if heads else 0.0
@@ -400,17 +402,16 @@ def _empty_body_metrics(g: KnowledgeGraph, gv, chead) -> RuleMetrics:
 
 
 def compute_metrics(g: KnowledgeGraph, rule: HornRule) -> RuleMetrics:
-    gv = g.handles
-    c = _compile(gv, rule)
+    c = _compile(g, rule)
     if not rule.body:
-        return _empty_body_metrics(g, gv, c.head)
+        return _empty_body_metrics(g, c.head)
     h_p, h1, h2 = c.head
-    body_pairs = _project(gv, _make_plan(c.body), (h1, h2))
-    support = sum(1 for s, o in body_pairs if (s, h_p, o) in gv.tri)
+    body_pairs = _project(g, _make_plan(c.body), (h1, h2))
+    support = sum(1 for s, o in body_pairs if (s, h_p, o) in g.tri)
     confidence = support / len(body_pairs) if body_pairs else 0.0
-    pca_den = sum(1 for x, _ in body_pairs if (x, h_p) in gv.sp)
+    pca_den = sum(1 for x, _ in body_pairs if (x, h_p) in g.sp)
     pca = support / pca_den if pca_den else 0.0
-    heads = len(_facts(gv, c.head))
+    heads = len(_facts(g, c.head))
     hc = support / heads if heads else 0.0
     return RuleMetrics(support, hc, confidence, pca)
 
@@ -442,16 +443,15 @@ def enumerate_groundings(g: KnowledgeGraph, rule: HornRule) -> Sequence[dict[str
     head-first) order. The result is a read-only sequence that decodes an
     item only when it is read, so sampling a few pays for those few.
     """
-    gv = g.handles
-    c = _compile(gv, rule)
+    c = _compile(g, rule)
     sols = set()
     # joined in, the head must not bind a variable that the body leaves free
     if len({a[1] for atom in c.body for a in atom[1:] if a[0]}) == c.nvars:
         every = tuple((True, i) for i in range(c.nvars))
-        sols = _project(gv, _make_plan(c.body + (c.head,)), every)
+        sols = _project(g, _make_plan(c.body + (c.head,)), every)
     if c.nvars == 1:
         sols = {(v,) for v in sols}
-    return _Groundings(sorted(sols), c.var_names, gv.ents)
+    return _Groundings(sorted(sols), c.var_names, g.entities)
 
 
 def _substitute(a: Atom, sigma: dict[str, str]) -> tuple[str, str, str]:
@@ -468,23 +468,15 @@ def substitute_body(rule: HornRule, sigma: dict[str, str]) -> list[tuple[str, st
     return [_substitute(a, sigma) for a in rule.body]
 
 
-def body_holds_with_head_binding(
-    g: KnowledgeGraph, rule: HornRule, head_triple: tuple[str, str, str]
-) -> bool:
-    """True if some grounding of the rule body exists in g under the variable
-    bindings forced by the given head triple.
+def head_binding_check(g: KnowledgeGraph, rule: HornRule):
+    """A test of head triples: whether some grounding of the rule body
+    exists in g under the variable bindings that a head triple forces.
 
     A head constant matches only the same id, and a head variable only an
     entity of g. The bindings enter the body as constants, and the check is
-    a projection onto no variable."""
-    return head_binding_check(g, rule)(head_triple)
-
-
-def head_binding_check(g: KnowledgeGraph, rule: HornRule):
-    """body_holds_with_head_binding(g, rule, ·), with the rule compiled and
-    its join planned once for every head triple it is asked about."""
-    gv = g.handles
-    c = _compile(gv, rule)
+    a projection onto no variable. The rule is compiled and its join planned
+    once for every head triple the test is asked about."""
+    c = _compile(g, rule)
     # the join order depends only on which arguments are bound, and every
     # head triple binds the same ones: plan with a placeholder constant for
     # each head variable, and put the triple's handles in their place
@@ -498,13 +490,13 @@ def head_binding_check(g: KnowledgeGraph, rule: HornRule):
         bound: dict[tuple, tuple] = {}  # placeholder -> constant argspec
         for arg, term, name in zip(c.head[1:], rule.head.args, (s, o)):
             if term.is_var:
-                const = (False, gv.eid.get(name, -2))
+                const = (False, g.eid.get(name, -2))
                 if const[1] < 0 or bound.setdefault(slots[arg], const) != const:
                     return False
             elif term.name != name:
                 return False
         body = [(bp, bound.get(a1, a1), bound.get(a2, a2)) for bp, a1, a2 in plan]
-        return bool(_project(gv, body, ()))
+        return bool(_project(g, body, ()))
 
     return holds
 
@@ -529,9 +521,8 @@ def _supported(g: KnowledgeGraph, rule: HornRule, min_head_coverage, dangling, f
     the rows its atom holds on, so one set of (x, y, label) per operator and
     variable, counted per label, gives the support of every atom at once.
     The head must be p(X, Y) with X and Y distinct, as mine() builds."""
-    gv = g.handles
-    c = _compile(gv, rule)
-    heads = len(gv.byp.get(c.head[0], ()))
+    c = _compile(g, rule)
+    heads = len(g.byp.get(c.head[0], ()))
     if not heads:
         return []
     # smallest support whose ratio clears the threshold, with guards
@@ -544,8 +535,8 @@ def _supported(g: KnowledgeGraph, rule: HornRule, min_head_coverage, dangling, f
     read = list(dict.fromkeys([*rule.head.args, *dangling, *itertools.chain(*closing), *anchors]))
     at = {v: i for i, v in enumerate(read)}
     index = dict(zip(c.var_names, range(c.nvars)))
-    rows = _project(gv, _make_plan((c.head, *c.body)), tuple((True, index[v.name]) for v in read))
-    pairs, out, inc, preds, ents = g.pair_predicates, gv.out, gv.inc, g.predicates, gv.ents
+    rows = _project(g, _make_plan((c.head, *c.body)), tuple((True, index[v.name]) for v in read))
+    pairs, out, inc, preds, ents = g.pair_predicates, g.out, g.inc, g.predicates, g.entities
 
     def passing(found: set) -> list:
         return [e for e, n in Counter(map(itemgetter(2), found)).items() if n >= stop]
@@ -570,24 +561,21 @@ def _supported(g: KnowledgeGraph, rule: HornRule, min_head_coverage, dangling, f
     return atoms
 
 
-def refine(
-    rule: HornRule, g: KnowledgeGraph, cfg: MinerConfig, *, pruned: bool = False
-) -> list[tuple[str, tuple]]:
+def refine(rule: HornRule, g: KnowledgeGraph, cfg: MinerConfig) -> list[tuple[str, tuple]]:
     """Candidate rules one body atom longer, by the dangling / closing /
     instantiated operators, deduplicated by canonical form: (key, signature)
     pairs sorted by key, where rule_from_signature(signature) is the
-    canonical candidate and key is its key().
+    canonical candidate and key is its key(). rule's head must be p(X, Y).
 
-    pruned applies the two prunings of AMIE+ that mine() needs, both before
-    any signature is computed. Candidates that reach the length cap are
-    built only if closed (every variable occurs at least twice), the only
-    ones mine() can output there. That is read off the raw atoms: a
-    dangling atom brings a variable that occurs once, and a closing or
-    instantiated atom closes the rule iff it takes every variable that
-    occurs once in the parent. And candidates are built only if their head
-    coverage reaches cfg.min_head_coverage, which one count query over the
-    parent's join gives for every atom at once (_supported); rule's head
-    must then be p(X, Y). Without pruned, every candidate is built."""
+    The two prunings of AMIE+ that mine() needs apply before any signature
+    is computed. Candidates that reach the length cap are built only if
+    closed (every variable occurs at least twice), the only ones mine() can
+    output there. That is read off the raw atoms: a dangling atom brings a
+    variable that occurs once, and a closing or instantiated atom closes the
+    rule iff it takes every variable that occurs once in the parent. And
+    candidates are built only if their head coverage reaches
+    cfg.min_head_coverage, which one count query over the parent's join
+    gives for every atom at once (_supported)."""
     if rule.length >= cfg.max_rule_length:
         return []
     parent = [(a.predicate, *a.args) for a in rule.atoms()]
@@ -598,26 +586,15 @@ def refine(
     fresh = Term.var(
         next(variable_symbol(i) for i in itertools.count() if variable_symbol(i) not in names)
     )
-    at_cap = pruned and rule.length + 1 == cfg.max_rule_length
+    at_cap = rule.length + 1 == cfg.max_rule_length
     once = {t for t, n in occurrences.items() if n == 1} if at_cap else set()
     dangling = [] if at_cap else existing
     closing = [(v1, v2) for v1, v2 in itertools.permutations(existing, 2) if once <= {v1, v2}]
     anchors = [v for v in existing if once <= {v}] if cfg.allow_instantiated_atoms else []
-    preds, gv = g.predicates, g.handles
-    counted = len(preds) * (2 * len(dangling) + len(closing)) + len(anchors) * (
-        len(gv.sp) + len(gv.op)
+    counted = len(g.predicates) * (2 * len(dangling) + len(closing)) + len(anchors) * (
+        len(g.sp) + len(g.op)
     )
-    if pruned:
-        atoms = _supported(g, rule, cfg.min_head_coverage, dangling, fresh, closing, anchors)
-    else:
-        atoms = [(p, v, fresh) for p in preds for v in dangling]
-        atoms += [(p, fresh, v) for p in preds for v in dangling]
-        atoms += [(p, v1, v2) for p in preds for v1, v2 in closing]
-        for p in preds if anchors else ():
-            objects = [Term.const(o) for o in sorted({o for _, o in g.pairs(p)})]
-            subjects = [Term.const(s) for s in sorted({s for s, _ in g.pairs(p)})]
-            atoms += [(p, v, c) for v in anchors for c in objects]
-            atoms += [(p, c, v) for v in anchors for c in subjects]
+    atoms = _supported(g, rule, cfg.min_head_coverage, dangling, fresh, closing, anchors)
     candidates: dict[str, tuple] = {}
     for atom in atoms:
         if atom not in parent:
@@ -647,8 +624,6 @@ def mine(g: KnowledgeGraph, cfg: MinerConfig | None = None) -> list[MinedRule]:
     cfg = cfg or MinerConfig()
     if len(g) == 0:
         raise ValueError("empty graph")
-    gv = g.handles
-
     queue = deque((rule_from_signature(((p, "v0", "v1"),)), 0.0) for p in g.predicates)  # p(X,Y)
     output: list[tuple[HornRule, RuleMetrics]] = []
     while queue:
@@ -674,14 +649,14 @@ def mine(g: KnowledgeGraph, cfg: MinerConfig | None = None) -> list[MinedRule]:
                     mined_now = True
             child_conf = max(ancestor_conf, met.pca_confidence) if mined_now else ancestor_conf
             if rule.length < cfg.max_rule_length and (
-                _pca_below_one(gv, _compile(gv, rule)) if met is None
+                _pca_below_one(g, _compile(g, rule)) if met is None
                 else met.pca_confidence < 1.0
             ):
                 # a candidate at the cap is never refined, so only a closed
                 # one can be output (with a p(X,Y) head closed implies safe,
                 # and refinement keeps rules connected): refine builds no
                 # other, and none that fails the head coverage gate
-                refined = refine(rule, g, cfg, pruned=True)
+                refined = refine(rule, g, cfg)
                 counted += refined.counted
                 candidates += len(refined)
                 for key, sig in refined:

@@ -49,7 +49,7 @@ def exhaustive_metrics(g: KnowledgeGraph, rule: HornRule):
     support = len(support_pairs)
     hc = support / head_groundings if head_groundings else 0.0
     conf = support / len(body_pairs) if body_pairs else 0.0
-    pca_den = sum(1 for x, _ in body_pairs if g.has_subject(x, head.predicate))
+    pca_den = sum(1 for x, _ in body_pairs if g.objects(x, head.predicate))
     pca = support / pca_den if pca_den else 0.0
     return support, hc, conf, pca
 
@@ -149,7 +149,7 @@ def permutation_refine(rule: HornRule, g: KnowledgeGraph, cfg) -> list[HornRule]
 
 # the backtracking join the miner ran before its set-at-a-time engine, kept
 # verbatim for the walk oracles below
-def _walk(gv, plan, k, binding, leaf=None) -> bool:
+def _walk(g, plan, k, binding, leaf=None) -> bool:
     """Bind plan[k:] depth first. Wherever every atom holds, the result is
     True without a leaf and leaf() with one; a True result stops the walk.
     Bindings made here are undone before returning."""
@@ -159,31 +159,31 @@ def _walk(gv, plan, k, binding, leaf=None) -> bool:
     v1 = binding[a1[1]] if a1[0] else a1[1]
     v2 = binding[a2[1]] if a2[0] else a2[1]
     if v1 is not None and v2 is not None:
-        return (v1, p, v2) in gv.tri and _walk(gv, plan, k + 1, binding, leaf)
+        return (v1, p, v2) in g.tri and _walk(g, plan, k + 1, binding, leaf)
     if v1 is not None or v2 is not None:
         if v1 is not None:
-            idx, values = a2[1], gv.sp.get((v1, p), ())
+            idx, values = a2[1], g.sp.get((v1, p), ())
         else:
-            idx, values = a1[1], gv.op.get((v2, p), ())
+            idx, values = a1[1], g.op.get((v2, p), ())
         for val in values:
             binding[idx] = val
-            if _walk(gv, plan, k + 1, binding, leaf):
+            if _walk(g, plan, k + 1, binding, leaf):
                 binding[idx] = None
                 return True
         binding[idx] = None
         return False
     i1, i2 = a1[1], a2[1]
-    for s, o in _facts(gv, plan[k]):
+    for s, o in _facts(g, plan[k]):
         binding[i1] = s
         binding[i2] = o
-        if _walk(gv, plan, k + 1, binding, leaf):
+        if _walk(g, plan, k + 1, binding, leaf):
             binding[i1] = binding[i2] = None
             return True
     binding[i1] = binding[i2] = None
     return False
 
 
-def walk_project(gv, plan, nvars, proj, keep=None, visit=None) -> set:
+def walk_project(g, plan, nvars, proj, keep=None, visit=None) -> set:
     """The walk-based projection the set-at-a-time miner engine replaced,
     kept verbatim as its oracle.
 
@@ -215,12 +215,12 @@ def walk_project(gv, plan, nvars, proj, keep=None, visit=None) -> set:
         key = (p1, binding[h2[1]] if h2[0] else h2[1]) if as_pair else p1
         if key in keys or (keep is not None and key not in keep):
             return False
-        if _walk(gv, rest, 0, binding):
+        if _walk(g, rest, 0, binding):
             keys.add(key)
             return visit is not None and visit(key)
         return False
 
-    _walk(gv, plan[:depth], 0, binding, leaf)
+    _walk(g, plan[:depth], 0, binding, leaf)
     return keys
 
 
@@ -234,8 +234,7 @@ def walk_groundings(g: KnowledgeGraph, rule: HornRule) -> list[tuple[dict[str, s
     Deterministic: sorted lexicographically over bound entity ids with
     variables in canonical (first-appearance, head-first) order.
     """
-    gv = g.handles
-    c = _compile(gv, rule)
+    c = _compile(g, rule)
     sols: set = set()
     binding = [None] * c.nvars
 
@@ -244,15 +243,15 @@ def walk_groundings(g: KnowledgeGraph, rule: HornRule) -> list[tuple[dict[str, s
             sols.add(tuple(binding))
         return False
 
-    _walk(gv, _make_plan(c.body), 0, binding, leaf)
+    _walk(g, _make_plan(c.body), 0, binding, leaf)
     h_p, h1, h2 = c.head
-    ents = gv.ents
+    ents = g.entities
     out = []
     for b in sorted(sols):
         sigma = {name: ents[val] for name, val in zip(c.var_names, b)}
         s = b[h1[1]] if h1[0] else h1[1]
         o = b[h2[1]] if h2[0] else h2[1]
-        present = (s, h_p, o) in gv.tri
+        present = (s, h_p, o) in g.tri
         out.append((sigma, present))
     return out
 
@@ -298,8 +297,10 @@ def reference_graph_index(triples) -> dict:
     it kept one sorted handle list and built each index on first read, kept
     as that graph's oracle: every index collected in a dict per key and each
     key's values sorted on their own. Returns every field the graph exposes:
-    the HandleIndex fields by name, plus "preds", "pair_predicates",
-    "triples" (sorted id triples) and "duplicates_collapsed"."""
+    the handle indices by their attribute names ("tri", "sp", "op", "byp",
+    "out", "inc", "eid", "pid"), plus "ents" and "preds" (the entity and
+    predicate tables), "pair_predicates", "triples" (sorted id triples) and
+    "duplicates_collapsed"."""
     tri = set()
     raw = 0
     for s, p, o in triples:

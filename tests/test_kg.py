@@ -72,8 +72,6 @@ class TestQueries:
         assert toy_family.objects("justin", "hasSibling") == ("jaxon",)
         assert toy_family.subjects("justin", "hasSibling") == ("jaxon",)
         assert toy_family.pairs("hasSibling") == (("jaxon", "justin"), ("justin", "jaxon"))
-        assert toy_family.has_subject("justin", "hasSibling")
-        assert not toy_family.has_subject("jeremy", "hasSibling")
 
     def test_contains_consistent_with_indices(self, toy_family):
         for s, p, o in toy_family.triples():
@@ -191,7 +189,10 @@ def corpus_rows(seed: int) -> list:
 def graph_fields(g: KnowledgeGraph) -> dict:
     """Everything a graph exposes, by the names reference_graph_index uses."""
     return {
-        **g.handles._asdict(),
+        **{name: getattr(g, name) for name in ("tri", "sp", "op", "byp", "out", "inc")},
+        "eid": g.eid,
+        "pid": g.pid,
+        "ents": g.entities,
         "preds": g.predicates,
         "pair_predicates": g.pair_predicates,
         "triples": list(g.triples()),
@@ -271,7 +272,7 @@ class TestMatchesReferenceIndex:
         assert h.predicates == ("p", "r") and h.entities == ("a", "b", "c", "d")
         h = g.remove([("a", "p", "b")])
         assert h.predicates == ("q", "r") and h.entities == ("b", "c", "d")
-        assert h.handles.tri == frozenset({(0, 0, 1), (1, 1, 2)})
+        assert h.tri == frozenset({(0, 0, 1), (1, 1, 2)})
 
     def test_concurrent_first_reads_see_whole_indices(self):
         rows = corpus_rows(3) * 40

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import logging
@@ -11,9 +12,9 @@ from kgreason import mining
 from kgreason.kg import KnowledgeGraph
 from kgreason.mining import (
     MinerConfig,
-    body_holds_with_head_binding,
     compute_metrics,
     enumerate_groundings,
+    head_binding_check,
     mine,
     refine,
     rule_type_histogram,
@@ -131,7 +132,7 @@ class TestMetrics:
                 for needed in (support, support + 1):
                     if 0 < needed <= heads:
                         cfg = MinerConfig(min_head_coverage=needed / heads)
-                        keys = [k for k, _ in refine(parent, g, cfg, pruned=True)]
+                        keys = [k for k, _ in refine(parent, g, cfg)]
                         assert (canonicalize(rule).key() in keys) == (needed == support), rule
                         checked += 1
         assert checked > 100
@@ -200,20 +201,30 @@ def _signature(rule):
     return signature([(a.predicate, a.arg1, a.arg2) for a in rule.atoms()])
 
 
-def _all_candidates(g, cfg):
-    """Every refine() candidate reachable from the body-less rules, ungated,
-    as (signature, canonical rule) pairs."""
+@functools.cache
+def _corpus_graph(seed, n_ents, n_preds, n_triples):
+    return random_graph(random.Random(seed), n_ents, n_preds, n_triples)
+
+
+@functools.cache
+def _all_candidates(entry, inst) -> tuple:
+    """Every candidate the refinement operators reach from the body-less
+    rules of a corpus entry's graph, ungated, with instantiated atoms iff
+    inst, as (signature, canonical rule) pairs: the permutation oracle's,
+    built once per session."""
+    g = _corpus_graph(*entry[:4])
+    cfg = MinerConfig(max_rule_length=entry[4], allow_instantiated_atoms=inst)
     found = {}
     frontier = [HornRule(Atom(p, X, Y)) for p in g.predicates]
     while frontier:
         nxt = []
         for rule in frontier:
-            for key, sig in refine(rule, g, cfg):
-                if key not in found:
-                    found[key] = (sig, rule_from_signature(sig))
-                    nxt.append(found[key][1])
+            for cand in permutation_refine(rule, g, cfg):
+                if cand.key() not in found:
+                    found[cand.key()] = (_signature(cand), cand)
+                    nxt.append(cand)
         frontier = nxt
-    return list(found.values())
+    return tuple(found.values())
 
 
 def _ghost_rules(g):
@@ -241,39 +252,45 @@ class TestHeadCoverageGate:
         (6, 3, 2, 6, 4, False),
     ]
 
-    @classmethod
-    def corpus(cls):
-        """(graph, [(signature, rule)]) per corpus entry: every ungated
-        refine() candidate, then the rules with an absent constant."""
-        for seed, n_ents, n_preds, n_triples, max_len, inst in cls.CORPUS:
-            g = random_graph(random.Random(seed), n_ents, n_preds, n_triples)
-            cfg = MinerConfig(max_rule_length=max_len, allow_instantiated_atoms=inst)
-            yield g, _all_candidates(g, cfg) + [(_signature(r), r) for r in _ghost_rules(g)]
+    @staticmethod
+    @functools.cache
+    def corpus() -> tuple:
+        """(graph, ((signature, rule), ...)) per corpus entry: every ungated
+        candidate, then the rules with an absent constant; built once per
+        session."""
+        corpus = []
+        for entry in TestHeadCoverageGate.CORPUS:
+            g = _corpus_graph(*entry[:4])
+            ghosts = tuple((_signature(r), r) for r in _ghost_rules(g))
+            corpus.append((g, _all_candidates(entry, entry[5]) + ghosts))
+        return tuple(corpus)
 
     def test_gate_matches_exhaustive_head_coverage(self):
-        # mine()'s pruned refine against the ungated one filtered two ways:
-        # closed candidates only at the cap, and head coverage by the
-        # exhaustive oracle; parents with and without constants, each refined
-        # with and without them, the body-less and absent-constant rules too
+        # refine against the permutation oracle's candidates filtered two
+        # ways: closed candidates only at the cap, and head coverage by the
+        # exhaustive oracle, from the lowest gate (a support of one) up;
+        # parents with and without constants, each refined with and without
+        # them, the body-less and absent-constant rules too
         shapes = {"disconnected": 0, "no Y in body": 0, "no X in body": 0, "ghost": 0}
-        outcomes = dict.fromkeys(["open at the cap", "gated out", "kept"], 0)
-        for seed, n_ents, n_preds, n_triples, max_len, _ in self.CORPUS:
-            g = random_graph(random.Random(seed), n_ents, n_preds, n_triples)
+        outcomes = dict.fromkeys(
+            ["open at the cap", "gated out", "kept", "open, kept below the cap"], 0
+        )
+        for entry in self.CORPUS:
+            g, max_len = _corpus_graph(*entry[:4]), entry[4]
             plain = MinerConfig(max_rule_length=max_len)
-            consts = MinerConfig(max_rule_length=max_len, allow_instantiated_atoms=True)
+            consts = replace(plain, allow_instantiated_atoms=True)
             parents = [HornRule(Atom(p, X, Y)) for p in g.predicates] + _ghost_rules(g)
-            parents += [rule for _, rule in _all_candidates(g, consts if max_len == 3 else plain)]
+            parents += [rule for _, rule in _all_candidates(entry, max_len == 3)]
             hc = {}
             for cfg in (plain, consts):
                 for parent in parents:
-                    full = refine(parent, g, cfg)
+                    full = [(c.key(), _signature(c), c) for c in permutation_refine(parent, g, cfg)]
                     closed = full
                     if parent.length + 1 == max_len:
                         closed = [c for c in full if closed_signature(c[1])]
                     outcomes["open at the cap"] += len(full) - len(closed)
-                    for key, sig in closed:
+                    for key, _, rule in closed:
                         if key not in hc:
-                            rule = rule_from_signature(sig)
                             hc[key] = exhaustive_metrics(g, rule)[1]
                             body_vars = {v for a in rule.body for v in a.variables()}
                             shapes["disconnected"] += len(rule.body) > 1 and not check_rule_shape(
@@ -284,12 +301,20 @@ class TestHeadCoverageGate:
                             shapes["ghost"] += any(
                                 t.name == "ghost" for a in rule.body for t in a.args if not t.is_var
                             )
-                    for threshold in (0.1, 0.34, 0.5, 1.0):
+                    for threshold in (1e-9, 0.1, 0.34, 0.5, 1.0):
                         want = [c for c in closed if hc[c[0]] >= threshold]
-                        pruned = replace(cfg, min_head_coverage=threshold)
-                        assert refine(parent, g, pruned, pruned=True) == want, (parent, threshold)
+                        gated = replace(cfg, min_head_coverage=threshold)
+                        got = [
+                            (key, sig, rule_from_signature(sig))
+                            for key, sig in refine(parent, g, gated)
+                        ]
+                        assert got == want, (parent, threshold)
                         outcomes["gated out"] += len(closed) - len(want)
                         outcomes["kept"] += len(want)
+                        if parent.length + 1 < max_len:
+                            outcomes["open, kept below the cap"] += sum(
+                                not closed_signature(sig) for _, sig, _ in want
+                            )
         assert all(shapes.values()), shapes
         assert all(outcomes.values()), outcomes
 
@@ -368,10 +393,9 @@ class TestJoinConsumers:
                 # head constant, and other ids that must not match it
                 s0, o0 = min(g.pairs(p))
                 unknown = [(s0, p, "ghost"), (s0, p, "other"), ("ghost", p, o0), ("nobody", p, o0)]
+                holds = head_binding_check(g, rule)
                 for triple in [(s, p, o) for s, o in sorted(g.pairs(p))] + [absent] + unknown:
-                    assert body_holds_with_head_binding(g, rule, triple) == exhaustive_body_holds(
-                        g, rule, triple
-                    ), (rule, triple)
+                    assert holds(triple) == exhaustive_body_holds(g, rule, triple), (rule, triple)
 
     def test_pca_below_one_matches_exhaustive_oracle(self):
         shapes = dict.fromkeys(
@@ -379,11 +403,10 @@ class TestJoinConsumers:
              "no grounding", "no X or Y"], 0
         )
         for g, rules in TestHeadCoverageGate.corpus():
-            gv = g.handles
             for _, rule in rules:
                 pca = exhaustive_metrics(g, rule)[3]
                 if {"X", "Y"} <= {v for a in rule.body for v in a.variables()}:
-                    assert _pca_below_one(gv, _compile(gv, rule)) == (pca < 1.0), rule
+                    assert _pca_below_one(g, _compile(g, rule)) == (pca < 1.0), rule
                     if not walk_groundings(g, rule):
                         shapes["no grounding"] += 1
                     else:
@@ -395,7 +418,7 @@ class TestJoinConsumers:
                     # confidence 0, where the oracle lets the missing variable
                     # range over every entity
                     shapes["no X or Y"] += 1
-                    assert _pca_below_one(gv, _compile(gv, rule)), rule
+                    assert _pca_below_one(g, _compile(g, rule)), rule
         assert all(shapes.values()), shapes
 
 
@@ -421,26 +444,25 @@ class TestProjectionEngine:
             ["reflexive", "constant", "absent constant", "disconnected", "no X", "no Y"], 0
         )
         for g, rules in self.rules():
-            gv = g.handles
             for rule in rules:
                 atoms = rule.body
                 consts = [t.name for a in atoms for t in a.args if not t.is_var]
                 body_vars = {v for a in atoms for v in a.variables()}
                 shapes["reflexive"] += any(a.arg1 == a.arg2 for a in atoms)
-                shapes["constant"] += any(c in gv.eid for c in consts)
-                shapes["absent constant"] += any(c not in gv.eid for c in consts)
+                shapes["constant"] += any(c in g.eid for c in consts)
+                shapes["absent constant"] += any(c not in g.eid for c in consts)
                 shapes["disconnected"] += len(atoms) > 1 and not check_rule_shape(
                     HornRule(atoms[0], atoms[1:])
                 ).connected
                 shapes["no X"] += "X" not in body_vars
                 shapes["no Y"] += "Y" not in body_vars
-                c = _compile(gv, rule)
+                c = _compile(g, rule)
                 plan = _make_plan(c.body)
                 _, hx, hy = c.head
                 # a constant in the key, as in a head p(X, c); -2 is absent
                 for proj in ((hx, hy), (hx,), (hy,), (hx, (False, 0)), ((False, -2), hy)):
-                    assert _project(gv, plan, proj) == walk_project(
-                        gv, plan, c.nvars, proj
+                    assert _project(g, plan, proj) == walk_project(
+                        g, plan, c.nvars, proj
                     ), (rule, proj)
         assert all(shapes.values()), shapes
 
@@ -451,12 +473,46 @@ class TestProjectionEngine:
                 assert list(enumerate_groundings(g, rule)) == expected, rule
 
 
+class TestJoinsBuildOnlyWhatTheyRead:
+    """The joins read the graph's own indices, each built on first read:
+    grounding enumeration and the head-binding check build only what
+    _project reads, never the edge lists out and inc, which only the
+    miner's count query reads."""
+
+    def test_groundings_and_head_binding_build_no_edge_lists(self, uncle_world):
+        g = uncle_world
+        triples = list(g.triples())
+        before = set(vars(g))
+        mary, ghost = Term.const("mary"), Term.const("ghost")
+        uncle = Atom("hasUncle", X, Y)
+        rules = [
+            HornRule(uncle, (Atom("hasParent", X, Z), Atom("hasSibling", Z, Y))),
+            HornRule(uncle, (Atom("hasParent", X, mary), Atom("hasSibling", mary, Y))),
+            HornRule(uncle, (Atom("hasParent", X, Y),)),
+            HornRule(uncle, (Atom("hasSibling", Z, Y), Atom("hasParent", X, ghost))),
+            HornRule(Atom("hasSibling", mary, Y), (Atom("hasUncle", Z, Y),)),
+        ]
+        for rule in rules:
+            enumerate_groundings(g, rule)
+            holds = head_binding_check(g, rule)
+            for t in triples + [("mary", rule.head.predicate, "nobody")]:
+                holds(t)
+        built = set(vars(g)) - before
+        assert built and built <= {"tri", "sp", "op", "byp"}, built
+
+    def test_mine_builds_the_edge_lists(self, uncle_world):
+        mine(uncle_world, MinerConfig(max_rule_length=3))
+        assert {"out", "inc"} <= set(vars(uncle_world))
+
+
 class TestRefine:
     def test_candidates_from_empty_body(self, toy_family):
         base = HornRule(Atom("hasSibling", X, Y))
         keys = {k for k, _ in refine(base, toy_family, MinerConfig(max_rule_length=3))}
         assert "hasParent(X,Z) => hasSibling(X,Y)" in keys
-        assert "hasParent(X,Y) => hasSibling(X,Y)" in keys
+        assert "hasSibling(Y,X) => hasSibling(X,Y)" in keys
+        # a closing atom that no head fact supports fails the gate
+        assert "hasParent(X,Y) => hasSibling(X,Y)" not in keys
 
     def test_at_max_length_no_candidates(self, toy_family, composition_rule):
         cfg = MinerConfig(max_rule_length=3)
@@ -494,50 +550,6 @@ class TestRefine:
             not t.is_var for c in with_consts for a in c.body for t in a.args
         )
 
-
-    def test_matches_permutation_oracle(self):
-        # the gate corpus's parents, refined with and without constants; on
-        # the length-4 graphs the parents themselves stay constant-free
-        for seed, n_ents, n_preds, n_triples, max_len, _ in TestHeadCoverageGate.CORPUS:
-            g = random_graph(random.Random(seed), n_ents, n_preds, n_triples)
-            plain = MinerConfig(max_rule_length=max_len)
-            consts = MinerConfig(max_rule_length=max_len, allow_instantiated_atoms=True)
-            parents = [HornRule(Atom(p, X, Y)) for p in g.predicates]
-            parents += [rule for _, rule in _all_candidates(g, consts if max_len == 3 else plain)]
-            for cfg in (plain, consts):
-                for parent in parents:
-                    got = [(key, rule_from_signature(sig)) for key, sig in refine(parent, g, cfg)]
-                    want = [(c.key(), c) for c in permutation_refine(parent, g, cfg)]
-                    assert got == want, parent
-
-    def test_closed_at_cap_matches_closed_filter(self):
-        # the same parents as above, with the gate at its lowest (a support
-        # of one): pruned then only drops the open candidates at the cap and
-        # those no head fact supports, and leaves shorter open ones alone
-        dropped = kept = open_kept = 0
-        for seed, n_ents, n_preds, n_triples, max_len, _ in TestHeadCoverageGate.CORPUS:
-            g = random_graph(random.Random(seed), n_ents, n_preds, n_triples)
-            plain = MinerConfig(max_rule_length=max_len, min_head_coverage=1e-9)
-            consts = replace(plain, allow_instantiated_atoms=True)
-            parents = [HornRule(Atom(p, X, Y)) for p in g.predicates]
-            parents += [rule for _, rule in _all_candidates(g, consts if max_len == 3 else plain)]
-            supported = {}
-            for cfg in (plain, consts):
-                for parent in parents:
-                    full = refine(parent, g, cfg)
-                    for key, sig in full:
-                        if key not in supported:
-                            supported[key] = exhaustive_metrics(g, rule_from_signature(sig))[1] > 0
-                    want = [c for c in full if supported[c[0]]]
-                    if parent.length + 1 == max_len:
-                        closed = [c for c in want if closed_signature(c[1])]
-                        dropped += len(want) - len(closed)
-                        kept += len(closed)
-                        want = closed
-                    else:
-                        open_kept += sum(not closed_signature(sig) for _, sig in want)
-                    assert refine(parent, g, cfg, pruned=True) == want, parent
-        assert dropped and kept and open_kept
 
 
 class TestMine:
