@@ -227,6 +227,13 @@ def _all_candidates(entry, inst) -> tuple:
     return tuple(found.values())
 
 
+@functools.cache
+def _head_coverage(entry, sig) -> float:
+    """The exhaustive oracle's head coverage of the canonical candidate sig
+    on a corpus entry's graph, computed once per session."""
+    return exhaustive_metrics(_corpus_graph(*entry[:4]), rule_from_signature(sig))[1]
+
+
 def _ghost_rules(g):
     """Candidates with a constant that is absent from the graph."""
     ghost = Term.const("ghost")
@@ -289,9 +296,9 @@ class TestHeadCoverageGate:
                     if parent.length + 1 == max_len:
                         closed = [c for c in full if closed_signature(c[1])]
                     outcomes["open at the cap"] += len(full) - len(closed)
-                    for key, _, rule in closed:
+                    for key, sig, rule in closed:
                         if key not in hc:
-                            hc[key] = exhaustive_metrics(g, rule)[1]
+                            hc[key] = _head_coverage(entry, sig)
                             body_vars = {v for a in rule.body for v in a.variables()}
                             shapes["disconnected"] += len(rule.body) > 1 and not check_rule_shape(
                                 HornRule(rule.body[0], rule.body[1:])
@@ -549,6 +556,53 @@ class TestRefine:
         assert any(
             not t.is_var for c in with_consts for a in c.body for t in a.args
         )
+
+    def test_matches_permutation_oracle(self):
+        # the gate corpus's parents, refined with and without constants, at
+        # the lowest gate (a support of one): every (key, signature) decodes to
+        # the permutation oracle's canonical candidate, in the oracle's order,
+        # and those refine leaves out are the unsupported or open-at-the-cap ones
+        for entry in TestHeadCoverageGate.CORPUS:
+            g, max_len = _corpus_graph(*entry[:4]), entry[4]
+            plain = MinerConfig(max_rule_length=max_len, min_head_coverage=1e-9)
+            consts = replace(plain, allow_instantiated_atoms=True)
+            parents = [HornRule(Atom(p, X, Y)) for p in g.predicates]
+            parents += [rule for _, rule in _all_candidates(entry, max_len == 3)]
+            for cfg in (plain, consts):
+                for parent in parents:
+                    got = [(key, sig, rule_from_signature(sig)) for key, sig in refine(parent, g, cfg)]
+                    want = [(c.key(), _signature(c), c) for c in permutation_refine(parent, g, cfg)]
+                    kept = set(got)
+                    assert [w for w in want if w in kept] == got, parent
+                    at_cap = parent.length + 1 == max_len
+                    for key, sig, rule in want:
+                        if (key, sig, rule) not in kept and not (at_cap and not closed_signature(sig)):
+                            assert _head_coverage(entry, sig) == 0, (parent, key)
+
+    def test_closed_at_cap_matches_closed_filter(self):
+        # the same parents as above, with the gate at its lowest (a support
+        # of one): refine then only drops the open candidates at the cap and
+        # those no head fact supports, and leaves shorter open ones alone
+        dropped = kept = open_kept = 0
+        for entry in TestHeadCoverageGate.CORPUS:
+            g, max_len = _corpus_graph(*entry[:4]), entry[4]
+            plain = MinerConfig(max_rule_length=max_len, min_head_coverage=1e-9)
+            consts = replace(plain, allow_instantiated_atoms=True)
+            parents = [HornRule(Atom(p, X, Y)) for p in g.predicates]
+            parents += [rule for _, rule in _all_candidates(entry, max_len == 3)]
+            for cfg in (plain, consts):
+                for parent in parents:
+                    full = [(c.key(), _signature(c)) for c in permutation_refine(parent, g, cfg)]
+                    want = [c for c in full if _head_coverage(entry, c[1]) > 0]
+                    if parent.length + 1 == max_len:
+                        closed = [c for c in want if closed_signature(c[1])]
+                        dropped += len(want) - len(closed)
+                        kept += len(closed)
+                        want = closed
+                    else:
+                        open_kept += sum(not closed_signature(sig) for _, sig in want)
+                    assert refine(parent, g, cfg) == want, parent
+        assert dropped and kept and open_kept
 
 
 
