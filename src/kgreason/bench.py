@@ -467,12 +467,24 @@ def _replacing_dir(out: Path):
 
 @dataclass
 class Bundle:
-    """A bundle on disk; each graph, the removals and the rules are parsed
-    on first use."""
+    """A bundle on disk; each graph, the questions, the removals and the
+    rules are parsed on first use."""
 
     directory: Path
-    questions: list[QAInstance]
     manifest: dict
+
+    @cached_property
+    def questions(self) -> list[QAInstance]:
+        return [QAInstance.from_json(r) for r in read_jsonl(self.directory / "questions.jsonl")]
+
+    def question_rows(self, split: str, fields: tuple[str, ...]) -> list[dict]:
+        """The named fields of each question in `split` ("all" for every
+        question), in file order; a row with no split reads as ""."""
+        return [
+            {k: row[k] for k in fields}
+            for row in read_jsonl(self.directory / "questions.jsonl")
+            if split == "all" or row.get("split", "") == split
+        ]
 
     @cached_property
     def removals(self) -> list[RemovalEntry]:
@@ -538,11 +550,15 @@ def build_bundle(
     """Run the full generation pipeline and write the dataset bundle.
 
     Returns the manifest. An existing out_dir that holds any file a bundle
-    does not write is refused before anything runs. Nothing is written until
-    every question passes the answerability check, and then the bundle is
-    written into a fresh sibling directory that replaces out_dir only once
-    every file is complete. With the external question backend the endpoint
-    is probed before removal planning, so a dead endpoint fails fast.
+    does not write is refused before anything runs. The bundle is written
+    into a fresh sibling directory that replaces out_dir only once every
+    question has passed the answerability check and every file is complete;
+    a failure removes it and leaves out_dir as it was. complete.tsv (and the
+    anonymization map) go there as soon as the questions are drafted, and
+    the complete graph is dropped then, so the check indexes the incomplete
+    graph while no other graph is held. With the external question backend
+    the endpoint is probed before removal planning, so a dead endpoint fails
+    fast.
     """
     out = Path(out_dir).resolve()
     if out.exists():
@@ -578,48 +594,53 @@ def build_bundle(
         mined = [replace(mr, rule=_rename_constants(mr.rule, anon_map)) for mr in mined]
         notes.append(f"entities anonymized; map in {ANONYMIZATION_MAP}")
 
-    # downsampling reads only ids and hard answers, so it runs before any
-    # question text is asked of the endpoint
     drafts = draft_questions(complete, plan, cfg)
     generated = len(drafts)
-    questions = generate_questions(downsample(drafts, cfg.tau, cfg.seed), cfg, client)
-    if len(questions) >= 10:
-        questions = split_dataset(questions, cfg.split_ratio, cfg.seed)
-    else:
-        questions = [replace(q, split="test") for q in questions]
-        notes.append("fewer than 10 questions: all labeled 'test', no split drawn")
-
-    rules_by_id = {mr.rule_id: mr for mr in mined}
-    problems = check_answerability(incomplete, questions, rules_by_id)
-    if problems:
-        raise ValueError(f"answerability check failed: {problems[:5]}")
-
-    manifest = {
-        "config": cfg.to_json(),
-        "inputs": {
-            "kg": {"path": str(kg_path), "sha256": sha256_file(kg_path)},
-            "rules": {"path": str(rules_path), "sha256": sha256_file(rules_path)},
-        },
-        "counts": {
-            "complete_triples": len(complete),
-            "incomplete_triples": len(incomplete),
-            "removals": len(plan.entries),
-            "questions_generated": generated,
-            "questions_final": len(questions),
-            "splits": dict(Counter(q.split for q in questions)),
-        },
-        "rule_type_histogram": rule_type_histogram(mined),
-        "per_rule_removals": plan.per_rule,
-        "duplicate_topic_predicate_questions": (
-            len(questions) - len({(q.topic, q.predicate) for q in questions})
-        ),
-        "answerability": {"checked": len(questions), "violations": 0},
-        "notes": notes,
-    }
     with _replacing_dir(out) as tmp:
         if cfg.anonymize_seed is not None:
             write_anonymization_map(anon_map, tmp / ANONYMIZATION_MAP)
         complete.save(tmp / "complete.tsv")
+        complete_triples = len(complete)
+        # downsampling reads only ids and hard answers, so it runs before any
+        # question text is asked of the endpoint; no graph but the incomplete
+        # one, whose indices the check builds, is held from here on
+        del complete
+        drafts = downsample(drafts, cfg.tau, cfg.seed)
+        questions = generate_questions(drafts, cfg, client)
+        del drafts
+        if len(questions) >= 10:
+            questions = split_dataset(questions, cfg.split_ratio, cfg.seed)
+        else:
+            questions = [replace(q, split="test") for q in questions]
+            notes.append("fewer than 10 questions: all labeled 'test', no split drawn")
+
+        rules_by_id = {mr.rule_id: mr for mr in mined}
+        problems = check_answerability(incomplete, questions, rules_by_id)
+        if problems:
+            raise ValueError(f"answerability check failed: {problems[:5]}")
+
+        manifest = {
+            "config": cfg.to_json(),
+            "inputs": {
+                "kg": {"path": str(kg_path), "sha256": sha256_file(kg_path)},
+                "rules": {"path": str(rules_path), "sha256": sha256_file(rules_path)},
+            },
+            "counts": {
+                "complete_triples": complete_triples,
+                "incomplete_triples": len(incomplete),
+                "removals": len(plan.entries),
+                "questions_generated": generated,
+                "questions_final": len(questions),
+                "splits": dict(Counter(q.split for q in questions)),
+            },
+            "rule_type_histogram": rule_type_histogram(mined),
+            "per_rule_removals": plan.per_rule,
+            "duplicate_topic_predicate_questions": (
+                len(questions) - len({(q.topic, q.predicate) for q in questions})
+            ),
+            "answerability": {"checked": len(questions), "violations": 0},
+            "notes": notes,
+        }
         incomplete.save(tmp / "incomplete.tsv")
         with open(tmp / "removals.jsonl", "w", encoding="utf-8") as fh:
             for e in plan.entries:
@@ -640,8 +661,7 @@ def load_bundle(directory: str | Path) -> Bundle:
             raise ValueError(f"bundle is missing {name}")
     with open(d / "manifest.json", encoding="utf-8") as fh:
         manifest = json.load(fh)
-    questions = [QAInstance.from_json(r) for r in read_jsonl(d / "questions.jsonl")]
-    return Bundle(directory=d, questions=questions, manifest=manifest)
+    return Bundle(directory=d, manifest=manifest)
 
 
 def verify_bundle(directory: str | Path) -> dict:

@@ -156,7 +156,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     res = _Resolver(args)
     bundle = bench.load_bundle(args.bundle)
     g = bundle.incomplete if args.graph == "incomplete" else bundle.complete
-    questions = [q for q in bundle.questions if args.split == "all" or q.split == args.split]
+    questions = bundle.question_rows(args.split, ("id", "question", "topic"))
     if not questions:
         raise ValueError(f"no questions in split {args.split!r}")
 
@@ -173,17 +173,17 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.policy == "llm" and not os.environ.get(ENDPOINT_URL_VAR):
         raise UsageError(f"policy 'llm' needs {ENDPOINT_URL_VAR} set")
 
-    def episode(q: bench.QAInstance) -> agent.EpisodeTrace:
+    def episode(q: dict) -> agent.EpisodeTrace:
         budget = agent.PolicyBudget(max_actions=max_actions)
         if args.policy == "heuristic":
             policy = agent.HeuristicPolicy(
-                q.question, q.topic, synonyms=synonyms, top_k=top_k,
+                q["question"], q["topic"], synonyms=synonyms, top_k=top_k,
                 max_hops=env_cfg.max_hop_limit,
             )
         else:
             client = LLMClient(max_calls=max_endpoint_calls)
-            policy = agent.LLMPolicy(q.question, q.topic, client)
-        return agent.run_episode(g, q.to_json(), policy, budget, env_cfg)
+            policy = agent.LLMPolicy(q["question"], q["topic"], client)
+        return agent.run_episode(g, q, policy, budget, env_cfg)
 
     manifest = {
         "command": "run",
@@ -254,11 +254,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     from . import bench, evaluate
 
     bundle = bench.load_bundle(args.bundle)
-    gold = [
-        q.to_json()
-        for q in bundle.questions
-        if args.split == "all" or q.split == args.split
-    ]
+    gold = bundle.question_rows(args.split, ("id", "answers", "hard_answer"))
     if not gold:
         raise ValueError(f"no questions in split {args.split!r}")
     predictions = list(mining.read_jsonl(args.predictions))

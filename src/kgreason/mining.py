@@ -63,7 +63,7 @@ from .rules import (
     HornRule,
     Term,
     canonicalize,  # noqa: F401  unused here, but perfbench/traced.py patches it
-    check_rule_shape,
+    check_rule_shape,  # noqa: F401  likewise patched by perfbench/traced.py
     classify_rule,
     rule_from_json,
     rule_from_signature,
@@ -603,6 +603,11 @@ def refine(rule: HornRule, g: KnowledgeGraph, cfg: MinerConfig) -> list[tuple[st
     return _Refinements(sorted(candidates.items()), counted)
 
 
+def _closed(rule: HornRule) -> bool:
+    """Every variable of the rule occurs at least twice."""
+    return min(Counter(v for a in rule.atoms() for v in a.variables()).values()) >= 2
+
+
 def mine(g: KnowledgeGraph, cfg: MinerConfig | None = None) -> list[MinedRule]:
     """Breadth-first queue mining.
 
@@ -613,7 +618,7 @@ def mine(g: KnowledgeGraph, cfg: MinerConfig | None = None) -> list[MinedRule]:
     refinements enqueue iff head coverage passes and they were not enqueued
     before. Output is sorted by head predicate, length, then canonical form.
 
-    Full metrics are only computed where the algorithm needs them: shape-valid
+    Full metrics are only computed where the algorithm needs them: closed
     dequeued rules get the exact figures and open rules below the length cap
     get a PCA<1 early-exit check. Candidates that fail the head coverage
     gate, and open candidates at the cap, which could never be output, are
@@ -638,7 +643,7 @@ def mine(g: KnowledgeGraph, cfg: MinerConfig | None = None) -> list[MinedRule]:
             mined_now = False
             if not rule.body:
                 met = compute_metrics(g, rule)
-            elif check_rule_shape(rule).all_ok():
+            elif _closed(rule):
                 met = compute_metrics(g, rule)
                 if (
                     met.pca_confidence > cfg.pca_threshold

@@ -3,6 +3,7 @@ import logging
 import math
 import random
 import re
+import weakref
 
 import pytest
 
@@ -446,14 +447,89 @@ class TestBundle:
             assert q.topic in bundle.complete.entities
 
     def test_failed_check_writes_nothing(self, tmp_path, uncle_world_file, monkeypatch):
+        # the check fails, or question generation fails once complete.tsv and
+        # the map are in the temp directory: either way the old bundle stays
+        # as it was, no bundle appears where there was none, and no temp
+        # directory is left beside them
         old, _ = self.build(tmp_path / "old", uncle_world_file, anonymize_seed=4)
+        rules = tmp_path / "old" / "rules.jsonl"
         before = {p.name: p.read_bytes() for p in old.iterdir()}
-        monkeypatch.setattr(bench, "check_answerability", lambda *args: ["q0: no witness"])
-        for root in (tmp_path / "old", tmp_path / "fresh"):
-            with pytest.raises(ValueError, match="answerability check failed"):
-                self.build(root, uncle_world_file, anonymize_seed=5)
+        (tmp_path / "fresh").mkdir()
+        listings = {root: sorted(root.iterdir()) for root in (tmp_path / "old", tmp_path / "fresh")}
+        written = []
+
+        def generation_fails(*args):
+            written.append(sorted(p.name for p in tmp_path.glob("*/.bundle.*.tmp/*")))
+            raise RuntimeError("endpoint gone")
+
+        failures = [
+            ("check_answerability", lambda *args: ["q0: no witness"], "answerability check failed"),
+            ("generate_questions", generation_fails, "endpoint gone"),
+        ]
+        for attr, fake, message in failures:
+            with monkeypatch.context() as m:
+                m.setattr(bench, attr, fake)
+                for root, listing in listings.items():
+                    with pytest.raises((ValueError, RuntimeError), match=message):
+                        build_bundle(uncle_world_file, rules, root / "bundle", GenConfig(anonymize_seed=5))
+                    assert sorted(root.iterdir()) == listing
+        assert written == [["anonymization_map.json", "complete.tsv"]] * 2
         assert not (tmp_path / "fresh" / "bundle").exists()
         assert {p.name: p.read_bytes() for p in old.iterdir()} == before
+
+    @pytest.mark.parametrize("anonymize_seed", [None, 4])
+    def test_check_runs_with_no_complete_graph_alive(
+        self, tmp_path, uncle_world_file, monkeypatch, anonymize_seed
+    ):
+        # the graph that removals are planned on, and the (anonymized) one
+        # that answer sets are read from, are both gone by the time the
+        # check builds the incomplete graph's indices
+        refs, alive = [], []
+        real_plan, real_draft = bench.plan_removals, bench.draft_questions
+        real_check = bench.check_answerability
+
+        def plan(g, *args):
+            refs.append(weakref.ref(g))
+            return real_plan(g, *args)
+
+        def draft(g, *args):
+            refs.append(weakref.ref(g))
+            return real_draft(g, *args)
+
+        def check(*args):
+            alive.append([ref() is not None for ref in refs])
+            return real_check(*args)
+
+        monkeypatch.setattr(bench, "plan_removals", plan)
+        monkeypatch.setattr(bench, "draft_questions", draft)
+        monkeypatch.setattr(bench, "check_answerability", check)
+        out, _ = self.build(tmp_path, uncle_world_file, anonymize_seed=anonymize_seed)
+        assert alive == [[False, False]]
+        assert verify_bundle(out)["ok"]
+
+    def test_question_rows_read_only_the_named_fields(self, tmp_path, uncle_world_file):
+        out, _ = self.build(tmp_path, uncle_world_file)
+        bundle = load_bundle(out)
+        assert bundle.question_rows("all", ("id", "topic")) == [
+            {"id": q.id, "topic": q.topic} for q in bundle.questions
+        ]
+        for split in ("train", "val", "test"):
+            assert [row["id"] for row in bundle.question_rows(split, ("id",))] == [
+                q.id for q in bundle.questions if q.split == split
+            ]
+        # a row with no split is in no split, as QAInstance.from_json reads it
+        path = out / "questions.jsonl"
+        rows = [json.loads(line) for line in path.read_text().splitlines()]
+        for row in rows:
+            del row["split"]
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        bundle = load_bundle(out)
+        assert {q.split for q in bundle.questions} == {""}
+        assert bundle.question_rows("test", ("id",)) == []
+        assert len(bundle.question_rows("all", ("id",))) == len(rows)
+        path.unlink()
+        with pytest.raises(ValueError, match="bundle is missing questions.jsonl"):
+            load_bundle(out)
 
     def test_rebuild_without_seed_drops_stale_map(self, tmp_path, uncle_world_file):
         out, _ = self.build(tmp_path, uncle_world_file, anonymize_seed=4)

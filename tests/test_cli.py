@@ -8,7 +8,7 @@ import weakref
 
 import pytest
 
-from kgreason import agent, mining
+from kgreason import agent, bench, mining
 from kgreason.agent import EpisodeTrace
 from kgreason.cli import main
 from kgreason.llm import ENDPOINT_URL_VAR
@@ -558,6 +558,32 @@ class TestStreamingRun:
         assert main(argv) == 1
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
         assert not list(tmp_path.rglob("*.tmp"))
+
+    @pytest.mark.parametrize("parallel", [1, 4])
+    def test_run_and_eval_parse_no_question(
+        self, tmp_path, wide_bundle, synonyms_file, monkeypatch, capsys, parallel
+    ):
+        # run reads only id, question and topic of each question row, and
+        # eval only id, answers and hard_answer, so neither builds a QAInstance
+        def outputs(name):
+            out = tmp_path / name
+            out.mkdir()
+            assert main(self.run_argv(wide_bundle, out, synonyms_file, parallel)) == 0
+            assert main(["eval", "--bundle", str(wide_bundle), "--predictions", str(out / "p.jsonl"),
+                         "--split", "all", "--out", str(out / "r.json")]) == 0
+            return [(out / name).read_bytes() for name in ("p.jsonl", "t.jsonl", "r.json")]
+
+        parsed = outputs("parsed")
+
+        def boom(cls, row):
+            raise RuntimeError("a question was parsed")
+
+        monkeypatch.setattr(bench.QAInstance, "from_json", classmethod(boom))
+        assert outputs("unparsed") == parsed
+        # verification still parses every question
+        capsys.readouterr()
+        assert main(["inspect", "--bundle", str(wide_bundle)]) == 1
+        assert "a question was parsed" in capsys.readouterr().err
 
     def test_run_and_eval_skip_removals_and_rules(self, tmp_path, bundle_dir, synonyms_file, capsys):
         broken = tmp_path / "broken"

@@ -604,6 +604,28 @@ class TestRefine:
                     assert refine(parent, g, cfg) == want, parent
         assert dropped and kept and open_kept
 
+    def test_closed_candidates_pass_the_shape_check(self):
+        # mine() tests a dequeued rule for closedness alone: refinement keeps
+        # rules connected, and with a p(X,Y) head a closed rule is safe
+        closed = opened = 0
+        for entry in TestHeadCoverageGate.CORPUS:
+            g, max_len = _corpus_graph(*entry[:4]), entry[4]
+            plain = MinerConfig(max_rule_length=max_len, min_head_coverage=1e-9)
+            consts = replace(plain, allow_instantiated_atoms=True)
+            parents = [HornRule(Atom(p, X, Y)) for p in g.predicates]
+            parents += [rule for _, rule in _all_candidates(entry, max_len == 3)]
+            for cfg in (plain, consts):
+                for parent in parents:
+                    for rule in _rules(refine(parent, g, cfg)):
+                        shape = check_rule_shape(rule)
+                        assert mining._closed(rule) == shape.closed, rule
+                        if shape.closed:
+                            assert shape.all_ok(), rule
+                            closed += 1
+                        else:
+                            opened += 1
+        assert closed and opened
+
 
 
 class TestMine:
@@ -677,11 +699,13 @@ class TestMine:
     def test_no_open_rule_enqueued_at_the_cap(self, uncle_world, monkeypatch):
         checked = []
 
+        real = mining._closed
+
         def spy(rule):
             checked.append(rule)
-            return check_rule_shape(rule)
+            return real(rule)
 
-        monkeypatch.setattr(mining, "check_rule_shape", spy)
+        monkeypatch.setattr(mining, "_closed", spy)
         g = random_graph(random.Random(5), 10, 4, 70)
         for kg in (uncle_world, g):
             mine(kg, MinerConfig(max_rule_length=3))
