@@ -17,13 +17,14 @@ import random
 import re
 import shutil
 from collections import Counter
+from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
 
-from .kg import KnowledgeGraph, Triple, sha256_file, write_anonymization_map
+from .kg import KnowledgeGraph, Triple, read_triples, sha256_file, write_anonymization_map
 from .llm import QUESTION_GENERATION_PROMPT, EndpointError, LLMClient
 from .mining import (
     MinedRule,
@@ -99,15 +100,6 @@ class RemovalEntry:
             "witness": [list(t) for t in self.witness],
         }
 
-    @classmethod
-    def from_json(cls, row: dict) -> "RemovalEntry":
-        return cls(
-            rule_id=row["rule_id"],
-            grounding=row["grounding"],
-            removed=tuple(row["removed"]),
-            witness=tuple(tuple(t) for t in row["witness"]),
-        )
-
 
 @dataclass
 class RemovalPlan:
@@ -150,6 +142,7 @@ class QAInstance:
 
     @classmethod
     def from_json(cls, row: dict) -> "QAInstance":
+        # no stage parses a whole row; perfbench and tests do, until ROADMAP item 1
         return cls(
             id=row["id"],
             question=row["question"],
@@ -467,28 +460,34 @@ def _replacing_dir(out: Path):
 
 @dataclass
 class Bundle:
-    """A bundle on disk; each graph, the questions, the removals and the
-    rules are parsed on first use."""
+    """A bundle on disk; each graph and the rules are parsed on first use,
+    and the stages read only the question fields they use (`question_rows`).
+    No stage reads manifest.json; it records how the bundle was built."""
 
     directory: Path
-    manifest: dict
 
     @cached_property
     def questions(self) -> list[QAInstance]:
+        # read only by perfbench and the tests, until ROADMAP item 1
         return [QAInstance.from_json(r) for r in read_jsonl(self.directory / "questions.jsonl")]
 
     def question_rows(self, split: str, fields: tuple[str, ...]) -> list[dict]:
         """The named fields of each question in `split` ("all" for every
-        question), in file order; a row with no split reads as ""."""
-        return [
-            {k: row[k] for k in fields}
-            for row in read_jsonl(self.directory / "questions.jsonl")
-            if split == "all" or row.get("split", "") == split
-        ]
-
-    @cached_property
-    def removals(self) -> list[RemovalEntry]:
-        return [RemovalEntry.from_json(r) for r in read_jsonl(self.directory / "removals.jsonl")]
+        question), in file order; a row with no split reads as "". A row
+        of the split that lacks a field is refused with a ValueError naming
+        the file, the line and the field."""
+        path, rows = self.directory / "questions.jsonl", []
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                row = json.loads(line)
+                if split in ("all", row.get("split", "")):
+                    try:
+                        rows.append({k: row[k] for k in fields})
+                    except KeyError as err:
+                        raise ValueError(f"{path}: line {lineno}: missing field {err}") from None
+        return rows
 
     @cached_property
     def rules(self) -> list[MinedRule]:
@@ -505,27 +504,29 @@ class Bundle:
 
 def check_answerability(
     incomplete: KnowledgeGraph,
-    questions: list[QAInstance],
-    rules_by_id: dict[str, MinedRule],
+    questions: Iterable[tuple[str, Triple, str]],
+    mined: list[MinedRule],
 ) -> list[str]:
-    """Violations of the central invariant: each question's generating rule
-    must keep a full body grounding for the removed head in the incomplete
-    graph, and the removed triple itself must be gone."""
+    """Violations of the central invariant over (question id, removed triple,
+    rule id) rows: each question's generating rule must keep a full body
+    grounding for the removed head in the incomplete graph, and the removed
+    triple itself must be gone."""
+    rules_by_id = {mr.rule_id: mr for mr in mined}
     problems = []
     checks = {}  # rule id -> its body check, compiled once
-    for q in questions:
-        if q.removed_triple in incomplete:
-            problems.append(f"{q.id}: removed triple still present")
+    for qid, removed, rule_id in questions:
+        if removed in incomplete:
+            problems.append(f"{qid}: removed triple still present")
             continue
-        mr = rules_by_id.get(q.rule_id)
+        mr = rules_by_id.get(rule_id)
         if mr is None:
-            problems.append(f"{q.id}: unknown rule id {q.rule_id}")
+            problems.append(f"{qid}: unknown rule id {rule_id}")
             continue
-        holds = checks.get(q.rule_id) or checks.setdefault(
-            q.rule_id, head_binding_check(incomplete, mr.rule)
+        holds = checks.get(rule_id) or checks.setdefault(
+            rule_id, head_binding_check(incomplete, mr.rule)
         )
-        if not holds(q.removed_triple):
-            problems.append(f"{q.id}: no surviving body witness for {q.removed_triple}")
+        if not holds(removed):
+            problems.append(f"{qid}: no surviving body witness for {removed}")
     return problems
 
 
@@ -614,8 +615,8 @@ def build_bundle(
             questions = [replace(q, split="test") for q in questions]
             notes.append("fewer than 10 questions: all labeled 'test', no split drawn")
 
-        rules_by_id = {mr.rule_id: mr for mr in mined}
-        problems = check_answerability(incomplete, questions, rules_by_id)
+        rows = ((q.id, q.removed_triple, q.rule_id) for q in questions)
+        problems = check_answerability(incomplete, rows, mined)
         if problems:
             raise ValueError(f"answerability check failed: {problems[:5]}")
 
@@ -659,26 +660,24 @@ def load_bundle(directory: str | Path) -> Bundle:
     for name in BUNDLE_FILES:
         if not (d / name).exists():
             raise ValueError(f"bundle is missing {name}")
-    with open(d / "manifest.json", encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    return Bundle(directory=d, manifest=manifest)
+    return Bundle(d)
 
 
 def verify_bundle(directory: str | Path) -> dict:
     """Re-check the answerability invariant and the size arithmetic of a
-    bundle on disk."""
+    bundle on disk. Only the incomplete graph is built, and only once the
+    distinct triples of complete.tsv (as `read_triples` parses them) and the
+    JSON rows of removals.jsonl are counted and each question's id, removed
+    triple and rule id are held as a tuple, with no row dict kept."""
     bundle = load_bundle(directory)
-    rules_by_id = {mr.rule_id: mr for mr in bundle.rules}
-    problems = check_answerability(bundle.incomplete, bundle.questions, rules_by_id)
-    size_ok = len(bundle.incomplete) == len(bundle.complete) - len(bundle.removals)
-    if not size_ok:
+    complete = len(set(read_triples(bundle.directory / "complete.tsv")))
+    removals = sum(1 for _ in read_jsonl(bundle.directory / "removals.jsonl"))
+    rows = bundle.question_rows("all", ("id", "removed_triple", "rule_id"))
+    rows = [(r["id"], tuple(r["removed_triple"]), r["rule_id"]) for r in rows]
+    problems = check_answerability(bundle.incomplete, rows, bundle.rules)
+    incomplete = len(bundle.incomplete)
+    if incomplete != complete - removals:
         problems.append(
-            f"size mismatch: |incomplete| {len(bundle.incomplete)} != "
-            f"|complete| {len(bundle.complete)} - removals {len(bundle.removals)}"
+            f"size mismatch: |incomplete| {incomplete} != |complete| {complete} - removals {removals}"
         )
-    return {
-        "questions": len(bundle.questions),
-        "removals": len(bundle.removals),
-        "violations": problems,
-        "ok": not problems,
-    }
+    return {"questions": len(rows), "removals": removals, "violations": problems, "ok": not problems}

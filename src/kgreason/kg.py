@@ -49,6 +49,27 @@ def _group(rows: list, key, value) -> dict:
     return {k: tuple(map(value, run)) for k, run in groupby(rows, key)}
 
 
+def read_triples(path: str | Path) -> Iterator[Triple]:
+    """Each triple of a UTF-8 TSV file (subject<TAB>predicate<TAB>object) in
+    file order, duplicates kept and blank lines skipped; a line without three
+    non-empty fields, or a file with no triple, raises a ValueError."""
+    n = 0
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.rstrip("\n").rstrip("\r")
+            if not line:
+                continue
+            fields = line.split("\t")
+            if len(fields) != 3 or not all(fields):
+                raise ValueError(
+                    f"{path}: line {lineno}: expected 3 tab-separated fields, got {line!r}"
+                )
+            n += 1
+            yield tuple(fields)
+    if not n:
+        raise ValueError(f"{path}: empty graph")
+
+
 class KnowledgeGraph:
     """Immutable indexed triple set.
 
@@ -113,22 +134,8 @@ class KnowledgeGraph:
 
     @classmethod
     def load(cls, path: str | Path) -> "KnowledgeGraph":
-        """Parse a UTF-8 TSV triple file (subject<TAB>predicate<TAB>object)."""
-        triples = []
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.rstrip("\n").rstrip("\r")
-                if not line:
-                    continue
-                fields = line.split("\t")
-                if len(fields) != 3 or not all(fields):
-                    raise ValueError(
-                        f"{path}: line {lineno}: expected 3 tab-separated fields, got {line!r}"
-                    )
-                triples.append(tuple(fields))
-        if not triples:
-            raise ValueError(f"{path}: empty graph")
-        g = cls(triples)
+        """The graph of a TSV file parsed by `read_triples`; duplicates collapse."""
+        g = cls(read_triples(path))
         if g.duplicates_collapsed:
             log.info("%s: collapsed %d duplicate triples", path, g.duplicates_collapsed)
         return g
@@ -208,14 +215,6 @@ class KnowledgeGraph:
             return ()
         ents = self._ents
         return tuple(ents[s] for s in self.op.get((oi, pi), ()))
-
-    def pairs(self, p: str) -> tuple[tuple[str, str], ...]:
-        """All (subject, object) pairs of predicate p."""
-        pi = self.pid.get(p)
-        if pi is None:
-            return ()
-        ents = self._ents
-        return tuple((ents[s], ents[o]) for s, o in self.byp.get(pi, ()))
 
     # -- mutation by copy --------------------------------------------------
 

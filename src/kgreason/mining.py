@@ -62,8 +62,8 @@ from .rules import (
     Atom,
     HornRule,
     Term,
-    canonicalize,  # noqa: F401  unused here, but perfbench/traced.py patches it
-    check_rule_shape,  # noqa: F401  likewise patched by perfbench/traced.py
+    canonicalize,  # noqa: F401  unused here; perfbench/traced.py patches it until ROADMAP item 1
+    check_rule_shape,  # noqa: F401  likewise
     classify_rule,
     rule_from_json,
     rule_from_signature,

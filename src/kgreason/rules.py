@@ -103,7 +103,8 @@ class ShapeCheck(NamedTuple):
 
 
 def check_rule_shape(rule: HornRule) -> ShapeCheck:
-    """Connectedness / closedness / safety for a rule with >= 1 body atom."""
+    """Connectedness / closedness / safety for a rule with >= 1 body atom.
+    No stage calls it; perfbench and the tests do, until ROADMAP item 1."""
     if not rule.body:
         raise ValueError("shape checks need at least one body atom")
     atoms = rule.atoms()

@@ -137,8 +137,9 @@ def permutation_refine(rule: HornRule, g: KnowledgeGraph, cfg) -> list[HornRule]
             add(Atom(p, Term.var(v1), Term.var(v2)))
     if cfg.allow_instantiated_atoms:
         for p in preds:
-            subjects = sorted({s for s, _ in g.pairs(p)})
-            objects = sorted({o for _, o in g.pairs(p)})
+            pairs = [(s, o) for s, q, o in g.triples() if q == p]
+            subjects = sorted({s for s, _ in pairs})
+            objects = sorted({o for _, o in pairs})
             for v in existing:
                 for c in objects:
                     add(Atom(p, Term.var(v), Term.const(c)))

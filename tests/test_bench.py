@@ -4,6 +4,7 @@ import math
 import random
 import re
 import weakref
+from pathlib import Path
 
 import pytest
 
@@ -385,11 +386,38 @@ class TestBundle:
         assert [v for v in result["violations"] if v.startswith("size mismatch")]
         assert not result["ok"]
 
+    def test_verify_bundle_loads_no_complete_graph(self, tmp_path, uncle_world_file, monkeypatch):
+        out, _ = self.build(tmp_path, uncle_world_file)
+        loaded = []
+        real = KnowledgeGraph.load.__func__
+
+        def spy(cls, path):
+            loaded.append(Path(path).name)
+            return real(cls, path)
+
+        monkeypatch.setattr(KnowledgeGraph, "load", classmethod(spy))
+        assert verify_bundle(out)["ok"]
+        assert loaded == ["incomplete.tsv"]
+
+    def test_verify_bundle_reads_complete_tsv_as_load_does(self, tmp_path, uncle_world_file):
+        out, _ = self.build(tmp_path, uncle_world_file)
+        path = out / "complete.tsv"
+        lines = path.read_text().splitlines(keepends=True)
+        # a blank line is skipped and a duplicate collapses, as in KnowledgeGraph.load
+        path.write_text("".join([lines[0], "\n", *lines, lines[-1]]))
+        assert verify_bundle(out)["ok"]
+        path.write_text("".join([*lines[:2], "a\tb\n", *lines[2:]]))
+        with pytest.raises(ValueError, match=r"complete.tsv: line 3: expected 3 tab-separated fields"):
+            verify_bundle(out)
+        path.write_text("")
+        with pytest.raises(ValueError, match=r"complete.tsv: empty graph"):
+            verify_bundle(out)
+
     def test_answerability_invariant_per_question(self, tmp_path, uncle_world_file):
         out, _ = self.build(tmp_path, uncle_world_file)
         bundle = load_bundle(out)
-        rules_by_id = {mr.rule_id: mr for mr in bundle.rules}
-        assert check_answerability(bundle.incomplete, bundle.questions, rules_by_id) == []
+        rows = [(q.id, q.removed_triple, q.rule_id) for q in bundle.questions]
+        assert check_answerability(bundle.incomplete, rows, bundle.rules) == []
         for q in bundle.questions:
             assert q.removed_triple not in bundle.incomplete
             assert q.hard_answer in q.answers

@@ -573,17 +573,19 @@ class TestStreamingRun:
                          "--split", "all", "--out", str(out / "r.json")]) == 0
             return [(out / name).read_bytes() for name in ("p.jsonl", "t.jsonl", "r.json")]
 
-        parsed = outputs("parsed")
+        def inspected():
+            capsys.readouterr()
+            assert main(["inspect", "--bundle", str(wide_bundle)]) == 0
+            return capsys.readouterr().out
+
+        parsed = outputs("parsed"), inspected()
 
         def boom(cls, row):
             raise RuntimeError("a question was parsed")
 
         monkeypatch.setattr(bench.QAInstance, "from_json", classmethod(boom))
-        assert outputs("unparsed") == parsed
-        # verification still parses every question
-        capsys.readouterr()
-        assert main(["inspect", "--bundle", str(wide_bundle)]) == 1
-        assert "a question was parsed" in capsys.readouterr().err
+        # verification reads only id, removed_triple and rule_id
+        assert (outputs("unparsed"), inspected()) == parsed
 
     def test_run_and_eval_skip_removals_and_rules(self, tmp_path, bundle_dir, synonyms_file, capsys):
         broken = tmp_path / "broken"
@@ -603,3 +605,28 @@ class TestStreamingRun:
         capsys.readouterr()
         assert main(["inspect", "--bundle", str(broken)]) == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "stage, field", [("run", "topic"), ("eval", "hard_answer"), ("inspect", "rule_id")]
+    )
+    def test_question_row_missing_a_field_is_an_error(
+        self, tmp_path, bundle_dir, synonyms_file, capsys, stage, field
+    ):
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(self.run_argv(bundle_dir, out, synonyms_file, 1)) == 0
+        broken = tmp_path / "broken"
+        shutil.copytree(bundle_dir, broken)
+        path = broken / "questions.jsonl"
+        rows = [json.loads(line) for line in path.read_text().splitlines()]
+        del rows[1][field]
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        argv = {
+            "run": self.run_argv(broken, out, synonyms_file, 1),
+            "eval": ["eval", "--bundle", str(broken), "--predictions", str(out / "p.jsonl"),
+                     "--split", "all", "--out", str(out / "r.json")],
+            "inspect": ["inspect", "--bundle", str(broken)],
+        }[stage]
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {path}: line 2: missing field {field!r}\n"

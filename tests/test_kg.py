@@ -71,7 +71,6 @@ class TestQueries:
     def test_subjects_objects_pairs(self, toy_family):
         assert toy_family.objects("justin", "hasSibling") == ("jaxon",)
         assert toy_family.subjects("justin", "hasSibling") == ("jaxon",)
-        assert toy_family.pairs("hasSibling") == (("jaxon", "justin"), ("justin", "jaxon"))
 
     def test_contains_consistent_with_indices(self, toy_family):
         for s, p, o in toy_family.triples():
@@ -207,7 +206,6 @@ def decoded_queries(g: KnowledgeGraph) -> dict:
         "incoming": {e: g.incoming(e) for e in (*g.entities, "nobody")},
         "objects": {(e, p): g.objects(e, p) for e in g.entities for p in (*g.predicates, "q")},
         "subjects": {(e, p): g.subjects(e, p) for e in g.entities for p in (*g.predicates, "q")},
-        "pairs": {p: g.pairs(p) for p in g.predicates},
     }
 
 
@@ -221,7 +219,6 @@ def reference_queries(ref: dict) -> dict:
         "incoming": {e: tuple(sorted((p, s) for s, p, o in triples if o == e)) for e in (*ents, "nobody")},
         "objects": {(e, q): tuple(o for s, p, o in triples if (s, p) == (e, q)) for e in ents for q in preds},
         "subjects": {(e, q): tuple(s for s, p, o in triples if (o, p) == (e, q)) for e in ents for q in preds},
-        "pairs": {q: tuple((s, o) for s, p, o in triples if p == q) for q in ref["preds"]},
     }
 
 
