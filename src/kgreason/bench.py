@@ -458,6 +458,27 @@ def _replacing_dir(out: Path):
         shutil.rmtree(tmp, ignore_errors=True)
 
 
+def read_rows(path: str | Path, fields: tuple[str, ...], split: str = "all") -> list[dict]:
+    """The named fields of each row of a JSON-lines file in `split` ("all"
+    for every row), in file order; a row with no split reads as "". A line
+    that is no JSON object, or a row of the split that lacks a field, is
+    refused with a ValueError naming the file and the line."""
+    rows = []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            row = json.loads(line)
+            if not isinstance(row, dict):
+                raise ValueError(f"{path}: line {lineno}: not a JSON object")
+            if split in ("all", row.get("split", "")):
+                try:
+                    rows.append({k: row[k] for k in fields})
+                except KeyError as err:
+                    raise ValueError(f"{path}: line {lineno}: missing field {err}") from None
+    return rows
+
+
 @dataclass
 class Bundle:
     """A bundle on disk; each graph and the rules are parsed on first use,
@@ -472,22 +493,9 @@ class Bundle:
         return [QAInstance.from_json(r) for r in read_jsonl(self.directory / "questions.jsonl")]
 
     def question_rows(self, split: str, fields: tuple[str, ...]) -> list[dict]:
-        """The named fields of each question in `split` ("all" for every
-        question), in file order; a row with no split reads as "". A row
-        of the split that lacks a field is refused with a ValueError naming
-        the file, the line and the field."""
-        path, rows = self.directory / "questions.jsonl", []
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                row = json.loads(line)
-                if split in ("all", row.get("split", "")):
-                    try:
-                        rows.append({k: row[k] for k in fields})
-                    except KeyError as err:
-                        raise ValueError(f"{path}: line {lineno}: missing field {err}") from None
-        return rows
+        """The named fields of each question in `split`, as `read_rows`
+        reads them from questions.jsonl."""
+        return read_rows(self.directory / "questions.jsonl", fields, split)
 
     @cached_property
     def rules(self) -> list[MinedRule]:
@@ -665,16 +673,32 @@ def load_bundle(directory: str | Path) -> Bundle:
 
 def verify_bundle(directory: str | Path) -> dict:
     """Re-check the answerability invariant and the size arithmetic of a
-    bundle on disk. Only the incomplete graph is built, and only once the
-    distinct triples of complete.tsv (as `read_triples` parses them) and the
-    JSON rows of removals.jsonl are counted and each question's id, removed
-    triple and rule id are held as a tuple, with no row dict kept."""
+    bundle on disk, and that each question has an id of its own and stands
+    for a row of removals.jsonl that no other question stands for. Only the
+    incomplete graph is built, and only once the distinct triples of
+    complete.tsv (as `read_triples` parses them) are counted, the questions
+    are tied to the removals, and each question's id, removed triple and
+    rule id are held as a tuple, with no row dict kept."""
     bundle = load_bundle(directory)
     complete = len(set(read_triples(bundle.directory / "complete.tsv")))
-    removals = sum(1 for _ in read_jsonl(bundle.directory / "removals.jsonl"))
+    rows = read_rows(bundle.directory / "removals.jsonl", ("removed", "rule_id"))
+    removals = len(rows)
+    unclaimed = Counter((tuple(r["removed"]), r["rule_id"]) for r in rows)
     rows = bundle.question_rows("all", ("id", "removed_triple", "rule_id"))
     rows = [(r["id"], tuple(r["removed_triple"]), r["rule_id"]) for r in rows]
-    problems = check_answerability(bundle.incomplete, rows, bundle.rules)
+    ids, ties = set(), []
+    for qid, removed, rule_id in rows:
+        if qid in ids:
+            ties.append(f"{qid}: duplicate question id")
+        ids.add(qid)
+        key = (removed, rule_id)
+        if unclaimed[key]:
+            unclaimed[key] -= 1
+        else:
+            held = "backs another question" if key in unclaimed else "is not in removals.jsonl"
+            ties.append(f"{qid}: removal of {removed} by {rule_id} {held}")
+    del ids, unclaimed  # not held while the incomplete graph is indexed
+    problems = check_answerability(bundle.incomplete, rows, bundle.rules) + ties
     incomplete = len(bundle.incomplete)
     if incomplete != complete - removals:
         problems.append(

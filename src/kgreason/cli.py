@@ -257,7 +257,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     gold = bundle.question_rows(args.split, ("id", "answers", "hard_answer"))
     if not gold:
         raise ValueError(f"no questions in split {args.split!r}")
-    predictions = list(mining.read_jsonl(args.predictions))
+    predictions = bench.read_rows(args.predictions, ("id", "prediction"))
     gold_ids = {q["id"] for q in gold}
     strays = [p["id"] for p in predictions if p["id"] not in gold_ids]
     if strays:

@@ -15,10 +15,10 @@ rows keep only the variables a later atom or the projection still needs, so
 every step deduplicates (semi-join reduction, then join: Yannakakis, VLDB
 1981; AMIE 3 gets the same effect from per-variable count queries). The
 steps are built once per shape of plan, and a one-atom body is read straight
-off the indices. The metrics and the PCA<1 check project the body onto
-head variables. Grounding enumeration, like the count query below, joins
-the head in after the body, so it yields only the support groundings (body
-and head both hold) and decodes them to entity ids only as they are read.
+off the indices. The metrics project each body component onto the head
+variables it holds. Grounding enumeration, like the count query below,
+joins the head in after the body, so it yields only the support groundings
+(body and head both hold) and decodes them to entity ids as they are read.
 An existence check -- head_binding_check, whose head bindings enter the
 body as constants, or a body component holding neither head variable -- is
 a projection onto no variable, non-empty iff the body holds.
@@ -350,32 +350,6 @@ def _head_projections(g: KnowledgeGraph, c: _Compiled) -> tuple | None:
     return pairs, xs, ys
 
 
-def _pca_below_one(g: KnowledgeGraph, c: _Compiled) -> bool:
-    """Whether PCA confidence is strictly below 1.0: no body pair (x, y) is
-    covered (x has a fact of the head predicate), or a covered pair is no
-    fact.
-
-    c's head must hold two distinct variables X and Y. A body lacking X or
-    Y projects no pair (PCA confidence 0) and is answered with no
-    projection. Where separate components hold X and Y, the pairs are
-    xs × ys, read one covered x at a time and never built. The check stops
-    at the first covered pair that is no fact."""
-    h_p, hx, hy = c.head
-    if not {hx[1], hy[1]} <= {a[1] for atom in c.body for a in atom[1:] if a[0]}:
-        return True
-    projections = _head_projections(g, c)
-    if projections is None:
-        return True
-    pairs, xs, ys = projections
-    if pairs is None:
-        covered = ((x, y) for x in xs if (x, h_p) in g.sp for y in ys)
-    else:
-        covered = ((x, y) for x, y in pairs if (x, h_p) in g.sp)
-    facts = ((x, h_p, y) in g.tri for x, y in covered)
-    # an empty PCA denominator means PCA confidence 0
-    return not next(facts, False) or not all(facts)
-
-
 def _empty_body_metrics(g: KnowledgeGraph, chead) -> RuleMetrics:
     """Metrics for a body-less candidate: every substitution satisfies the
     empty body, so the denominators are computed arithmetically."""
@@ -402,17 +376,32 @@ def _empty_body_metrics(g: KnowledgeGraph, chead) -> RuleMetrics:
 
 
 def compute_metrics(g: KnowledgeGraph, rule: HornRule) -> RuleMetrics:
+    """Support, head coverage, confidence and PCA confidence of rule in g.
+    A head p(X, Y) is read off per-component projections (_head_projections),
+    with xs × ys counted, never built; any other head off the whole body. A
+    body lacking X or Y projects no pair and reads 0 on every metric, PCA
+    confidence included, where the exhaustive oracle and the head-coverage
+    gate let the missing variable range over every entity (ROADMAP 2(e))."""
     c = _compile(g, rule)
     if not rule.body:
         return _empty_body_metrics(g, c.head)
-    h_p, h1, h2 = c.head
-    body_pairs = _project(g, _make_plan(c.body), (h1, h2))
-    support = sum(1 for s, o in body_pairs if (s, h_p, o) in g.tri)
-    confidence = support / len(body_pairs) if body_pairs else 0.0
-    pca_den = sum(1 for x, _ in body_pairs if (x, h_p) in g.sp)
+    h_p, hx, hy = c.head
+    facts = _facts(g, c.head)
+    pairs = set()  # a body lacking X or Y projects no pair
+    if not (hx[0] and hy[0] and hx != hy):
+        pairs = _project(g, _make_plan(c.body), (hx, hy))
+    elif {hx[1], hy[1]} <= {a[1] for atom in c.body for a in atom[1:] if a[0]}:
+        pairs, xs, ys = _head_projections(g, c) or (pairs, None, None)
+    if pairs is None:  # separate components hold X and Y
+        covered = xs.intersection(map(itemgetter(0), facts))
+        support = sum(1 for x, y in facts if x in covered and y in ys)
+        body_pairs, pca_den = len(xs) * len(ys), len(covered) * len(ys)
+    else:
+        support = sum(1 for x, y in pairs if (x, h_p, y) in g.tri)
+        body_pairs, pca_den = len(pairs), sum(1 for x, _ in pairs if (x, h_p) in g.sp)
+    confidence = support / body_pairs if body_pairs else 0.0
     pca = support / pca_den if pca_den else 0.0
-    heads = len(_facts(g, c.head))
-    hc = support / heads if heads else 0.0
+    hc = support / len(facts) if facts else 0.0
     return RuleMetrics(support, hc, confidence, pca)
 
 
@@ -618,13 +607,13 @@ def mine(g: KnowledgeGraph, cfg: MinerConfig | None = None) -> list[MinedRule]:
     refinements enqueue iff head coverage passes and they were not enqueued
     before. Output is sorted by head predicate, length, then canonical form.
 
-    Full metrics are only computed where the algorithm needs them: closed
-    dequeued rules get the exact figures and open rules below the length cap
-    get a PCA<1 early-exit check. Candidates that fail the head coverage
-    gate, and open candidates at the cap, which could never be output, are
-    never built: refine counts every refinement's support on the parent's
-    join and skips them before computing a signature. The debug log line of
-    each length gives the refinements counted and the candidates built.
+    Each dequeued rule's metrics come from one compute_metrics call, which
+    the output test and the refinement test both read. Candidates that fail
+    the head coverage gate, and open candidates at the cap, which could
+    never be output, are never built: refine counts every refinement's
+    support on the parent's join and skips them before computing a
+    signature. The debug log line of each length gives the refinements
+    counted and the candidates built.
     """
     cfg = cfg or MinerConfig()
     if len(g) == 0:
@@ -639,24 +628,17 @@ def mine(g: KnowledgeGraph, cfg: MinerConfig | None = None) -> list[MinedRule]:
         counted = candidates = 0
         for _ in range(size):
             rule, ancestor_conf = queue.popleft()
-            met: RuleMetrics | None = None
-            mined_now = False
-            if not rule.body:
-                met = compute_metrics(g, rule)
-            elif _closed(rule):
-                met = compute_metrics(g, rule)
-                if (
-                    met.pca_confidence > cfg.pca_threshold
-                    and met.pca_confidence > ancestor_conf
-                    and met.confidence >= cfg.min_confidence
-                ):
-                    output.append((rule, met))
-                    mined_now = True
-            child_conf = max(ancestor_conf, met.pca_confidence) if mined_now else ancestor_conf
-            if rule.length < cfg.max_rule_length and (
-                _pca_below_one(g, _compile(g, rule)) if met is None
-                else met.pca_confidence < 1.0
+            met = compute_metrics(g, rule)
+            if (
+                rule.body
+                and _closed(rule)
+                and met.pca_confidence > cfg.pca_threshold
+                and met.pca_confidence > ancestor_conf
+                and met.confidence >= cfg.min_confidence
             ):
+                output.append((rule, met))
+                ancestor_conf = met.pca_confidence
+            if rule.length < cfg.max_rule_length and met.pca_confidence < 1.0:
                 # a candidate at the cap is never refined, so only a closed
                 # one can be output (with a p(X,Y) head closed implies safe,
                 # and refinement keeps rules connected): refine builds no
@@ -667,7 +649,7 @@ def mine(g: KnowledgeGraph, cfg: MinerConfig | None = None) -> list[MinedRule]:
                 for key, sig in refined:
                     if key not in seen:
                         seen.add(key)
-                        queue.append((rule_from_signature(sig), child_conf))
+                        queue.append((rule_from_signature(sig), ancestor_conf))
         log.debug(
             "length %d: %d rules dequeued, %d refinements counted, %d candidates built,"
             " %d enqueued, %.2f s",

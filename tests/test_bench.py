@@ -442,7 +442,39 @@ class TestBundle:
             f"{rows[1]['id']}: no surviving body witness for {(s, p, 'nobody')}",
             f"{rows[2]['id']}: unknown rule id r9999",
             f"{rows[3]['id']}: removed triple still present",
+            # and none of the three is the removal of a row of removals.jsonl
+            f"{rows[1]['id']}: removal of {(s, p, 'nobody')} by {rows[1]['rule_id']}"
+            " is not in removals.jsonl",
+            f"{rows[2]['id']}: removal of {tuple(rows[2]['removed_triple'])} by r9999"
+            " is not in removals.jsonl",
+            f"{rows[3]['id']}: removal of {still_present} by {rows[3]['rule_id']}"
+            " is not in removals.jsonl",
         ]
+
+    def test_verify_bundle_ties_each_question_to_its_own_removal(self, tmp_path, uncle_world_file):
+        # a repeated question id, a question whose removal row is gone, and a
+        # second question on a removal another question already stands for
+        out, _ = self.build(tmp_path, uncle_world_file)
+        path = out / "questions.jsonl"
+        rows = [json.loads(line) for line in path.read_text().splitlines()]
+        assert len(rows) >= 4
+        removals = out / "removals.jsonl"
+        lost = tuple(rows[3]["removed_triple"])
+        removals.write_text("".join(
+            line for line in removals.read_text().splitlines(keepends=True)
+            if tuple(json.loads(line)["removed"]) != lost
+        ))
+        rows[1]["id"] = rows[0]["id"]
+        rows.append({**rows[2], "id": "q99999"})
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        *violations, size = verify_bundle(out)["violations"]
+        assert violations == [
+            f"{rows[0]['id']}: duplicate question id",
+            f"{rows[3]['id']}: removal of {lost} by {rows[3]['rule_id']} is not in removals.jsonl",
+            f"q99999: removal of {tuple(rows[2]['removed_triple'])} by {rows[2]['rule_id']}"
+            " backs another question",
+        ]
+        assert size.startswith("size mismatch")
 
     def test_question_fields_schema(self, tmp_path, uncle_world_file):
         out, _ = self.build(tmp_path, uncle_world_file)

@@ -607,7 +607,11 @@ class TestStreamingRun:
         assert "error" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "stage, field", [("run", "topic"), ("eval", "hard_answer"), ("inspect", "rule_id")]
+        "stage, field",
+        [("run", "topic"), ("eval", "hard_answer"), ("inspect", "rule_id")]
+        # None: the row is no JSON object at all
+        + [pytest.param(stage, None, id=f"{stage}-not-an-object")
+           for stage in ("run", "eval", "inspect")],
     )
     def test_question_row_missing_a_field_is_an_error(
         self, tmp_path, bundle_dir, synonyms_file, capsys, stage, field
@@ -619,7 +623,11 @@ class TestStreamingRun:
         shutil.copytree(bundle_dir, broken)
         path = broken / "questions.jsonl"
         rows = [json.loads(line) for line in path.read_text().splitlines()]
-        del rows[1][field]
+        if field is None:
+            rows[1], problem = [1, 2], "not a JSON object"
+        else:
+            del rows[1][field]
+            problem = f"missing field {field!r}"
         path.write_text("".join(json.dumps(row) + "\n" for row in rows))
         argv = {
             "run": self.run_argv(broken, out, synonyms_file, 1),
@@ -629,4 +637,40 @@ class TestStreamingRun:
         }[stage]
         capsys.readouterr()
         assert main(argv) == 1
-        assert capsys.readouterr().err == f"error: {path}: line 2: missing field {field!r}\n"
+        assert capsys.readouterr().err == f"error: {path}: line 2: {problem}\n"
+
+    @pytest.mark.parametrize(
+        "edit, problem",
+        [
+            (lambda row: [row["id"]], "not a JSON object"),
+            (lambda row: {"prediction": row["prediction"]}, "missing field 'id'"),
+            (lambda row: {"id": row["id"], "terminated": True}, "missing field 'prediction'"),
+        ],
+        ids=["not-an-object", "no-id", "no-prediction"],
+    )
+    def test_prediction_row_missing_a_field_is_an_error(
+        self, tmp_path, bundle_dir, synonyms_file, capsys, edit, problem
+    ):
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(self.run_argv(bundle_dir, out, synonyms_file, 1)) == 0
+        path = out / "p.jsonl"
+        rows = [json.loads(line) for line in path.read_text().splitlines()]
+        rows[1] = edit(rows[1])
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        capsys.readouterr()
+        assert main(["eval", "--bundle", str(bundle_dir), "--predictions", str(path),
+                     "--split", "all", "--out", str(out / "r.json")]) == 1
+        assert capsys.readouterr().err == f"error: {path}: line 2: {problem}\n"
+
+    def test_inspect_ties_each_question_to_its_own_removal(self, bundle_dir, wide_bundle, capsys):
+        # wide_bundle repeats every question under new ids, so each removal
+        # backs several questions
+        assert main(["inspect", "--bundle", str(bundle_dir)]) == 0
+        assert json.loads(capsys.readouterr().out)["ok"]
+        assert main(["inspect", "--bundle", str(wide_bundle)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        questions = (bundle_dir / "questions.jsonl").read_text().splitlines()
+        assert not payload["ok"]
+        assert len(payload["violations"]) == payload["questions"] - len(questions) > 0
+        assert all("backs another question" in v for v in payload["violations"])

@@ -22,7 +22,6 @@ from kgreason.mining import (
     write_rules_jsonl,
     _compile,
     _make_plan,
-    _pca_below_one,
     _project,
 )
 from kgreason.rules import (
@@ -139,12 +138,21 @@ class TestMetrics:
 
     def test_matches_exhaustive_oracle_small(self):
         rng = random.Random(3)
+        e1, ghost = Term.const("e1"), Term.const("ghost")
         shapes = [
             (Atom("HP", X, Y), (Atom("BP", Y, X),)),
             (Atom("HP", X, Y), (Atom("BP", X, Y),)),
             (Atom("HP", X, Z), (Atom("BP", X, Y), Atom("BQ", Y, Z))),
             (Atom("HP", X, Y), (Atom("BP", X, Z), Atom("BQ", Y, Z))),
             (Atom("HP", X, Y), (Atom("BP", X, X), Atom("BQ", X, Y))),
+            # heads the miner never builds: a constant, a constant absent
+            # from the graph, a repeated variable
+            (Atom("HP", X, e1), (Atom("BP", X, Y), Atom("BQ", Y, Z))),
+            (Atom("HP", e1, Y), (Atom("BP", Y, Z),)),
+            (Atom("HP", X, ghost), (Atom("BP", X, Y),)),
+            (Atom("HP", ghost, Y), (Atom("BP", X, Y), Atom("BQ", X, Z))),
+            (Atom("HP", X, X), (Atom("BP", X, Y), Atom("BQ", Y, X))),
+            (Atom("HP", X, X), (Atom("BP", Y, X),)),
         ]
         for _ in range(15):
             g = random_graph(rng, 7, 3, 35)
@@ -405,16 +413,20 @@ class TestJoinConsumers:
                 for triple in facts + [absent] + unknown:
                     assert holds(triple) == exhaustive_body_holds(g, rule, triple), (rule, triple)
 
-    def test_pca_below_one_matches_exhaustive_oracle(self):
+    def test_metrics_match_exhaustive_oracle(self):
         shapes = dict.fromkeys(
             ["joined, PCA 1", "joined, PCA < 1", "separate, PCA 1", "separate, PCA < 1",
              "no grounding", "no X or Y"], 0
         )
         for g, rules in TestHeadCoverageGate.corpus():
             for _, rule in rules:
-                pca = exhaustive_metrics(g, rule)[3]
+                m = compute_metrics(g, rule)
+                support, hc, conf, pca = exhaustive_metrics(g, rule)
                 if {"X", "Y"} <= {v for a in rule.body for v in a.variables()}:
-                    assert _pca_below_one(g, _compile(g, rule)) == (pca < 1.0), rule
+                    assert m.support == support, rule
+                    assert abs(m.head_coverage - hc) <= 1e-12, rule
+                    assert abs(m.confidence - conf) <= 1e-12, rule
+                    assert abs(m.pca_confidence - pca) <= 1e-12, rule
                     if not walk_groundings(g, rule):
                         shapes["no grounding"] += 1
                     else:
@@ -422,11 +434,11 @@ class TestJoinConsumers:
                         shapes[f"{joined}, PCA {'< 1' if pca < 1.0 else '1'}"] += 1
                 else:
                     # the miner's metrics count head pairs projected from body
-                    # groundings, and a body lacking X or Y projects none: PCA
-                    # confidence 0, where the oracle lets the missing variable
-                    # range over every entity
+                    # groundings, and a body lacking X or Y projects none:
+                    # every metric 0, PCA confidence included, where the
+                    # oracle lets the missing variable range over every entity
                     shapes["no X or Y"] += 1
-                    assert _pca_below_one(g, _compile(g, rule)), rule
+                    assert m == mining.RuleMetrics(0, 0.0, 0.0, 0.0), rule
         assert all(shapes.values()), shapes
 
 
@@ -713,6 +725,39 @@ class TestMine:
         assert any(r.length == 3 for r in checked)
         assert any(not check_rule_shape(r).closed for r in checked if r.length < 3)
         assert all(check_rule_shape(r).closed for r in checked if r.length == 3)
+
+    def test_refines_an_open_rule_iff_its_pca_is_below_one(self, monkeypatch):
+        # on the gate corpus: every open rule mine() dequeues below the cap
+        # is refined iff its body lacks X or Y (PCA confidence 0 in the
+        # miner) or the exhaustive oracle's PCA confidence is below 1
+        refined, enqueued = set(), {}
+        real = mining.refine
+
+        def spy(rule, g, cfg):
+            refined.add(rule.key())
+            found = real(rule, g, cfg)
+            enqueued.update(found)
+            return found
+
+        monkeypatch.setattr(mining, "refine", spy)
+        left = dict.fromkeys(["joined", "separate"], 0)
+        checked = 0
+        for entry in TestHeadCoverageGate.CORPUS:
+            g, max_len = _corpus_graph(*entry[:4]), entry[4]
+            refined.clear()
+            enqueued.clear()
+            mine(g, MinerConfig(max_rule_length=max_len, allow_instantiated_atoms=entry[5]))
+            for key, sig in enqueued.items():
+                rule = rule_from_signature(sig)
+                if rule.length == max_len or closed_signature(sig):
+                    continue
+                body_vars = {v for a in rule.body for v in a.variables()}
+                below = not {"X", "Y"} <= body_vars or exhaustive_metrics(g, rule)[3] < 1.0
+                assert (key in refined) == below, rule
+                checked += 1
+                if not below:
+                    left["joined" if _connects(rule.body, "X", "Y") else "separate"] += 1
+        assert checked and all(left.values()), (checked, left)
 
     def test_histogram_partitions_output(self, uncle_world):
         mined = mine(uncle_world, MinerConfig(max_rule_length=3))
