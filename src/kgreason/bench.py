@@ -30,11 +30,12 @@ from .mining import (
     MinedRule,
     enumerate_groundings,
     head_binding_check,
-    read_jsonl,
+    read_rows,
     read_rules_jsonl,
     rule_type_histogram,
     substitute_body,
     substitute_head,
+    write_rows,
     write_rules_jsonl,
 )
 from .rules import Atom, HornRule, Term
@@ -43,6 +44,13 @@ log = logging.getLogger(__name__)
 
 TOPIC_IS_SUBJECT = "topic-is-subject"
 TOPIC_IS_OBJECT = "topic-is-object"
+SPLIT_RATIO = (0.8, 0.1, 0.1)  # train / val / test
+
+
+def _fields(record) -> dict:
+    """A dataclass record's fields by name. vars() would materialize a
+    __dict__ on every record it reads, which CPython then keeps."""
+    return {name: getattr(record, name) for name in record.__dataclass_fields__}
 
 
 def _stable_rng(seed: int, *tags) -> random.Random:
@@ -55,7 +63,6 @@ def _stable_rng(seed: int, *tags) -> random.Random:
 class GenConfig:
     groundings_per_rule: int = 30
     tau: float = 0.05                       # downsampling frequency threshold
-    split_ratio: tuple[float, float, float] = (0.8, 0.1, 0.1)
     seed: int = 0
     question_backend: str = "template"      # template | external
     topic_side: str = "random"              # random | subject | object
@@ -65,24 +72,13 @@ class GenConfig:
     def __post_init__(self):
         if not 0.0 < self.tau <= 1.0:
             raise ValueError(f"tau must be in (0, 1], got {self.tau}")
-        if abs(sum(self.split_ratio) - 1.0) > 1e-9:
-            raise ValueError("split ratios must sum to 1")
         if self.question_backend not in ("template", "external"):
             raise ValueError(f"unknown question backend: {self.question_backend}")
         if self.topic_side not in ("random", "subject", "object"):
             raise ValueError(f"unknown topic side: {self.topic_side}")
 
     def to_json(self) -> dict:
-        return {
-            "groundings_per_rule": self.groundings_per_rule,
-            "tau": self.tau,
-            "split_ratio": list(self.split_ratio),
-            "seed": self.seed,
-            "question_backend": self.question_backend,
-            "topic_side": self.topic_side,
-            "anonymize_seed": self.anonymize_seed,
-            "max_inflight": self.max_inflight,
-        }
+        return {**_fields(self), "split_ratio": SPLIT_RATIO}
 
 
 @dataclass(frozen=True)
@@ -93,12 +89,7 @@ class RemovalEntry:
     witness: tuple[Triple, ...]
 
     def to_json(self) -> dict:
-        return {
-            "rule_id": self.rule_id,
-            "grounding": self.grounding,
-            "removed": list(self.removed),
-            "witness": [list(t) for t in self.witness],
-        }
+        return _fields(self)
 
 
 @dataclass
@@ -126,36 +117,13 @@ class QAInstance:
     provenance: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        return {
-            "id": self.id,
-            "question": self.question,
-            "topic": self.topic,
-            "direction": self.direction,
-            "predicate": self.predicate,
-            "answers": list(self.answers),
-            "hard_answer": self.hard_answer,
-            "removed_triple": list(self.removed_triple),
-            "rule_id": self.rule_id,
-            "split": self.split,
-            "provenance": self.provenance,
-        }
+        return _fields(self)
 
     @classmethod
     def from_json(cls, row: dict) -> "QAInstance":
         # no stage parses a whole row; perfbench and tests do, until ROADMAP item 1
-        return cls(
-            id=row["id"],
-            question=row["question"],
-            topic=row["topic"],
-            direction=row["direction"],
-            predicate=row["predicate"],
-            answers=tuple(row["answers"]),
-            hard_answer=row["hard_answer"],
-            removed_triple=tuple(row["removed_triple"]),
-            rule_id=row["rule_id"],
-            split=row.get("split", ""),
-            provenance=row.get("provenance", {}),
-        )
+        return cls(**{**row, "answers": tuple(row["answers"]),
+                      "removed_triple": tuple(row["removed_triple"])})
 
 
 # -- triple removal -----------------------------------------------------------
@@ -254,36 +222,24 @@ def generate_question(
     else:
         raise ValueError(f"topic_side must be subject or object, got {topic_side!r}")
 
+    provenance = {"backend": backend, "prompt_hash": None, "retries": 0, "fallback": False}
     if backend == "template":
-        question = template_question(p, topic, direction)
-        return question, topic, {"backend": "template", "prompt_hash": None, "retries": 0, "fallback": False}
+        return template_question(p, topic, direction), topic, provenance
 
     if client is None:
         raise ValueError("external question backend needs an endpoint client")
     prompt = QUESTION_GENERATION_PROMPT.format(
         entity_h=s, predicate_T=p, entity_t=o, topic_entity=topic, answer_entity=answer
     )
-    prompt_hash = hashlib.sha256(prompt.encode()).hexdigest()[:16]
+    provenance["prompt_hash"] = hashlib.sha256(prompt.encode()).hexdigest()[:16]
     messages = [{"role": "user", "content": prompt}]
-    retries = 0
     for attempt in range(2):
         text = client.chat(messages, temperature=0.0).strip()
         if text and not _contains_token(text, answer):
-            return text, topic, {
-                "backend": "external",
-                "prompt_hash": prompt_hash,
-                "retries": retries,
-                "fallback": False,
-            }
-        retries += 1
+            return text, topic, provenance
+        provenance["retries"] += 1
         log.warning("generated question leaked the answer id (attempt %d)", attempt + 1)
-    question = template_question(p, topic, direction)
-    return question, topic, {
-        "backend": "external",
-        "prompt_hash": prompt_hash,
-        "retries": retries,
-        "fallback": True,
-    }
+    return template_question(p, topic, direction), topic, {**provenance, "fallback": True}
 
 
 def complete_answer_set(
@@ -397,22 +353,16 @@ def downsample(questions: list[QAInstance], tau: float, seed: int) -> list[QAIns
     return [q for q in questions if q.id in keep]
 
 
-def split_dataset(
-    questions: list[QAInstance],
-    ratio: tuple[float, float, float] = (0.8, 0.1, 0.1),
-    seed: int = 0,
-) -> list[QAInstance]:
-    """Seeded shuffle into train/val/test; floor sizes for val and test, the
-    remainder goes to train. Output keeps the input order, labels attached."""
-    if abs(sum(ratio) - 1.0) > 1e-9:
-        raise ValueError("split ratios must sum to 1")
+def split_dataset(questions: list[QAInstance], seed: int = 0) -> list[QAInstance]:
+    """Seeded shuffle into train/val/test by SPLIT_RATIO; floor sizes for val
+    and test, the rest to train. Output keeps the input order, labels attached."""
     n = len(questions)
     if n < 10:
         raise ValueError(f"need at least 10 questions to split, got {n}")
     order = list(range(n))
     _stable_rng(seed, "split").shuffle(order)
-    n_val = math.floor(n * ratio[1])
-    n_test = math.floor(n * ratio[2])
+    n_val = math.floor(n * SPLIT_RATIO[1])
+    n_test = math.floor(n * SPLIT_RATIO[2])
     n_train = n - n_val - n_test
     labels = {}
     for pos, idx in enumerate(order):
@@ -458,27 +408,6 @@ def _replacing_dir(out: Path):
         shutil.rmtree(tmp, ignore_errors=True)
 
 
-def read_rows(path: str | Path, fields: tuple[str, ...], split: str = "all") -> list[dict]:
-    """The named fields of each row of a JSON-lines file in `split` ("all"
-    for every row), in file order; a row with no split reads as "". A line
-    that is no JSON object, or a row of the split that lacks a field, is
-    refused with a ValueError naming the file and the line."""
-    rows = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            row = json.loads(line)
-            if not isinstance(row, dict):
-                raise ValueError(f"{path}: line {lineno}: not a JSON object")
-            if split in ("all", row.get("split", "")):
-                try:
-                    rows.append({k: row[k] for k in fields})
-                except KeyError as err:
-                    raise ValueError(f"{path}: line {lineno}: missing field {err}") from None
-    return rows
-
-
 @dataclass
 class Bundle:
     """A bundle on disk; each graph and the rules are parsed on first use,
@@ -490,12 +419,13 @@ class Bundle:
     @cached_property
     def questions(self) -> list[QAInstance]:
         # read only by perfbench and the tests, until ROADMAP item 1
-        return [QAInstance.from_json(r) for r in read_jsonl(self.directory / "questions.jsonl")]
+        with open(self.directory / "questions.jsonl", encoding="utf-8") as fh:
+            return [QAInstance.from_json(json.loads(line)) for line in fh if line.strip()]
 
     def question_rows(self, split: str, fields: tuple[str, ...]) -> list[dict]:
         """The named fields of each question in `split`, as `read_rows`
         reads them from questions.jsonl."""
-        return read_rows(self.directory / "questions.jsonl", fields, split)
+        return list(read_rows(self.directory / "questions.jsonl", fields, split))
 
     @cached_property
     def rules(self) -> list[MinedRule]:
@@ -562,10 +492,11 @@ def build_bundle(
     does not write is refused before anything runs. The bundle is written
     into a fresh sibling directory that replaces out_dir only once every
     question has passed the answerability check and every file is complete;
-    a failure removes it and leaves out_dir as it was. complete.tsv (and the
-    anonymization map) go there as soon as the questions are drafted, and
-    the complete graph is dropped then, so the check indexes the incomplete
-    graph while no other graph is held. With the external question backend
+    a failure removes it and leaves out_dir as it was. complete.tsv,
+    removals.jsonl (and the anonymization map) go there as soon as the
+    questions are drafted, and the complete graph and the removal plan are
+    dropped then, so the check indexes the incomplete graph while no other
+    graph and no removal entry is held. With the external question backend
     the endpoint is probed before removal planning, so a dead endpoint fails
     fast.
     """
@@ -593,13 +524,16 @@ def build_bundle(
     if cfg.anonymize_seed is not None:
         complete, anon_map = complete.anonymize(cfg.anonymize_seed)
         incomplete = incomplete.rename_entities(anon_map)
-        remapped = []
-        for e in plan.entries:
-            sigma = {k: anon_map[v] for k, v in e.grounding.items()}
-            rm = (anon_map[e.removed[0]], e.removed[1], anon_map[e.removed[2]])
-            wit = tuple(sorted((anon_map[s], p, anon_map[o]) for s, p, o in e.witness))
-            remapped.append(RemovalEntry(e.rule_id, sigma, rm, wit))
-        plan = RemovalPlan(remapped, plan.per_rule)
+        # built in one expression, so no name but `plan` holds the entries
+        plan = RemovalPlan([
+            RemovalEntry(
+                e.rule_id,
+                {k: anon_map[v] for k, v in e.grounding.items()},
+                (anon_map[e.removed[0]], e.removed[1], anon_map[e.removed[2]]),
+                tuple(sorted((anon_map[s], p, anon_map[o]) for s, p, o in e.witness)),
+            )
+            for e in plan.entries
+        ], plan.per_rule)
         mined = [replace(mr, rule=_rename_constants(mr.rule, anon_map)) for mr in mined]
         notes.append(f"entities anonymized; map in {ANONYMIZATION_MAP}")
 
@@ -609,16 +543,18 @@ def build_bundle(
         if cfg.anonymize_seed is not None:
             write_anonymization_map(anon_map, tmp / ANONYMIZATION_MAP)
         complete.save(tmp / "complete.tsv")
-        complete_triples = len(complete)
+        write_rows(tmp / "removals.jsonl", (e.to_json() for e in plan.entries))
+        complete_triples, removals, per_rule = len(complete), len(plan.entries), plan.per_rule
         # downsampling reads only ids and hard answers, so it runs before any
-        # question text is asked of the endpoint; no graph but the incomplete
-        # one, whose indices the check builds, is held from here on
-        del complete
+        # question text is asked of the endpoint; neither the removal plan nor
+        # any graph but the incomplete one, whose indices the check builds, is
+        # held from here on
+        del complete, plan
         drafts = downsample(drafts, cfg.tau, cfg.seed)
         questions = generate_questions(drafts, cfg, client)
         del drafts
         if len(questions) >= 10:
-            questions = split_dataset(questions, cfg.split_ratio, cfg.seed)
+            questions = split_dataset(questions, cfg.seed)
         else:
             questions = [replace(q, split="test") for q in questions]
             notes.append("fewer than 10 questions: all labeled 'test', no split drawn")
@@ -637,13 +573,13 @@ def build_bundle(
             "counts": {
                 "complete_triples": complete_triples,
                 "incomplete_triples": len(incomplete),
-                "removals": len(plan.entries),
+                "removals": removals,
                 "questions_generated": generated,
                 "questions_final": len(questions),
                 "splits": dict(Counter(q.split for q in questions)),
             },
             "rule_type_histogram": rule_type_histogram(mined),
-            "per_rule_removals": plan.per_rule,
+            "per_rule_removals": per_rule,
             "duplicate_topic_predicate_questions": (
                 len(questions) - len({(q.topic, q.predicate) for q in questions})
             ),
@@ -651,12 +587,7 @@ def build_bundle(
             "notes": notes,
         }
         incomplete.save(tmp / "incomplete.tsv")
-        with open(tmp / "removals.jsonl", "w", encoding="utf-8") as fh:
-            for e in plan.entries:
-                fh.write(json.dumps(e.to_json(), sort_keys=True) + "\n")
-        with open(tmp / "questions.jsonl", "w", encoding="utf-8") as fh:
-            for q in questions:
-                fh.write(json.dumps(q.to_json(), sort_keys=True) + "\n")
+        write_rows(tmp / "questions.jsonl", (q.to_json() for q in questions))
         write_rules_jsonl(mined, tmp / "rules.jsonl")
         with open(tmp / "manifest.json", "w", encoding="utf-8") as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -671,21 +602,41 @@ def load_bundle(directory: str | Path) -> Bundle:
     return Bundle(d)
 
 
+def _malformed(row: dict, triple: str) -> str | None:
+    """What keeps a bundle row from being checked: its `triple` field is not
+    three strings, or another of its fields is not a string."""
+    for k, v in row.items():
+        if k == triple and not (isinstance(v, list) and list(map(type, v)) == [str, str, str]):
+            return f"{k} {v!r} is not three strings"
+        if k != triple and not isinstance(v, str):
+            return f"{k} {v!r} is not a string"
+    return None
+
+
 def verify_bundle(directory: str | Path) -> dict:
     """Re-check the answerability invariant and the size arithmetic of a
     bundle on disk, and that each question has an id of its own and stands
-    for a row of removals.jsonl that no other question stands for. Only the
-    incomplete graph is built, and only once the distinct triples of
-    complete.tsv (as `read_triples` parses them) are counted, the questions
-    are tied to the removals, and each question's id, removed triple and
-    rule id are held as a tuple, with no row dict kept."""
+    for a row of removals.jsonl that no other question stands for. A row
+    whose triple is not three strings, or whose id or rule id is not a
+    string, is a violation and is not checked further. Only the incomplete
+    graph is built, and only once the distinct triples of complete.tsv (as
+    `read_triples` parses them) are counted, the questions are tied to the
+    removals, and each question's id, removed triple and rule id are held
+    as a tuple, with no row dict kept."""
     bundle = load_bundle(directory)
     complete = len(set(read_triples(bundle.directory / "complete.tsv")))
-    rows = read_rows(bundle.directory / "removals.jsonl", ("removed", "rule_id"))
-    removals = len(rows)
-    unclaimed = Counter((tuple(r["removed"]), r["rule_id"]) for r in rows)
+    rows = list(read_rows(bundle.directory / "removals.jsonl", ("removed", "rule_id")))
+    removals, unclaimed, malformed = len(rows), Counter(), []
+    for n, r in enumerate(rows, start=1):
+        if why := _malformed(r, "removed"):
+            malformed.append(f"removals.jsonl row {n}: {why}")
+        else:
+            unclaimed[tuple(r["removed"]), r["rule_id"]] += 1
     rows = bundle.question_rows("all", ("id", "removed_triple", "rule_id"))
-    rows = [(r["id"], tuple(r["removed_triple"]), r["rule_id"]) for r in rows]
+    questions = len(rows)
+    malformed += [f"{r['id']}: {why}" for r in rows if (why := _malformed(r, "removed_triple"))]
+    rows = [(r["id"], tuple(r["removed_triple"]), r["rule_id"])
+            for r in rows if not _malformed(r, "removed_triple")]
     ids, ties = set(), []
     for qid, removed, rule_id in rows:
         if qid in ids:
@@ -698,10 +649,11 @@ def verify_bundle(directory: str | Path) -> dict:
             held = "backs another question" if key in unclaimed else "is not in removals.jsonl"
             ties.append(f"{qid}: removal of {removed} by {rule_id} {held}")
     del ids, unclaimed  # not held while the incomplete graph is indexed
-    problems = check_answerability(bundle.incomplete, rows, bundle.rules) + ties
+    problems = malformed + check_answerability(bundle.incomplete, rows, bundle.rules)
+    problems += ties
     incomplete = len(bundle.incomplete)
     if incomplete != complete - removals:
         problems.append(
             f"size mismatch: |incomplete| {incomplete} != |complete| {complete} - removals {removals}"
         )
-    return {"questions": len(rows), "removals": removals, "violations": problems, "ok": not problems}
+    return {"questions": questions, "removals": removals, "violations": problems, "ok": not problems}

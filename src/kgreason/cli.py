@@ -257,7 +257,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
     gold = bundle.question_rows(args.split, ("id", "answers", "hard_answer"))
     if not gold:
         raise ValueError(f"no questions in split {args.split!r}")
-    predictions = bench.read_rows(args.predictions, ("id", "prediction"))
+    for q in gold:
+        if not isinstance(q["answers"], list):
+            path = bundle.directory / "questions.jsonl"
+            raise ValueError(f"{path}: question {q['id']}: answers {q['answers']!r} is not a list")
+    predictions = list(mining.read_rows(args.predictions, ("id", "prediction")))
     gold_ids = {q["id"] for q in gold}
     strays = [p["id"] for p in predictions if p["id"] not in gold_ids]
     if strays:

@@ -50,7 +50,7 @@ import logging
 import math
 import time
 from collections import Counter, deque
-from collections.abc import Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
@@ -674,26 +674,49 @@ def rule_type_histogram(mined: list[MinedRule]) -> dict[str, int]:
     return hist
 
 
-def write_rules_jsonl(mined: list[MinedRule], path: str | Path) -> None:
+def read_rows(path: str | Path, fields: tuple[str, ...], split: str = "all") -> Iterator[dict]:
+    """Yield the named fields of each row of a JSON-lines file in `split`
+    ("all" for every row), in file order; a row with no split reads as "".
+    A line that is no JSON object, or a row of the split that lacks a field,
+    is refused with a ValueError naming the file and the line."""
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            row = json.loads(line)
+            if not isinstance(row, dict):
+                raise ValueError(f"{path}: line {lineno}: not a JSON object")
+            if split in ("all", row.get("split", "")):
+                try:
+                    row = {k: row[k] for k in fields}
+                except KeyError as err:
+                    raise ValueError(f"{path}: line {lineno}: missing field {err}") from None
+                yield row
+
+
+def write_rows(path: str | Path, rows: Iterable[dict]) -> None:
+    """Each row as one line of JSON with sorted keys, written as it comes."""
     with open(path, "w", encoding="utf-8") as fh:
-        for mr in mined:
-            row = {
-                "id": mr.rule_id,
-                **rule_to_json(mr.rule),
-                "metrics": mr.metrics.to_json(),
-                "type": mr.rule_type,
-            }
+        for row in rows:
             fh.write(json.dumps(row, sort_keys=True) + "\n")
 
 
-def read_jsonl(path: str | Path):
-    """Yield the JSON value on each non-blank line of a file, one at a time."""
-    with open(path, encoding="utf-8") as fh:
-        yield from (json.loads(line) for line in fh if line.strip())
+def write_rules_jsonl(mined: list[MinedRule], path: str | Path) -> None:
+    write_rows(path, ({"id": mr.rule_id, **rule_to_json(mr.rule), "metrics": mr.metrics.to_json(),
+                       "type": mr.rule_type} for mr in mined))
 
 
 def read_rules_jsonl(path: str | Path) -> list[MinedRule]:
-    return [
-        MinedRule(r["id"], rule_from_json(r), RuleMetrics.from_json(r["metrics"]), r["type"])
-        for r in read_jsonl(path)
-    ]
+    """The rules of a rules file, its rows read by `read_rows`; a rule whose
+    head, body or metrics do not parse, or whose type is no rule type, is
+    refused with a ValueError naming the file and the rule."""
+    mined = []
+    for r in read_rows(path, ("id", "head", "body", "metrics", "type")):
+        if r["type"] not in RULE_TYPES:
+            raise ValueError(f"{path}: rule {r['id']}: unknown rule type {r['type']!r}")
+        try:
+            rule, metrics = rule_from_json(r), RuleMetrics.from_json(r["metrics"])
+        except (LookupError, TypeError, ValueError) as err:
+            raise ValueError(f"{path}: rule {r['id']}: bad head, body or metrics: {err!r}") from None
+        mined.append(MinedRule(r["id"], rule, metrics, r["type"]))
+    return mined

@@ -240,7 +240,8 @@ def atom_to_json(a: Atom) -> dict:
 
 
 def atom_from_json(obj: dict) -> Atom:
-    return Atom(obj["p"], term_from_json(obj["args"][0]), term_from_json(obj["args"][1]))
+    t1, t2 = obj["args"]
+    return Atom(obj["p"], term_from_json(t1), term_from_json(t2))
 
 
 def rule_to_json(rule: HornRule) -> dict:

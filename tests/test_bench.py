@@ -489,6 +489,73 @@ class TestBundle:
             }
             assert row["direction"] in ("topic-is-subject", "topic-is-object")
 
+    def test_record_formats_are_pinned(self, tmp_path, uncle_world_file):
+        # the records are the benchmark a bundle hands out: their keys, JSON
+        # types and the manifest's config stay as they are
+        out, _ = self.build(tmp_path, uncle_world_file)
+
+        def triple(value):
+            return isinstance(value, list) and len(value) == 3 and all(isinstance(x, str) for x in value)
+
+        lines = (out / "questions.jsonl").read_text().splitlines()
+        assert len(lines) >= 5
+        for line in lines:
+            row = json.loads(line)
+            assert {k: type(v) for k, v in row.items()} == {
+                "id": str, "question": str, "topic": str, "direction": str, "predicate": str,
+                "answers": list, "hard_answer": str, "removed_triple": list, "rule_id": str,
+                "split": str, "provenance": dict,
+            }
+            assert row["answers"] and all(isinstance(a, str) for a in row["answers"])
+            assert triple(row["removed_triple"])
+            assert row["provenance"] == {
+                "backend": "template", "prompt_hash": None, "retries": 0, "fallback": False,
+            }
+            # a round trip through QAInstance writes the line back byte for byte
+            again = QAInstance.from_json(row).to_json()
+            assert json.dumps(again, sort_keys=True) == line
+            assert json.loads(json.dumps(again)) == row
+        for line in (out / "removals.jsonl").read_text().splitlines():
+            row = json.loads(line)
+            assert {k: type(v) for k, v in row.items()} == {
+                "rule_id": str, "grounding": dict, "removed": list, "witness": list,
+            }
+            assert all(isinstance(k, str) and isinstance(v, str) for k, v in row["grounding"].items())
+            assert triple(row["removed"]) and row["witness"] and all(map(triple, row["witness"]))
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert config == {
+            "anonymize_seed": None, "groundings_per_rule": 30, "max_inflight": 4,
+            "question_backend": "template", "seed": 11, "split_ratio": [0.8, 0.1, 0.1],
+            "tau": 0.05, "topic_side": "random",
+        }
+
+    @pytest.mark.parametrize(
+        "name, field, value, violation",
+        [
+            ("questions.jsonl", "removed_triple", 5, "{id}: removed_triple 5 is not three strings"),
+            ("questions.jsonl", "removed_triple", ["a", "b"],
+             "{id}: removed_triple ['a', 'b'] is not three strings"),
+            ("questions.jsonl", "rule_id", 7, "{id}: rule_id 7 is not a string"),
+            ("removals.jsonl", "removed", [["a"], "b", "c"],
+             "removals.jsonl row 2: removed [['a'], 'b', 'c'] is not three strings"),
+            ("removals.jsonl", "rule_id", ["r0000"],
+             "removals.jsonl row 2: rule_id ['r0000'] is not a string"),
+        ],
+        ids=["question-triple-int", "question-triple-short", "question-rule-id",
+             "removal-triple-nested", "removal-rule-id"],
+    )
+    def test_verify_bundle_reports_a_field_of_the_wrong_type(
+        self, tmp_path, uncle_world_file, name, field, value, violation
+    ):
+        out, _ = self.build(tmp_path, uncle_world_file)
+        path = out / name
+        rows = [json.loads(line) for line in path.read_text().splitlines()]
+        rows[1][field] = value
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        result = verify_bundle(out)
+        assert not result["ok"]
+        assert violation.format(id=rows[1].get("id")) in result["violations"]
+
     def test_rerun_is_byte_identical(self, tmp_path, uncle_world_file):
         out1, _ = self.build(tmp_path / "one", uncle_world_file)
         out2, _ = self.build(tmp_path / "two", uncle_world_file)
@@ -507,10 +574,10 @@ class TestBundle:
             assert q.topic in bundle.complete.entities
 
     def test_failed_check_writes_nothing(self, tmp_path, uncle_world_file, monkeypatch):
-        # the check fails, or question generation fails once complete.tsv and
-        # the map are in the temp directory: either way the old bundle stays
-        # as it was, no bundle appears where there was none, and no temp
-        # directory is left beside them
+        # the check fails, or question generation fails once complete.tsv,
+        # removals.jsonl and the map are in the temp directory: either way
+        # the old bundle stays as it was, no bundle appears where there was
+        # none, and no temp directory is left beside them
         old, _ = self.build(tmp_path / "old", uncle_world_file, anonymize_seed=4)
         rules = tmp_path / "old" / "rules.jsonl"
         before = {p.name: p.read_bytes() for p in old.iterdir()}
@@ -533,7 +600,7 @@ class TestBundle:
                     with pytest.raises((ValueError, RuntimeError), match=message):
                         build_bundle(uncle_world_file, rules, root / "bundle", GenConfig(anonymize_seed=5))
                     assert sorted(root.iterdir()) == listing
-        assert written == [["anonymization_map.json", "complete.tsv"]] * 2
+        assert written == [["anonymization_map.json", "complete.tsv", "removals.jsonl"]] * 2
         assert not (tmp_path / "fresh" / "bundle").exists()
         assert {p.name: p.read_bytes() for p in old.iterdir()} == before
 
@@ -541,9 +608,10 @@ class TestBundle:
     def test_check_runs_with_no_complete_graph_alive(
         self, tmp_path, uncle_world_file, monkeypatch, anonymize_seed
     ):
-        # the graph that removals are planned on, and the (anonymized) one
-        # that answer sets are read from, are both gone by the time the
-        # check builds the incomplete graph's indices
+        # the graph that removals are planned on, the (anonymized) one that
+        # answer sets are read from, and the removal entries the questions
+        # are drafted from are all gone by the time the check builds the
+        # incomplete graph's indices
         refs, alive = [], []
         real_plan, real_draft = bench.plan_removals, bench.draft_questions
         real_check = bench.check_answerability
@@ -552,9 +620,9 @@ class TestBundle:
             refs.append(weakref.ref(g))
             return real_plan(g, *args)
 
-        def draft(g, *args):
-            refs.append(weakref.ref(g))
-            return real_draft(g, *args)
+        def draft(g, removals, *args):
+            refs.extend([weakref.ref(g), weakref.ref(removals.entries[0])])
+            return real_draft(g, removals, *args)
 
         def check(*args):
             alive.append([ref() is not None for ref in refs])
@@ -564,7 +632,7 @@ class TestBundle:
         monkeypatch.setattr(bench, "draft_questions", draft)
         monkeypatch.setattr(bench, "check_answerability", check)
         out, _ = self.build(tmp_path, uncle_world_file, anonymize_seed=anonymize_seed)
-        assert alive == [[False, False]]
+        assert alive == [[False, False, False]]
         assert verify_bundle(out)["ok"]
 
     def test_question_rows_read_only_the_named_fields(self, tmp_path, uncle_world_file):

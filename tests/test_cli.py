@@ -271,6 +271,38 @@ class TestInspect:
         payload = json.loads(capsys.readouterr().out)
         assert payload["rule_type_histogram"]["composition"] == 1
 
+    @pytest.mark.parametrize("stage", ["inspect", "bench"])
+    @pytest.mark.parametrize(
+        "edit, problem",
+        [
+            (lambda row: {k: v for k, v in row.items() if k != "metrics"},
+             "line 2: missing field 'metrics'\n"),
+            (lambda row: [1, 2], "line 2: not a JSON object\n"),
+            (lambda row: {**row, "head": {"p": "hasUncle", "args": ["X"]}},
+             "rule r0001: bad head, body or metrics: "),
+            (lambda row: {**row, "metrics": {"support": 1}}, "rule r0001: bad head, body or metrics: "),
+            (lambda row: {**row, "type": "weird"}, "rule r0001: unknown rule type 'weird'\n"),
+        ],
+        ids=["no-metrics", "not-an-object", "one-argument-head", "short-metrics", "unknown-type"],
+    )
+    def test_malformed_rules_row_is_an_error(
+        self, tmp_path, uncle_world_file, mined_rules, capsys, stage, edit, problem
+    ):
+        row = json.loads(mined_rules.read_text())
+        path = tmp_path / "broken.jsonl"
+        path.write_text(f"{json.dumps(row)}\n{json.dumps(edit({**row, 'id': 'r0001'}))}\n")
+        out = tmp_path / "out"
+        argv = {
+            "inspect": ["inspect", "--rules", str(path)],
+            "bench": ["bench", "--kg", str(uncle_world_file), "--rules", str(path),
+                      "--out-dir", str(out)],
+        }[stage]
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: {problem}") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_bundle_verification(self, bundle_dir, capsys):
         assert main(["inspect", "--bundle", str(bundle_dir)]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -607,14 +639,19 @@ class TestStreamingRun:
         assert "error" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "stage, field",
-        [("run", "topic"), ("eval", "hard_answer"), ("inspect", "rule_id")]
-        # None: the row is no JSON object at all
-        + [pytest.param(stage, None, id=f"{stage}-not-an-object")
-           for stage in ("run", "eval", "inspect")],
+        "stage, edit, problem",
+        [pytest.param(stage, lambda row, field=field: {k: v for k, v in row.items() if k != field},
+                      f"line 2: missing field {field!r}", id=f"{stage}-{field}")
+         for stage, field in (("run", "topic"), ("eval", "hard_answer"), ("inspect", "rule_id"))]
+        + [pytest.param(stage, lambda row: [1, 2], "line 2: not a JSON object",
+                        id=f"{stage}-not-an-object")
+           for stage in ("run", "eval", "inspect")]
+        # a field of the wrong type
+        + [pytest.param("eval", lambda row: {**row, "answers": 5},
+                        "question {id}: answers 5 is not a list", id="eval-answers-not-a-list")],
     )
     def test_question_row_missing_a_field_is_an_error(
-        self, tmp_path, bundle_dir, synonyms_file, capsys, stage, field
+        self, tmp_path, bundle_dir, synonyms_file, capsys, stage, edit, problem
     ):
         out = tmp_path / "out"
         out.mkdir()
@@ -623,11 +660,8 @@ class TestStreamingRun:
         shutil.copytree(bundle_dir, broken)
         path = broken / "questions.jsonl"
         rows = [json.loads(line) for line in path.read_text().splitlines()]
-        if field is None:
-            rows[1], problem = [1, 2], "not a JSON object"
-        else:
-            del rows[1][field]
-            problem = f"missing field {field!r}"
+        problem = problem.format(id=rows[1]["id"])
+        rows[1] = edit(rows[1])
         path.write_text("".join(json.dumps(row) + "\n" for row in rows))
         argv = {
             "run": self.run_argv(broken, out, synonyms_file, 1),
@@ -637,7 +671,7 @@ class TestStreamingRun:
         }[stage]
         capsys.readouterr()
         assert main(argv) == 1
-        assert capsys.readouterr().err == f"error: {path}: line 2: {problem}\n"
+        assert capsys.readouterr().err == f"error: {path}: {problem}\n"
 
     @pytest.mark.parametrize(
         "edit, problem",
