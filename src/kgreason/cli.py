@@ -17,11 +17,9 @@ from collections import deque
 from contextlib import ExitStack, contextmanager, suppress
 from pathlib import Path
 
-# only what `mine` and `inspect --kg` need; the other stages import their
-# modules when they run
-from . import mining
+# only the graph module, which `inspect --kg` needs; every other command
+# imports its stage's modules when it runs
 from .kg import KnowledgeGraph, sha256_file
-from .rules import RULE_TYPES
 
 log = logging.getLogger("kgreason")
 
@@ -88,6 +86,9 @@ def _replacing(path):
 
 
 def cmd_mine(args: argparse.Namespace) -> int:
+    from . import mining
+    from .rules import RULE_TYPES
+
     res = _Resolver(args)
     cfg = mining.MinerConfig(
         min_confidence=res.get(args.min_conf, "min_conf", 0.3, float),
@@ -251,7 +252,7 @@ def _in_order(pool, fn, items, ahead: int):
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    from . import bench, evaluate
+    from . import bench, evaluate, mining
 
     bundle = bench.load_bundle(args.bundle)
     gold = bundle.question_rows(args.split, ("id", "answers", "hard_answer"))
@@ -296,6 +297,8 @@ def cmd_inspect(args: argparse.Namespace) -> int:
             "duplicates_collapsed": g.duplicates_collapsed,
         }
     elif args.rules:
+        from . import mining
+
         mined = mining.read_rules_jsonl(args.rules)
         payload = {
             "rules": len(mined),

@@ -24,7 +24,6 @@ edge lists out and inc.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
 import random
@@ -278,6 +277,8 @@ def write_anonymization_map(mapping: dict[str, str], path: str | Path) -> None:
 
 
 def sha256_file(path: str | Path) -> str:
+    import hashlib  # OpenSSL's libcrypto: loaded only where a hash is taken
+
     h = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 16), b""):

@@ -94,7 +94,12 @@ class RuleMetrics:
 
     @classmethod
     def from_json(cls, obj: dict) -> "RuleMetrics":
-        return cls(obj["support"], obj["hc"], obj["conf"], obj["pca_conf"])
+        """The metrics of a rules row; a support that is no integer, or a
+        rate that is no number, raises a TypeError."""
+        support, *rates = values = obj["support"], obj["hc"], obj["conf"], obj["pca_conf"]
+        if type(support) is not int or any(type(r) not in (int, float) for r in rates):
+            raise TypeError(f"support, hc, conf, pca_conf {values!r}: not an integer and three numbers")
+        return cls(*values)
 
 
 @dataclass(frozen=True)
@@ -677,7 +682,8 @@ def rule_type_histogram(mined: list[MinedRule]) -> dict[str, int]:
 def read_rows(path: str | Path, fields: tuple[str, ...], split: str = "all") -> Iterator[dict]:
     """Yield the named fields of each row of a JSON-lines file in `split`
     ("all" for every row), in file order; a row with no split reads as "".
-    A line that is no JSON object, or a row of the split that lacks a field,
+    A line that is no JSON object, or a row of the split that lacks a field
+    or whose `id` (the key that other rows and files refer to) is no string,
     is refused with a ValueError naming the file and the line."""
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -691,6 +697,8 @@ def read_rows(path: str | Path, fields: tuple[str, ...], split: str = "all") -> 
                     row = {k: row[k] for k in fields}
                 except KeyError as err:
                     raise ValueError(f"{path}: line {lineno}: missing field {err}") from None
+                if not isinstance(row.get("id", ""), str):
+                    raise ValueError(f"{path}: line {lineno}: id {row['id']!r} is not a string")
                 yield row
 
 

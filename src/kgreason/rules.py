@@ -229,10 +229,16 @@ def term_to_json(t: Term):
     return t.name if t.is_var else {"const": t.name}
 
 
+def _string(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"{value!r} is not a string")
+    return value
+
+
 def term_from_json(obj) -> Term:
     if isinstance(obj, str):
         return Term.var(obj)
-    return Term.const(obj["const"])
+    return Term.const(_string(obj["const"]))
 
 
 def atom_to_json(a: Atom) -> dict:
@@ -241,7 +247,7 @@ def atom_to_json(a: Atom) -> dict:
 
 def atom_from_json(obj: dict) -> Atom:
     t1, t2 = obj["args"]
-    return Atom(obj["p"], term_from_json(t1), term_from_json(t2))
+    return Atom(_string(obj["p"]), term_from_json(t1), term_from_json(t2))
 
 
 def rule_to_json(rule: HornRule) -> dict:

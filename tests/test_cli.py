@@ -282,8 +282,13 @@ class TestInspect:
              "rule r0001: bad head, body or metrics: "),
             (lambda row: {**row, "metrics": {"support": 1}}, "rule r0001: bad head, body or metrics: "),
             (lambda row: {**row, "type": "weird"}, "rule r0001: unknown rule type 'weird'\n"),
+            (lambda row: {**row, "metrics": {**row["metrics"], "pca_conf": "x"}},
+             "rule r0001: bad head, body or metrics: "),
+            (lambda row: {**row, "head": {**row["head"], "p": ["x"]}},
+             "rule r0001: bad head, body or metrics: "),
         ],
-        ids=["no-metrics", "not-an-object", "one-argument-head", "short-metrics", "unknown-type"],
+        ids=["no-metrics", "not-an-object", "one-argument-head", "short-metrics", "unknown-type",
+             "text-metric", "list-predicate"],
     )
     def test_malformed_rules_row_is_an_error(
         self, tmp_path, uncle_world_file, mined_rules, capsys, stage, edit, problem
@@ -419,6 +424,21 @@ def test_mine_process_loads_only_the_miner(tmp_path, uncle_world_file):
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=60
     )
     assert out.stdout.split() == ["[]", "False"]
+
+
+def test_inspect_kg_process_loads_only_the_graph(uncle_world_file):
+    argv = ["inspect", "--kg", str(uncle_world_file)]
+    code = (
+        "import sys\n"
+        "from kgreason.cli import main\n"
+        f"assert main({argv!r}) == 0\n"
+        "names = ['kgreason.mining', 'kgreason.rules', 'hashlib', '_hashlib']\n"
+        "print(sorted(m for m in names if m in sys.modules))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=60
+    )
+    assert out.stdout.splitlines()[-1] == "[]"
 
 
 def test_every_export_resolves():
@@ -648,7 +668,9 @@ class TestStreamingRun:
            for stage in ("run", "eval", "inspect")]
         # a field of the wrong type
         + [pytest.param("eval", lambda row: {**row, "answers": 5},
-                        "question {id}: answers 5 is not a list", id="eval-answers-not-a-list")],
+                        "question {id}: answers 5 is not a list", id="eval-answers-not-a-list"),
+           pytest.param("eval", lambda row: {**row, "id": [1]},
+                        "line 2: id [1] is not a string", id="eval-id-not-a-string")],
     )
     def test_question_row_missing_a_field_is_an_error(
         self, tmp_path, bundle_dir, synonyms_file, capsys, stage, edit, problem
@@ -679,8 +701,9 @@ class TestStreamingRun:
             (lambda row: [row["id"]], "not a JSON object"),
             (lambda row: {"prediction": row["prediction"]}, "missing field 'id'"),
             (lambda row: {"id": row["id"], "terminated": True}, "missing field 'prediction'"),
+            (lambda row: {**row, "id": ["q00000"]}, "id ['q00000'] is not a string"),
         ],
-        ids=["not-an-object", "no-id", "no-prediction"],
+        ids=["not-an-object", "no-id", "no-prediction", "id-not-a-string"],
     )
     def test_prediction_row_missing_a_field_is_an_error(
         self, tmp_path, bundle_dir, synonyms_file, capsys, edit, problem
