@@ -29,7 +29,6 @@ from .env import (
     apply_transition,
     explore,
     ground,
-    parse_relation_path,
     serialize_reasoning_path,
     serialize_relation_path,
 )
@@ -120,60 +119,34 @@ class EpisodeTrace:
         return len(self.steps)
 
     def to_json_lines(self) -> list[str]:
-        lines = [
-            json.dumps(
-                {
-                    "type": "start",
-                    "question_id": self.question_id,
-                    "topic": self.topic,
-                    "question": self.question,
-                },
-                sort_keys=True,
-            )
-        ]
-        for step in self.steps:
-            lines.append(
-                json.dumps({"type": "step", "question_id": self.question_id, **step}, sort_keys=True)
-            )
-        lines.append(
-            json.dumps(
-                {
-                    "type": "final",
-                    "question_id": self.question_id,
-                    "prediction": self.prediction,
-                    "supporting_paths": self.supporting_paths,
-                    "termination": self.termination,
-                    "fallback": self.fallback,
-                    "out_of_graph": self.out_of_graph,
-                    "unjustified": self.unjustified,
-                    "step_count": self.step_count,
-                },
-                sort_keys=True,
-            )
-        )
-        return lines
+        """One start line, one line per step and one final line; every line
+        carries its type and the question id."""
+        qid = self.question_id
+        start = {"type": "start", **{k: getattr(self, k) for k in _START_FIELDS}}
+        steps = ({"type": "step", "question_id": qid, **step} for step in self.steps)
+        final = {"type": "final", "question_id": qid, "step_count": self.step_count,
+                 **{k: getattr(self, k) for k in _FINAL_FIELDS}}
+        return [json.dumps(row, sort_keys=True) for row in (start, *steps, final)]
 
     @classmethod
     def from_json_lines(cls, lines: list[dict]) -> "EpisodeTrace":
         start = next(r for r in lines if r["type"] == "start")
-        final = next(r for r in lines if r["type"] == "final")
+        # a final line written before `unjustified` existed reads as none
+        final = {"unjustified": [], **next(r for r in lines if r["type"] == "final")}
         steps = [
             {k: v for k, v in r.items() if k not in ("type", "question_id")}
             for r in lines
             if r["type"] == "step"
         ]
-        return cls(
-            question_id=start["question_id"],
-            topic=start["topic"],
-            question=start["question"],
-            steps=steps,
-            prediction=final["prediction"],
-            supporting_paths=final["supporting_paths"],
-            termination=final["termination"],
-            fallback=final["fallback"],
-            out_of_graph=final["out_of_graph"],
-            unjustified=final.get("unjustified", []),
-        )
+        return cls(**{k: start[k] for k in _START_FIELDS}, steps=steps,
+                   **{k: final[k] for k in _FINAL_FIELDS})
+
+
+# the trace fields a start line and a final line carry
+_START_FIELDS = ("question_id", "topic", "question")
+_FINAL_FIELDS = (
+    "prediction", "supporting_paths", "termination", "fallback", "out_of_graph", "unjustified",
+)
 
 
 class PolicyError(RuntimeError):
@@ -188,12 +161,13 @@ class InvalidAction(ValueError):
 # -- heuristic policy ---------------------------------------------------------
 
 
-def _best_chains(chains, score) -> tuple[ReasoningPath, ...]:
-    """The chains with the best positive score, sorted; empty when no chain
-    scores above 0."""
+def _best_chains(chains, score) -> tuple[tuple[ReasoningPath, ...], list[str]]:
+    """The chains with the best positive score, sorted, and their sorted
+    terminal entities; both empty when no chain scores above 0."""
     scored = [(score(c), c) for c in chains]
     best = max((s for s, _ in scored), default=0)
-    return tuple(sorted(c for s, c in scored if s == best)) if best > 0 else ()
+    chosen = tuple(sorted(c for s, c in scored if s == best)) if best > 0 else ()
+    return chosen, sorted({c[-1][2] for c in chosen})
 
 
 class HeuristicPolicy:
@@ -263,14 +237,12 @@ class HeuristicPolicy:
             )
             chosen = tuple(serialize_relation_path(p) for p in ranked[: self.top_k])
             return Action("ground", entity=self.topic, paths=chosen)
-        selected = _best_chains(state.C, self._chain_score)
-        if not selected:
-            return Action("synthesize")  # abstain: no overlapping evidence
-        answers = tuple(sorted({c[-1][2] for c in selected}))
+        # no overlapping evidence selects nothing, which abstains
+        selected, answers = _best_chains(state.C, self._chain_score)
         return Action(
             "synthesize",
             selected=tuple(serialize_reasoning_path(c) for c in selected),
-            answers=answers,
+            answers=tuple(answers),
         )
 
     def repair(self, state: AgentState, reason: str) -> Action:
@@ -311,7 +283,19 @@ def _first_json_object(text: str) -> dict:
     raise ValueError("no JSON object found in response")
 
 
+def _strings(obj: dict, key: str) -> tuple[str, ...]:
+    """A list field of a tool call, each item as a string (anonymized ids may
+    come back as numbers); a missing or empty field reads as no items."""
+    items = obj.get(key) or []
+    if not isinstance(items, list):
+        raise ValueError(f"{key!r} must be a list, got {items!r}")
+    return tuple(str(item) for item in items)
+
+
 def parse_tool_call(text: str) -> Action:
+    """The action of the first JSON object in text. A missing entity, a field
+    of the wrong type or an unknown tool raises ValueError, as unparseable
+    text does."""
     obj = _first_json_object(text)
     tool = obj.get("tool") or obj.get("name")
     if tool == "relation_path_mining":
@@ -319,21 +303,23 @@ def parse_tool_call(text: str) -> Action:
         hops = obj.get("max_hops", obj.get("hops"))
         if not isinstance(entity, str) or not entity:
             raise ValueError("relation_path_mining needs a non-empty 'entity'")
-        return Action("explore", entity=entity, hops=int(hops) if hops is not None else 1)
+        try:
+            hops = int(hops) if hops is not None else 1
+        except TypeError:
+            raise ValueError(f"'max_hops' must be an integer, got {hops!r}") from None
+        return Action("explore", entity=entity, hops=hops)
     if tool == "path_grounding":
         entity = obj.get("entity")
-        paths = obj.get("relation_paths") or []
         if not isinstance(entity, str) or not entity:
             raise ValueError("path_grounding needs a non-empty 'entity'")
-        return Action("ground", entity=entity, paths=tuple(str(p) for p in paths))
+        return Action("ground", entity=entity, paths=_strings(obj, "relation_paths"))
     if tool == "complete_task":
-        selected = obj.get("explored_reasoning_paths") or []
-        answers = obj.get("answer_entities") or []
-        cleaned = tuple(
-            str(p)[len("Evidence: "):] if str(p).startswith("Evidence: ") else str(p)
-            for p in selected
+        selected = _strings(obj, "explored_reasoning_paths")
+        return Action(
+            "synthesize",
+            selected=tuple(p.removeprefix("Evidence: ") for p in selected),
+            answers=_strings(obj, "answer_entities"),
         )
-        return Action("synthesize", selected=cleaned, answers=tuple(str(a) for a in answers))
     raise ValueError(f"unknown tool name: {tool!r}")
 
 
@@ -379,43 +365,49 @@ class LLMPolicy:
         ]
         return "\n\n".join(parts)
 
-    def _ask(self, messages: list[dict]) -> Action:
-        text = self.client.chat(messages, temperature=0.0)
-        return parse_tool_call(text)
-
-    def decide(self, state: AgentState) -> Action:
+    def _ask(self, state_message: str, note: str | None = None) -> Action:
+        """Send the system prompt and the state message, followed on a
+        repair by the note and the schema, and parse the reply."""
         messages = [
             {"role": "system", "content": SYSTEM_PROMPT},
-            {"role": "user", "content": self._state_message(state)},
+            {"role": "user", "content": state_message},
         ]
+        if note:
+            messages.append({"role": "user", "content": f"{note}.\n{TOOL_CALL_SCHEMA}"})
+        return parse_tool_call(self.client.chat(messages, temperature=0.0))
+
+    def decide(self, state: AgentState) -> Action:
+        state_message = self._state_message(state)
         try:
-            return self._ask(messages)
+            return self._ask(state_message)
         except ValueError as err:
             self.events.append(f"repair: unparseable response ({err})")
-            messages.append(
-                {
-                    "role": "user",
-                    "content": f"Your previous reply could not be parsed ({err}).\n{TOOL_CALL_SCHEMA}",
-                }
-            )
             try:
-                return self._ask(messages)
+                return self._ask(state_message, f"Your previous reply could not be parsed ({err})")
             except ValueError as err2:
                 raise PolicyError(f"unparseable response after repair: {err2}") from err2
 
     def repair(self, state: AgentState, reason: str) -> Action:
-        messages = [
-            {"role": "system", "content": SYSTEM_PROMPT},
-            {"role": "user", "content": self._state_message(state)},
-            {"role": "user", "content": f"The previous action was invalid: {reason}.\n{TOOL_CALL_SCHEMA}"},
-        ]
+        note = f"The previous action was invalid: {reason}"
         try:
-            return self._ask(messages)
+            return self._ask(self._state_message(state), note)
         except ValueError as err:
             raise PolicyError(f"invalid action after repair: {err}") from err
 
 
 # -- episode loop -------------------------------------------------------------
+
+
+def _named(texts, items, serialize, what: str) -> list:
+    """The items whose serialized text is one of `texts`, every item of a
+    text that several share. A text naming no item raises InvalidAction."""
+    wanted = set(texts)
+    hits = [(text, item) for item in items if (text := serialize(item)) in wanted]
+    found = {text for text, _ in hits}
+    unknown = [t for t in texts if t not in found]
+    if unknown:
+        raise InvalidAction(f"{what} not in state: {unknown[:3]}")
+    return [item for _, item in hits]
 
 
 def _execute(g: KnowledgeGraph, action: Action, state: AgentState, cfg: EnvConfig):
@@ -437,12 +429,9 @@ def _execute(g: KnowledgeGraph, action: Action, state: AgentState, cfg: EnvConfi
             raise InvalidAction("ground needs an entity")
         if not action.paths:
             raise InvalidAction("ground needs at least one relation path")
-        known = {serialize_relation_path(p) for _, p in state.P}
-        unknown = [p for p in action.paths if p not in known]
-        if unknown:
-            raise InvalidAction(f"relation paths not in state: {unknown[:3]}")
-        parsed = [parse_relation_path(p) for p in action.paths]
-        chains, frontier = ground(g, action.entity, parsed, cfg)
+        paths = _named(action.paths, {p for _, p in state.P}, serialize_relation_path,
+                       "relation paths")
+        chains, frontier = ground(g, action.entity, paths, cfg)
         outcome = GroundOutcome(start=action.entity, reasoning_paths=chains, frontier=frontier)
         payload = {
             "reasoning_paths": [serialize_reasoning_path(c) for c in chains],
@@ -452,30 +441,11 @@ def _execute(g: KnowledgeGraph, action: Action, state: AgentState, cfg: EnvConfi
     if action.kind == "synthesize":
         if action.answers and not action.selected:
             raise InvalidAction("synthesis with answers needs supporting reasoning paths")
-        by_text = {serialize_reasoning_path(c): c for c in state.C}
-        unknown = [p for p in action.selected if p not in by_text]
-        if unknown:
-            raise InvalidAction(f"reasoning paths not in state: {unknown[:3]}")
-        outcome = SynthesisOutcome(
-            selected=tuple(by_text[p] for p in action.selected), answers=action.answers
-        )
+        selected = _named(action.selected, state.C, serialize_reasoning_path, "reasoning paths")
+        outcome = SynthesisOutcome(selected=tuple(selected), answers=action.answers)
         payload = {"answers": list(action.answers), "selected": list(action.selected)}
         return outcome, payload
     raise InvalidAction(f"unknown action kind: {action.kind}")
-
-
-def _fallback_prediction(
-    state: AgentState, question: str
-) -> tuple[list[str], tuple[ReasoningPath, ...]]:
-    """Budget exhausted: terminal entities of the reasoning paths that best
-    overlap the question tokens; empty when nothing overlaps."""
-    q_tokens = content_tokens(question)
-
-    def score(chain: ReasoningPath) -> int:
-        return len({t[1] for t in chain if content_tokens(t[1]) & q_tokens})
-
-    chains = _best_chains(state.C, score)
-    return sorted({c[-1][2] for c in chains}), chains
 
 
 def run_episode(
@@ -542,7 +512,9 @@ def run_episode(
             break
 
     if trace.termination == "budget":
-        trace.prediction, chains = _fallback_prediction(state, qtext)
+        # the evidence the heuristic policy would select by question overlap
+        hints = HeuristicPolicy(qtext, topic)
+        chains, trace.prediction = _best_chains(state.C, hints._chain_score)
         trace.supporting_paths = [serialize_reasoning_path(c) for c in chains]
         trace.fallback = True
     trace.out_of_graph = sorted(set(trace.prediction) - set(state.E))

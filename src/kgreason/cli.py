@@ -28,10 +28,7 @@ class _Resolver:
     """flag > env var > config file > default, with the winners recorded."""
 
     def __init__(self, args: argparse.Namespace):
-        self.config = {}
-        if getattr(args, "config", None):
-            with open(args.config, encoding="utf-8") as fh:
-                self.config = json.load(fh)
+        self.config = _json_object(args.config) if getattr(args, "config", None) else {}
         self.resolved: dict[str, object] = {}
 
     def get(self, flag_value, name: str, default, cast=None):
@@ -44,8 +41,12 @@ class _Resolver:
                 value = self.config[name]
             else:
                 value = default
-        if cast is not None and value is not None:
-            value = cast(value)
+        # a null in the config is cast too, unless the option may be unset
+        if cast is not None and (value is not None or default is not None):
+            try:
+                value = cast(value)
+            except (TypeError, ValueError) as err:
+                raise ValueError(f"option {name}: cannot use {value!r} ({err})") from None
         self.resolved[name] = value
         return value
 
@@ -62,11 +63,27 @@ def _switch(value) -> bool:
     return bool(value)
 
 
+def _json_object(path: str) -> dict:
+    """The JSON object a file holds; anything else is refused naming the file."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            obj = json.load(fh)
+        except json.JSONDecodeError as err:
+            raise ValueError(f"{path}: not JSON ({err})") from None
+    if not isinstance(obj, dict):
+        raise ValueError(f"{path}: not a JSON object")
+    return obj
+
+
 def _load_synonyms(path: str | None) -> dict | None:
     if not path:
         return None
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+    table = _json_object(path)
+    for names in table.values():
+        if not isinstance(names, (str, list)) or not all(isinstance(n, str) for n in names):
+            raise ValueError(f"{path}: not an object mapping each word to a predicate "
+                             "name or a list of names")
+    return table
 
 
 @contextmanager

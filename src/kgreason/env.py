@@ -41,10 +41,6 @@ def serialize_relation_path(path: RelationPath) -> str:
     return " -> ".join(path)
 
 
-def parse_relation_path(text: str) -> RelationPath:
-    return tuple(part.strip() for part in text.split("->"))
-
-
 def serialize_reasoning_path(path: ReasoningPath) -> str:
     return " ; ".join(f"({s}, {p}, {o})" for s, p, o in path)
 

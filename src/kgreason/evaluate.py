@@ -35,27 +35,15 @@ def normalize_answer(text: str) -> str:
 
 def normalize_prediction(raw: str) -> set[str]:
     """Split a raw output string and normalize each piece into a set."""
-    if "," in raw:
-        pieces = re.split(r"[,\n]", raw)
-    else:
-        pieces = raw.split()
-    out = set()
-    for piece in pieces:
-        norm = normalize_answer(piece)
-        if norm:
-            out.add(norm)
-    return out
+    return prediction_set(raw)
 
 
 def prediction_set(prediction) -> set[str]:
     """Normalized set from either a raw string or a pre-split list."""
     if isinstance(prediction, str):
-        return normalize_prediction(prediction)
-    out = set()
-    for piece in prediction:
-        norm = normalize_answer(str(piece))
-        if norm:
-            out.add(norm)
+        prediction = re.split(r"[,\n]", prediction) if "," in prediction else prediction.split()
+    out = {normalize_answer(str(piece)) for piece in prediction}
+    out.discard("")
     return out
 
 

@@ -689,7 +689,10 @@ def read_rows(path: str | Path, fields: tuple[str, ...], split: str = "all") -> 
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            row = json.loads(line)
+            try:
+                row = json.loads(line)
+            except json.JSONDecodeError:
+                row = None
             if not isinstance(row, dict):
                 raise ValueError(f"{path}: line {lineno}: not a JSON object")
             if split in ("all", row.get("split", "")):

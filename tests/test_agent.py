@@ -25,7 +25,8 @@ def q(qid, text, topic):
 
 class ScriptedClient:
     """Stands in for the endpoint: returns canned responses in order; an
-    exception among them is raised instead."""
+    exception among them is raised instead. Each request is recorded as sent,
+    so a later change to the caller's message list does not rewrite it."""
 
     def __init__(self, responses, max_calls=None):
         self.responses = list(responses)
@@ -36,7 +37,7 @@ class ScriptedClient:
     def chat(self, messages, temperature=0.0):
         if self.max_calls is not None and self.calls >= self.max_calls:
             raise EndpointBudgetExceeded("out of calls")
-        self.requests.append(messages)
+        self.requests.append([dict(m) for m in messages])
         self.calls += 1
         response = self.responses.pop(0)
         if isinstance(response, Exception):
@@ -122,6 +123,38 @@ class TestHeuristicPolicy:
             assert any(entity in path for path in trace.supporting_paths)
 
 
+class TestGroundingByText:
+    """A ground action names relation paths by their text; the environment
+    grounds the paths of its own state that read so."""
+
+    def test_predicate_with_an_arrow(self):
+        g = KnowledgeGraph([("a", "has->part", "p"), ("a", "colour", "red")])
+        question = q("h1", "Which part does a have?", "a")
+        trace = run_episode(g, question, HeuristicPolicy(question["question"], "a"))
+        assert [s["action"]["kind"] for s in trace.steps] == ["explore", "ground", "synthesize"]
+        assert "(a, has->part, p)" in trace.steps[1]["observation"]["reasoning_paths"]
+        assert trace.prediction == ["p"]
+        assert replay_trace(g, trace)
+
+    def test_paths_that_share_a_text_are_both_grounded(self):
+        # the one-predicate path "a -> b" and the two-hop path a, b read alike
+        g = KnowledgeGraph([("x", "a -> b", "y"), ("x", "a", "m"), ("m", "b", "n")])
+        client = ScriptedClient(
+            [
+                '{"tool":"relation_path_mining","entity":"x","max_hops":2}',
+                '{"tool":"path_grounding","entity":"x","relation_paths":["a -> b"]}',
+                '{"tool":"complete_task","explored_reasoning_paths":[],"answer_entities":[]}',
+            ]
+        )
+        question = q("c1", "what is b of x?", "x")
+        trace = run_episode(g, question, LLMPolicy(question["question"], "x", client))
+        assert trace.steps[1]["observation"]["reasoning_paths"] == [
+            "(x, a -> b, y)",
+            "(x, a, m) ; (m, b, n)",
+        ]
+        assert replay_trace(g, trace)
+
+
 class TestBudget:
     def test_budget_one_action_flags_fallback(self, celebrity_family):
         question = q("f1", "Who is Justin Bieber's parent?", "Justin Bieber")
@@ -195,6 +228,28 @@ class TestToolCallParsing:
         )
         assert action == Action("explore", entity="x", hops=1)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            '{"tool":"relation_path_mining","entity":"a","max_hops":[2]}',
+            '{"tool":"path_grounding","entity":"a","relation_paths":"p"}',
+            '{"tool":"complete_task","explored_reasoning_paths":"(a, p, b)","answer_entities":[]}',
+            '{"tool":"complete_task","explored_reasoning_paths":["(a, p, b)"],"answer_entities":"b1"}',
+        ],
+        ids=["hops-list", "paths-string", "selected-string", "answers-string"],
+    )
+    def test_wrongly_typed_field_is_a_parse_failure(self, call):
+        with pytest.raises(ValueError):
+            parse_tool_call(call)
+
+    def test_list_items_become_strings(self):
+        # anonymized entity ids may come back as numbers
+        action = parse_tool_call(
+            '{"tool":"complete_task","explored_reasoning_paths":["(a, p, 17)"],'
+            '"answer_entities":[17]}'
+        )
+        assert action.answers == ("17",)
+
     def test_stray_open_brace_before_valid_object(self):
         action = parse_tool_call(
             'Let me think { about it. {"tool": "relation_path_mining", "entity": "x", '
@@ -266,6 +321,26 @@ class TestLLMPolicyEpisodes:
         assert trace.steps[0]["action"]["kind"] == "explore"
         assert any("repair" in e for e in trace.steps[0]["events"])
 
+    def test_wrongly_typed_fields_get_the_repair_round_trip(self):
+        g = KnowledgeGraph([("a", "p", "b1")])
+        select = '{"tool":"complete_task","explored_reasoning_paths":["(a, p, b1)"],"answer_entities":'
+        client = ScriptedClient(
+            [
+                '{"tool":"relation_path_mining","entity":"a","max_hops":[2]}',
+                '{"tool":"relation_path_mining","entity":"a","max_hops":1}',
+                '{"tool":"path_grounding","entity":"a","relation_paths":["p"]}',
+                select + '"b1"}',
+                select + '["b1"]}',
+            ]
+        )
+        question = q("r3", "what is p of a?", "a")
+        trace = run_episode(g, question, LLMPolicy(question["question"], "a", client))
+        assert trace.termination == "synthesized"
+        assert trace.prediction == ["b1"]
+        events = [s["events"] for s in trace.steps]
+        assert [len(e) for e in events] == [1, 0, 1]
+        assert all(e[0].startswith("repair: unparseable response") for e in (events[0], events[2]))
+
     def test_two_unparseable_responses_abort(self):
         g = KnowledgeGraph([("a", "p", "b")])
         client = ScriptedClient(["nope", "still nope"])
@@ -336,6 +411,13 @@ class TestTraces:
         assert again == trace
         assert replay_trace(celebrity_family, again)
 
+    def test_final_line_without_unjustified_reads_as_none(self, celebrity_family):
+        trace = self.run_one(celebrity_family)
+        trace.unjustified = ["x"]
+        parsed = [json.loads(line) for line in trace.to_json_lines()]
+        del parsed[-1]["unjustified"]
+        assert EpisodeTrace.from_json_lines(parsed).unjustified == []
+
 
 EXPLORE_A = '{"tool":"relation_path_mining","entity":"a","max_hops":1}'
 GROUND_P = '{"tool":"path_grounding","entity":"a","relation_paths":["p"]}'
@@ -370,7 +452,7 @@ EXIT_PATHS = {
 EXIT_PATH_GOLDEN = {
     "budget_in_repair": (
         "d169e000e3cf23af0a2a3e37665397d1fcc721ee8a66b16551766b8b2a8c85b3",
-        "58f2ef2800b5b3c0687eb749ad9591fc65afa410d8226c3da7694fe9d2e94630",
+        "407185678624cef659d9b74af7dfe38f9abc976fde9c778a85eccd93fc47687f",
     ),
     "heuristic": "7e2647861a5df9a5d7190c5dc5474b228f85fb911462959a3f897493f8e10164",
     "max_actions": (
@@ -379,7 +461,7 @@ EXIT_PATH_GOLDEN = {
     ),
     "parse_repair_then_success": (
         "74e4c76398a9f51b21bbe0cc3dc85bc0289328b346d9b8dca0ecb6f7c6653eaf",
-        "c47645e720855cce8aa54776f9dc93d3d4393456a01b781d9f1bbb8b310040c5",
+        "50cda50117ba8a5a6131bb829e6dff21110e9b009a1f8ebbe02d2c095353e5fe",
     ),
     "still_invalid_after_repair": (
         "ba764d73cd807d2dce5bb7c6ca8ffc9a656a6d5c44ba3b3079d9ee65bae6470b",
@@ -395,7 +477,7 @@ EXIT_PATH_GOLDEN = {
     ),
     "two_unparseable": (
         "1cc0825f7be6d8361d36b5f5a7ca5ef8b0d82bbc2bb906745bf529689ca1abd9",
-        "853c77aa6dcd9a91c7450f700d5b34cf8ca34f3c043488f60ec993f831efa6c8",
+        "7f79aab62dd3e958c5dbe40199e6bfd5edbb933b83d45acd600bb5fd478645ac",
     ),
     "unparseable_repair": (
         "faebfff41d27cbc4d00f7bef79abfad370feeaa735d2eb3a194681783602960b",

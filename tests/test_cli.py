@@ -390,6 +390,52 @@ class TestSwitchesResolve:
         assert manifest["config"][name] == value
 
 
+class TestBadInputs:
+    """A config, tuning value or synonyms file that cannot be used ends the
+    command with an `error:` line naming the file or the option."""
+
+    @pytest.mark.parametrize(
+        "text, problem",
+        [('["min_conf"]', "not a JSON object"), ("{", "not JSON")],
+        ids=["list", "not-json"],
+    )
+    def test_config_that_is_no_json_object(
+        self, tmp_path, uncle_world_file, capsys, text, problem
+    ):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        assert main(["mine", "--kg", str(uncle_world_file), "--out", str(tmp_path / "r.jsonl"),
+                     "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {cfg}: {problem}")
+
+    @pytest.mark.parametrize(
+        "source, value",
+        [("config", [3]), ("config", None), ("env", "abc")],
+        ids=["config", "config-null", "env"],
+    )
+    def test_tuning_value_that_does_not_convert(
+        self, tmp_path, uncle_world_file, monkeypatch, capsys, source, value
+    ):
+        extra = set_option(source, "max_len", value, tmp_path, monkeypatch)
+        assert main(["mine", "--kg", str(uncle_world_file), "--out", str(tmp_path / "r.jsonl"),
+                     *extra]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: option max_len: ")
+        assert repr(value) in err
+
+    @pytest.mark.parametrize(
+        "table", [[1, 2], {"uncle": 3}, {"uncle": ["hasParent", 3]}],
+        ids=["list", "number", "number-in-list"],
+    )
+    def test_synonyms_that_map_no_word_to_names(self, tmp_path, bundle_dir, capsys, table):
+        path = tmp_path / "synonyms.json"
+        path.write_text(json.dumps(table))
+        assert main(["run", "--bundle", str(bundle_dir), "--split", "all",
+                     "--out", str(tmp_path / "p.jsonl"), "--synonyms", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
+        assert not (tmp_path / "p.jsonl").exists()
+
+
 def test_switch_rejects_unknown_value(tmp_path, bundle_dir, monkeypatch, capsys):
     monkeypatch.setenv("KGREASON_INCLUDE_INVERSE", "maybe")
     assert main(["run", "--bundle", str(bundle_dir), "--split", "all",

@@ -11,7 +11,6 @@ from kgreason.env import (
     apply_transition,
     explore,
     ground,
-    parse_relation_path,
     serialize_reasoning_path,
     serialize_relation_path,
 )
@@ -207,6 +206,5 @@ def test_determinism_of_serialized_outputs(celebrity_family):
 
 def test_serialization_formats():
     assert serialize_relation_path(("rel1", "rel4")) == "rel1 -> rel4"
-    assert parse_relation_path("rel1 -> rel4") == ("rel1", "rel4")
     chain = (("a", "p", "b"), ("b", "q", "c"))
     assert serialize_reasoning_path(chain) == "(a, p, b) ; (b, q, c)"
