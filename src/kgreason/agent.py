@@ -32,7 +32,7 @@ from .env import (
     serialize_reasoning_path,
     serialize_relation_path,
 )
-from .kg import KnowledgeGraph
+from .kg import KnowledgeGraph, json_line
 from .llm import (
     EXPLORATION_TOOL_PROMPT,
     GROUNDING_TOOL_PROMPT,
@@ -126,7 +126,7 @@ class EpisodeTrace:
         steps = ({"type": "step", "question_id": qid, **step} for step in self.steps)
         final = {"type": "final", "question_id": qid, "step_count": self.step_count,
                  **{k: getattr(self, k) for k in _FINAL_FIELDS}}
-        return [json.dumps(row, sort_keys=True) for row in (start, *steps, final)]
+        return [json_line(row) for row in (start, *steps, final)]
 
     @classmethod
     def from_json_lines(cls, lines: list[dict]) -> "EpisodeTrace":
@@ -177,14 +177,10 @@ class HeuristicPolicy:
     hint overlap, and synthesize the terminal entities of the best-overlap
     reasoning paths (ties keep all; zero overlap everywhere abstains)."""
 
-    def __init__(
-        self,
-        question: str,
-        topic: str,
-        synonyms: dict[str, list[str]] | None = None,
-        top_k: int = 5,
-        max_hops: int = 3,
-    ):
+    TOP_K = 5  # relation paths grounded when the caller names no other count
+
+    def __init__(self, question: str, topic: str, synonyms: dict[str, list[str]] | None = None,
+                 top_k: int = TOP_K, max_hops: int = EnvConfig.max_hop_limit):
         self.question = question
         self.topic = topic
         self.top_k = top_k
@@ -536,8 +532,7 @@ def replay_trace(g: KnowledgeGraph, trace: EpisodeTrace, cfg: EnvConfig | None =
         )
         action = Action.from_json(step["action"])
         outcome, payload = _execute(g, action, state, cfg)
-        recorded = json.dumps(step["observation"], sort_keys=True)
-        fresh = json.dumps(payload, sort_keys=True)
+        recorded, fresh = json_line(step["observation"]), json_line(payload)
         assert recorded == fresh, f"observation mismatch at step {step['i']}"
         state = apply_transition(state, outcome)
     return True

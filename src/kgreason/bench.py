@@ -8,7 +8,6 @@ frequency, generate a question per kept removed triple, and split.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
 import math
@@ -18,13 +17,13 @@ import re
 import shutil
 from collections import Counter
 from collections.abc import Iterable
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
 
-from .kg import KnowledgeGraph, Triple, read_triples, sha256_file, write_anonymization_map
+from .kg import (KnowledgeGraph, Triple, json_document, read_triples, sha256_file,
+                 write_anonymization_map)
 from .llm import QUESTION_GENERATION_PROMPT, EndpointError, LLMClient
 from .mining import (
     MinedRule,
@@ -54,6 +53,8 @@ def _fields(record) -> dict:
 
 
 def _stable_rng(seed: int, *tags) -> random.Random:
+    import hashlib  # OpenSSL's libcrypto: loaded only where a hash is taken
+
     material = "|".join([str(seed), *[str(t) for t in tags]])
     digest = hashlib.sha256(material.encode()).digest()
     return random.Random(int.from_bytes(digest[:8], "big"))
@@ -231,6 +232,8 @@ def generate_question(
     prompt = QUESTION_GENERATION_PROMPT.format(
         entity_h=s, predicate_T=p, entity_t=o, topic_entity=topic, answer_entity=answer
     )
+    import hashlib
+
     provenance["prompt_hash"] = hashlib.sha256(prompt.encode()).hexdigest()[:16]
     messages = [{"role": "user", "content": prompt}]
     for attempt in range(2):
@@ -314,6 +317,8 @@ def generate_questions(
         return generate_question(q.removed_triple, side, cfg.question_backend, client)
 
     if cfg.question_backend == "external" and len(drafts) > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=cfg.max_inflight) as pool:
             texts = list(pool.map(make_text, drafts))
     else:
@@ -589,8 +594,7 @@ def build_bundle(
         incomplete.save(tmp / "incomplete.tsv")
         write_rows(tmp / "questions.jsonl", (q.to_json() for q in questions))
         write_rules_jsonl(mined, tmp / "rules.jsonl")
-        with open(tmp / "manifest.json", "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
+        (tmp / "manifest.json").write_text(json_document(manifest), encoding="utf-8")
     return manifest
 
 

@@ -19,7 +19,7 @@ from pathlib import Path
 
 # only the graph module, which `inspect --kg` needs; every other command
 # imports its stage's modules when it runs
-from .kg import KnowledgeGraph, sha256_file
+from .kg import KnowledgeGraph, json_document, json_line, sha256_file
 
 log = logging.getLogger("kgreason")
 
@@ -28,11 +28,13 @@ class _Resolver:
     """flag > env var > config file > default, with the winners recorded."""
 
     def __init__(self, args: argparse.Namespace):
+        self.args = args
         self.config = _json_object(args.config) if getattr(args, "config", None) else {}
         self.resolved: dict[str, object] = {}
 
-    def get(self, flag_value, name: str, default, cast=None):
-        value = flag_value
+    def get(self, name: str, default, cast=None):
+        """The option `name`, whose flag is stored under the same name."""
+        value = getattr(self.args, name)
         if value is None:
             env = os.environ.get(f"KGREASON_{name.upper()}")
             if env is not None:
@@ -106,13 +108,14 @@ def cmd_mine(args: argparse.Namespace) -> int:
     from . import mining
     from .rules import RULE_TYPES
 
-    res = _Resolver(args)
+    # d: the config class, whose attributes hold its field defaults
+    res, d = _Resolver(args), mining.MinerConfig
     cfg = mining.MinerConfig(
-        min_confidence=res.get(args.min_conf, "min_conf", 0.3, float),
-        min_head_coverage=res.get(args.min_hc, "min_hc", 0.1, float),
-        pca_threshold=res.get(args.pca, "pca", 0.4, float),
-        max_rule_length=res.get(args.max_len, "max_len", 4, int),
-        allow_instantiated_atoms=res.get(args.instantiated, "instantiated", False, _switch),
+        min_confidence=res.get("min_conf", d.min_confidence, float),
+        min_head_coverage=res.get("min_hc", d.min_head_coverage, float),
+        pca_threshold=res.get("pca", d.pca_threshold, float),
+        max_rule_length=res.get("max_len", d.max_rule_length, int),
+        allow_instantiated_atoms=res.get("instantiated", d.allow_instantiated_atoms, _switch),
     )
     g = KnowledgeGraph.load(args.kg)
     log.info("mining %s: %d triples, %d predicates", args.kg, len(g), len(g.predicates))
@@ -135,8 +138,7 @@ def cmd_mine(args: argparse.Namespace) -> int:
         _replacing(args.out) as rules_tmp,
     ):
         mining.write_rules_jsonl(mined, rules_tmp)
-        with open(manifest_tmp, "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
+        Path(manifest_tmp).write_text(json_document(manifest), encoding="utf-8")
     log.info("wrote %d rules to %s", len(mined), args.out)
     return 0
 
@@ -145,15 +147,15 @@ def cmd_bench(args: argparse.Namespace) -> int:
     from . import bench
     from .llm import ENDPOINT_URL_VAR
 
-    res = _Resolver(args)
+    res, d = _Resolver(args), bench.GenConfig
     cfg = bench.GenConfig(
-        groundings_per_rule=res.get(args.groundings_per_rule, "groundings_per_rule", 30, int),
-        tau=res.get(args.tau, "tau", 0.05, float),
-        seed=res.get(args.seed, "seed", 0, int),
-        question_backend=res.get(args.question_backend, "question_backend", "template", str),
-        topic_side=res.get(args.topic_side, "topic_side", "random", str),
-        anonymize_seed=res.get(args.anonymize_seed, "anonymize_seed", None, int),
-        max_inflight=res.get(args.max_inflight, "max_inflight", 4, int),
+        groundings_per_rule=res.get("groundings_per_rule", d.groundings_per_rule, int),
+        tau=res.get("tau", d.tau, float),
+        seed=res.get("seed", d.seed, int),
+        question_backend=res.get("question_backend", d.question_backend, str),
+        topic_side=res.get("topic_side", d.topic_side, str),
+        anonymize_seed=res.get("anonymize_seed", d.anonymize_seed, int),
+        max_inflight=res.get("max_inflight", d.max_inflight, int),
     )
     if cfg.question_backend == "external" and not os.environ.get(ENDPOINT_URL_VAR):
         raise ValueError(f"question backend 'external' needs {ENDPOINT_URL_VAR} set")
@@ -178,21 +180,20 @@ def cmd_run(args: argparse.Namespace) -> int:
     if not questions:
         raise ValueError(f"no questions in split {args.split!r}")
 
-    max_actions = res.get(args.max_actions, "max_actions", 10, int)
-    max_endpoint_calls = res.get(args.max_endpoint_calls, "max_endpoint_calls", 30, int)
+    budget = agent.PolicyBudget(res.get("max_actions", agent.PolicyBudget.max_actions, int))
+    max_endpoint_calls = res.get("max_endpoint_calls", 30, int)
     env_cfg = EnvConfig(
-        max_hop_limit=res.get(args.max_hops, "max_hops", 3, int),
-        include_inverse=res.get(args.include_inverse, "include_inverse", False, _switch),
+        max_hop_limit=res.get("max_hops", EnvConfig.max_hop_limit, int),
+        include_inverse=res.get("include_inverse", EnvConfig.include_inverse, _switch),
     )
-    synonyms = _load_synonyms(res.get(args.synonyms, "synonyms", None, str))
-    parallel = res.get(args.parallel, "parallel", 1, int)
-    top_k = res.get(args.top_k, "top_k", 5, int)
+    synonyms = _load_synonyms(res.get("synonyms", None, str))
+    parallel = res.get("parallel", 1, int)
+    top_k = res.get("top_k", agent.HeuristicPolicy.TOP_K, int)
 
     if args.policy == "llm" and not os.environ.get(ENDPOINT_URL_VAR):
         raise UsageError(f"policy 'llm' needs {ENDPOINT_URL_VAR} set")
 
     def episode(q: dict) -> agent.EpisodeTrace:
-        budget = agent.PolicyBudget(max_actions=max_actions)
         if args.policy == "heuristic":
             policy = agent.HeuristicPolicy(
                 q["question"], q["topic"], synonyms=synonyms, top_k=top_k,
@@ -242,13 +243,12 @@ def cmd_run(args: argparse.Namespace) -> int:
                 "prediction": t.prediction,
                 "terminated": t.termination == "synthesized",
             }
-            predictions_fh.write(json.dumps(row, sort_keys=True) + "\n")
+            predictions_fh.write(json_line(row) + "\n")
             if traces_fh:
                 for line in t.to_json_lines():
                     traces_fh.write(line + "\n")
             errored += t.termination == "error"
-        with open(manifest_tmp, "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
+        Path(manifest_tmp).write_text(json_document(manifest), encoding="utf-8")
     log.info("ran %d episodes, predictions in %s", len(questions), args.out)
     if errored:
         log.warning("%d of %d episodes ended in an endpoint error", errored, len(questions))
@@ -325,7 +325,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
         from . import bench
 
         payload = bench.verify_bundle(args.bundle)
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    print(json_document(payload))
     return 0
 
 

@@ -9,11 +9,10 @@ grounding instantiates sequences into concrete triple chains.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, replace
 from typing import Iterable
 
-from .kg import KnowledgeGraph, Triple
+from .kg import KnowledgeGraph, Triple, json_line
 
 RelationPath = tuple[str, ...]
 ReasoningPath = tuple[Triple, ...]
@@ -45,14 +44,6 @@ def serialize_reasoning_path(path: ReasoningPath) -> str:
     return " ; ".join(f"({s}, {p}, {o})" for s, p, o in path)
 
 
-def _successors(g: KnowledgeGraph, e: str, include_inverse: bool):
-    out = list(g.outgoing(e))
-    if include_inverse:
-        out.extend((INVERSE_PREFIX + p, s) for p, s in g.incoming(e))
-        out.sort()
-    return out
-
-
 def explore(g: KnowledgeGraph, e: str, hops: int, cfg: EnvConfig) -> tuple[RelationPath, ...]:
     """Distinct predicate sequences of length <= hops realizable by a walk
     starting at e, BFS level by level. Cycles are allowed; sequences are
@@ -69,8 +60,11 @@ def explore(g: KnowledgeGraph, e: str, hops: int, cfg: EnvConfig) -> tuple[Relat
         nxt: dict[RelationPath, set[str]] = {}
         for path, ends in frontier.items():
             for end in ends:
-                for pred, nb in _successors(g, end, cfg.include_inverse):
+                for pred, nb in g.outgoing(end):
                     nxt.setdefault(path + (pred,), set()).add(nb)
+                if cfg.include_inverse:
+                    for pred, nb in g.incoming(end):
+                        nxt.setdefault(path + (INVERSE_PREFIX + pred,), set()).add(nb)
         if not nxt:
             break
         frontier = nxt
@@ -154,15 +148,12 @@ class AgentState:
         return cls(E=frozenset({topic}))
 
     def digest(self) -> str:
-        payload = json.dumps(
-            {
-                "P": sorted(f"{s}: {serialize_relation_path(p)}" for s, p in self.P),
-                "C": sorted(serialize_reasoning_path(c) for c in self.C),
-                "E": sorted(self.E),
-                "terminal": self.terminal,
-            },
-            sort_keys=True,
-        )
+        payload = json_line({
+            "P": sorted(f"{s}: {serialize_relation_path(p)}" for s, p in self.P),
+            "C": sorted(serialize_reasoning_path(c) for c in self.C),
+            "E": sorted(self.E),
+            "terminal": self.terminal,
+        })
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 

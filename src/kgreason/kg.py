@@ -20,6 +20,12 @@ first time it is read, so its tuples come out in deterministic lexicographic
 order without a sort per key, and a stage pays only for the indices it
 reads: the joins of `bench` read tri, sp, op and byp, and never build the
 edge lists out and inc.
+
+Every pinned artifact is written in one of two JSON encodings, defined here
+and nowhere else: `json_line` (one line, sorted keys) for each row of a rules
+file, bundle record file, predictions file and trace, and for the state
+digest's payload; `json_document` (indent 2, sorted keys) for the manifests,
+the anonymization map and `inspect`'s output.
 """
 
 from __future__ import annotations
@@ -36,6 +42,10 @@ from typing import Iterable, Iterator
 log = logging.getLogger(__name__)
 
 Triple = tuple[str, str, str]
+
+# one shared encoder each; `encode` keeps no state between calls
+json_line = json.JSONEncoder(sort_keys=True).encode
+json_document = json.JSONEncoder(indent=2, sort_keys=True).encode
 
 
 _FIRST, _FIRST_TWO = itemgetter(0), itemgetter(0, 1)
@@ -272,8 +282,7 @@ class KnowledgeGraph:
 def write_anonymization_map(mapping: dict[str, str], path: str | Path) -> None:
     """JSON map {original_id: {index, label}}; the original id doubles as label."""
     payload = {orig: {"index": idx, "label": orig} for orig, idx in mapping.items()}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+    Path(path).write_text(json_document(payload), encoding="utf-8")
 
 
 def sha256_file(path: str | Path) -> str:

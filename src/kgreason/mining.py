@@ -56,7 +56,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
-from .kg import KnowledgeGraph
+from .kg import KnowledgeGraph, json_line
 from .rules import (
     RULE_TYPES,
     Atom,
@@ -706,10 +706,10 @@ def read_rows(path: str | Path, fields: tuple[str, ...], split: str = "all") -> 
 
 
 def write_rows(path: str | Path, rows: Iterable[dict]) -> None:
-    """Each row as one line of JSON with sorted keys, written as it comes."""
+    """Each row as one `json_line`, written as it comes."""
     with open(path, "w", encoding="utf-8") as fh:
         for row in rows:
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
+            fh.write(json_line(row) + "\n")
 
 
 def write_rules_jsonl(mined: list[MinedRule], path: str | Path) -> None:

@@ -20,28 +20,38 @@ def _apply(term, sigma):
 def exhaustive_metrics(g: KnowledgeGraph, rule: HornRule):
     """(support, head_coverage, confidence, pca_confidence) by enumerating
     every substitution of the rule's variables over all entities."""
+    return metrics_from_body_pairs(g, rule.head, exhaustive_body_pairs(g, rule))
+
+
+def exhaustive_body_pairs(g: KnowledgeGraph, rule: HornRule) -> set:
+    """The (head subject, head object) pair of every substitution of the
+    rule's variables over all entities that makes each body atom a fact of
+    g. The head's predicate plays no part, so rules that differ only in it
+    share one set."""
     ents = g.entities
     names = rule.variables()
     head = rule.head
     body_pairs = set()
-    support_pairs = set()
     for combo in itertools.product(ents, repeat=len(names)):
         sigma = dict(zip(names, combo))
         if all(
             (_apply(a.arg1, sigma), a.predicate, _apply(a.arg2, sigma)) in g
             for a in rule.body
         ):
-            pair = (_apply(head.arg1, sigma), _apply(head.arg2, sigma))
-            body_pairs.add(pair)
-            if (pair[0], head.predicate, pair[1]) in g:
-                support_pairs.add(pair)
+            body_pairs.add((_apply(head.arg1, sigma), _apply(head.arg2, sigma)))
+    return body_pairs
 
+
+def metrics_from_body_pairs(g: KnowledgeGraph, head: Atom, body_pairs: set):
+    """`exhaustive_metrics` of the rule with this head whose body yields
+    body_pairs (see `exhaustive_body_pairs`)."""
+    support_pairs = {(x, y) for x, y in body_pairs if (x, head.predicate, y) in g}
     head_vars = []
     for t in (head.arg1, head.arg2):
         if t.is_var and t.name not in head_vars:
             head_vars.append(t.name)
     head_groundings = 0
-    for combo in itertools.product(ents, repeat=len(head_vars)):
+    for combo in itertools.product(g.entities, repeat=len(head_vars)):
         sigma = dict(zip(head_vars, combo))
         if (_apply(head.arg1, sigma), head.predicate, _apply(head.arg2, sigma)) in g:
             head_groundings += 1

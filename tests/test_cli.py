@@ -5,10 +5,11 @@ import subprocess
 import sys
 import threading
 import weakref
+from pathlib import Path
 
 import pytest
 
-from kgreason import agent, bench, mining
+from kgreason import agent, bench, cli, mining
 from kgreason.agent import EpisodeTrace
 from kgreason.cli import main
 from kgreason.llm import ENDPOINT_URL_VAR
@@ -63,7 +64,7 @@ class TestMine:
         assert rows[0]["type"] == "composition"
         err = capsys.readouterr().err
         assert "composition" in err
-        manifest = json.loads(open(str(out) + ".manifest.json").read())
+        manifest = json.loads(Path(f"{out}.manifest.json").read_text())
         assert manifest["inputs"]["kg"]["sha256"]
 
     def test_empty_graph_is_domain_error(self, tmp_path, capsys):
@@ -109,11 +110,12 @@ class TestMine:
 
             monkeypatch.setattr(mining, "rule_to_json", boom)
         else:
-            def boom(obj, fh, **kwargs):
-                fh.write("{\n")
+            def boom(path, text, **kwargs):  # the manifest fails half written
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.write(text[: len(text) // 2])
                 raise OSError("disk full")
 
-            monkeypatch.setattr(json, "dump", boom)
+            monkeypatch.setattr(Path, "write_text", boom)
         assert main(argv) == 1
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
@@ -323,7 +325,7 @@ class TestConfigPrecedence:
         out = tmp_path / "r.jsonl"
         assert main(["mine", "--kg", str(uncle_world_file), "--out", str(out),
                      "--max-len", "3"]) == 0
-        manifest = json.loads(open(str(out) + ".manifest.json").read())
+        manifest = json.loads(Path(f"{out}.manifest.json").read_text())
         assert manifest["config"]["min_conf"] == 0.9
         assert len(out.read_text().splitlines()) == 1  # only the conf-1.0 rule
 
@@ -334,7 +336,7 @@ class TestConfigPrecedence:
         out = tmp_path / "r.jsonl"
         assert main(["mine", "--kg", str(uncle_world_file), "--out", str(out),
                      "--min-conf", "0.3", "--max-len", "3", "--config", str(cfg)]) == 0
-        manifest = json.loads(open(str(out) + ".manifest.json").read())
+        manifest = json.loads(Path(f"{out}.manifest.json").read_text())
         assert manifest["config"]["min_conf"] == 0.3
         assert len(out.read_text().splitlines()) == 3
 
@@ -345,7 +347,7 @@ class TestConfigPrecedence:
         out = tmp_path / "r.jsonl"
         assert main(["mine", "--kg", str(uncle_world_file), "--out", str(out),
                      "--max-len", "3", "--config", str(cfg)]) == 0
-        manifest = json.loads(open(str(out) + ".manifest.json").read())
+        manifest = json.loads(Path(f"{out}.manifest.json").read_text())
         assert manifest["config"]["min_conf"] == 0.9
 
 
@@ -487,6 +489,25 @@ def test_inspect_kg_process_loads_only_the_graph(uncle_world_file):
     assert out.stdout.splitlines()[-1] == "[]"
 
 
+def test_eval_process_loads_no_hashlib_or_thread_pool(bundle_dir, tmp_path):
+    predictions = tmp_path / "p.jsonl"
+    assert main(["run", "--bundle", str(bundle_dir), "--split", "all",
+                 "--out", str(predictions)]) == 0
+    argv = ["eval", "--bundle", str(bundle_dir), "--predictions", str(predictions),
+            "--split", "all", "--out", str(tmp_path / "report.json")]
+    code = (
+        "import sys\n"
+        "from kgreason.cli import main\n"
+        f"assert main({argv!r}) == 0\n"
+        "names = ['hashlib', '_hashlib', 'concurrent.futures']\n"
+        "print(sorted(m for m in names if m in sys.modules))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=60
+    )
+    assert out.stdout.splitlines()[-1] == "[]"
+
+
 def test_every_export_resolves():
     import kgreason
 
@@ -517,17 +538,16 @@ class TestAtomicOutputs:
         before = {p.name: p.read_bytes() for p in out.iterdir()}
         assert set(before) == {"p.jsonl", "t.jsonl", "p.jsonl.manifest.json"}
         if fail_in == "predictions":
-            real = json.dumps
+            real = cli.json_line
 
-            def boom(obj, **kwargs):  # the second prediction row fails
-                if isinstance(obj, dict) and "prediction" in obj:
-                    boom.rows += 1
-                    if boom.rows == 2:
-                        raise OSError("disk full")
-                return real(obj, **kwargs)
+            def boom(row):  # the second prediction row fails
+                boom.rows += 1
+                if boom.rows == 2:
+                    raise OSError("disk full")
+                return real(row)
 
             boom.rows = 0
-            monkeypatch.setattr(json, "dumps", boom)
+            monkeypatch.setattr(cli, "json_line", boom)
         elif fail_in == "traces":
             real_lines = EpisodeTrace.to_json_lines
 
@@ -540,11 +560,12 @@ class TestAtomicOutputs:
             boom.calls = 0
             monkeypatch.setattr(EpisodeTrace, "to_json_lines", boom)
         else:
-            def boom(obj, fh, **kwargs):
-                fh.write("{\n")
+            def boom(path, text, **kwargs):  # the manifest fails half written
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.write(text[: len(text) // 2])
                 raise OSError("disk full")
 
-            monkeypatch.setattr(json, "dump", boom)
+            monkeypatch.setattr(Path, "write_text", boom)
         assert main(argv) == 1
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
