@@ -15,16 +15,15 @@ _EXPORTS = {
         "mine", "refine",
     ),
     "bench": (
-        "GenConfig", "QAInstance", "RemovalPlan", "build_bundle", "complete_answer_set",
-        "downsample", "generate_question", "load_bundle", "plan_removals", "split_dataset",
-        "verify_bundle",
+        "GenConfig", "QAInstance", "RemovalPlan", "build_bundle", "downsample",
+        "generate_question", "load_bundle", "plan_removals", "split_dataset", "verify_bundle",
     ),
     "env": ("AgentState", "EnvConfig", "apply_transition", "explore", "ground"),
     "agent": (
         "Action", "EpisodeTrace", "HeuristicPolicy", "LLMPolicy", "PolicyBudget",
         "replay_trace", "run_episode",
     ),
-    "evaluate": ("MetricsReport", "compute_report", "normalize_prediction"),
+    "evaluate": ("MetricsReport", "compute_report"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -198,6 +198,18 @@ def _contains_token(text: str, needle: str) -> bool:
     return re.search(rf"(?<!\w){re.escape(needle)}(?!\w)", text) is not None
 
 
+def _topic_and_answer(triple: Triple, side: str) -> tuple[str, str, str]:
+    """(topic, answer, direction) of the question about a removed triple
+    whose topic is its subject or its object, as `side` says; the answer is
+    the other end."""
+    s, _, o = triple
+    if side == "subject":
+        return s, o, TOPIC_IS_SUBJECT
+    if side == "object":
+        return o, s, TOPIC_IS_OBJECT
+    raise ValueError(f"topic_side must be subject or object, got {side!r}")
+
+
 def template_question(predicate: str, topic: str, direction: str) -> str:
     marker = "topic is subject" if direction == TOPIC_IS_SUBJECT else "topic is object"
     return f"Which entity has relation {predicate} with {topic}? [{marker}]"
@@ -216,13 +228,7 @@ def generate_question(
     to the template after one retry if the generated text leaks the answer id.
     """
     s, p, o = triple
-    if topic_side == "subject":
-        topic, answer, direction = s, o, TOPIC_IS_SUBJECT
-    elif topic_side == "object":
-        topic, answer, direction = o, s, TOPIC_IS_OBJECT
-    else:
-        raise ValueError(f"topic_side must be subject or object, got {topic_side!r}")
-
+    topic, answer, direction = _topic_and_answer(triple, topic_side)
     provenance = {"backend": backend, "prompt_hash": None, "retries": 0, "fallback": False}
     if backend == "template":
         return template_question(p, topic, direction), topic, provenance
@@ -245,51 +251,21 @@ def generate_question(
     return template_question(p, topic, direction), topic, {**provenance, "fallback": True}
 
 
-def complete_answer_set(
-    g_complete: KnowledgeGraph,
-    topic: str,
-    predicate: str,
-    direction: str,
-    removed: Triple,
-) -> tuple[list[str], str]:
-    """All correct answers from the complete graph plus the hard answer (the
-    entity whose direct triple was removed)."""
-    s, p, o = removed
-    if p != predicate:
-        raise ValueError(f"removed triple predicate {p!r} does not match {predicate!r}")
-    if direction == TOPIC_IS_SUBJECT:
-        if s != topic:
-            raise ValueError(f"removed triple subject {s!r} does not match topic {topic!r}")
-        answers = sorted(g_complete.objects(topic, predicate))
-        hard = o
-    elif direction == TOPIC_IS_OBJECT:
-        if o != topic:
-            raise ValueError(f"removed triple object {o!r} does not match topic {topic!r}")
-        answers = sorted(g_complete.subjects(topic, predicate))
-        hard = s
-    else:
-        raise ValueError(f"unknown direction: {direction!r}")
-    if hard not in answers:
-        raise ValueError(f"removed triple {removed} is not in the complete graph")
-    return answers, hard
-
-
 def draft_questions(
     g_complete: KnowledgeGraph, plan: RemovalPlan, cfg: GenConfig
 ) -> list[QAInstance]:
     """One QAInstance per removal entry, id q{i:05d} in plan order, with its
-    topic, direction and answer set fixed but no question text yet."""
+    topic, direction and answer set fixed but no question text yet. The
+    answer set is every entity the complete graph links to the topic by the
+    removed triple's predicate, the hard answer among them."""
     drafts = []
     for i, entry in enumerate(plan.entries):
         s, p, o = entry.removed
-        if cfg.topic_side == "random":
-            coin = _stable_rng(cfg.seed, "side", s, p, o).random()
-            side = "subject" if coin < 0.5 else "object"
-        else:
-            side = cfg.topic_side
-        direction = TOPIC_IS_SUBJECT if side == "subject" else TOPIC_IS_OBJECT
-        topic = s if side == "subject" else o
-        answers, hard = complete_answer_set(g_complete, topic, p, direction, entry.removed)
+        side = cfg.topic_side
+        if side == "random":
+            side = "subject" if _stable_rng(cfg.seed, "side", s, p, o).random() < 0.5 else "object"
+        topic, hard, direction = _topic_and_answer(entry.removed, side)
+        linked = g_complete.objects if side == "subject" else g_complete.subjects
         drafts.append(
             QAInstance(
                 id=f"q{i:05d}",
@@ -297,7 +273,7 @@ def draft_questions(
                 topic=topic,
                 direction=direction,
                 predicate=p,
-                answers=tuple(answers),
+                answers=tuple(sorted(linked(topic, p))),
                 hard_answer=hard,
                 removed_triple=entry.removed,
                 rule_id=entry.rule_id,
@@ -324,11 +300,7 @@ def generate_questions(
     else:
         texts = [make_text(q) for q in drafts]
 
-    questions = []
-    for q, (text, topic, prov) in zip(drafts, texts):
-        assert topic == q.topic
-        questions.append(replace(q, question=text, provenance=prov))
-    return questions
+    return [replace(q, question=text, provenance=prov) for q, (text, _, prov) in zip(drafts, texts)]
 
 
 # -- downsampling and splits ----------------------------------------------------
@@ -501,9 +473,10 @@ def build_bundle(
     removals.jsonl (and the anonymization map) go there as soon as the
     questions are drafted, and the complete graph and the removal plan are
     dropped then, so the check indexes the incomplete graph while no other
-    graph and no removal entry is held. With the external question backend
-    the endpoint is probed before removal planning, so a dead endpoint fails
-    fast.
+    graph and no removal entry is held. The incomplete graph is cut once,
+    from the complete graph the questions are drafted from (anonymized
+    first, if asked). With the external question backend the endpoint is
+    probed before removal planning, so a dead endpoint fails fast.
     """
     out = Path(out_dir).resolve()
     if out.exists():
@@ -524,11 +497,8 @@ def build_bundle(
             raise EndpointError(f"question endpoint unreachable, aborting before removal: {err}")
 
     plan = plan_removals(complete, mined, cfg)
-    incomplete = complete.remove(plan.removed_triples)
-
     if cfg.anonymize_seed is not None:
         complete, anon_map = complete.anonymize(cfg.anonymize_seed)
-        incomplete = incomplete.rename_entities(anon_map)
         # built in one expression, so no name but `plan` holds the entries
         plan = RemovalPlan([
             RemovalEntry(
@@ -541,6 +511,7 @@ def build_bundle(
         ], plan.per_rule)
         mined = [replace(mr, rule=_rename_constants(mr.rule, anon_map)) for mr in mined]
         notes.append(f"entities anonymized; map in {ANONYMIZATION_MAP}")
+    incomplete = complete.remove(plan.removed_triples)
 
     drafts = draft_questions(complete, plan, cfg)
     generated = len(drafts)

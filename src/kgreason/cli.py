@@ -77,6 +77,14 @@ def _json_object(path: str) -> dict:
     return obj
 
 
+def _check_type(rows: list[dict], path, kind: str, name: str, types, what: str) -> None:
+    """Refuse the first row whose field `name` is not of `types`, naming the
+    file and the row's id."""
+    for row in rows:
+        if not isinstance(row[name], types):
+            raise ValueError(f"{path}: {kind} {row['id']}: {name} {row[name]!r} is not {what}")
+
+
 def _load_synonyms(path: str | None) -> dict | None:
     if not path:
         return None
@@ -145,7 +153,6 @@ def cmd_mine(args: argparse.Namespace) -> int:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     from . import bench
-    from .llm import ENDPOINT_URL_VAR
 
     res, d = _Resolver(args), bench.GenConfig
     cfg = bench.GenConfig(
@@ -157,8 +164,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         anonymize_seed=res.get("anonymize_seed", d.anonymize_seed, int),
         max_inflight=res.get("max_inflight", d.max_inflight, int),
     )
-    if cfg.question_backend == "external" and not os.environ.get(ENDPOINT_URL_VAR):
-        raise ValueError(f"question backend 'external' needs {ENDPOINT_URL_VAR} set")
     manifest = bench.build_bundle(args.kg, args.rules, args.out_dir, cfg)
     counts = manifest["counts"]
     log.info(
@@ -179,6 +184,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     questions = bundle.question_rows(args.split, ("id", "question", "topic"))
     if not questions:
         raise ValueError(f"no questions in split {args.split!r}")
+    for name in ("question", "topic"):
+        _check_type(questions, bundle.directory / "questions.jsonl", "question", name, str,
+                    "a string")
 
     budget = agent.PolicyBudget(res.get("max_actions", agent.PolicyBudget.max_actions, int))
     max_endpoint_calls = res.get("max_endpoint_calls", 30, int)
@@ -275,11 +283,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
     gold = bundle.question_rows(args.split, ("id", "answers", "hard_answer"))
     if not gold:
         raise ValueError(f"no questions in split {args.split!r}")
-    for q in gold:
-        if not isinstance(q["answers"], list):
-            path = bundle.directory / "questions.jsonl"
-            raise ValueError(f"{path}: question {q['id']}: answers {q['answers']!r} is not a list")
+    _check_type(gold, bundle.directory / "questions.jsonl", "question", "answers", list, "a list")
     predictions = list(mining.read_rows(args.predictions, ("id", "prediction")))
+    _check_type(predictions, args.predictions, "prediction", "prediction", (str, list),
+                "a string or a list")
     gold_ids = {q["id"] for q in gold}
     strays = [p["id"] for p in predictions if p["id"] not in gold_ids]
     if strays:
@@ -362,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rules", required=True, help="rules.jsonl from mine")
     p.add_argument("--out-dir", dest="out_dir", required=True)
     p.add_argument("--tau", type=float, default=None,
-                   help="downsampling frequency threshold (default 0.05)")
+                   help="downsampling frequency threshold")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--groundings-per-rule", dest="groundings_per_rule", type=int, default=None)
     p.add_argument("--question-backend", dest="question_backend",

@@ -33,11 +33,6 @@ def normalize_answer(text: str) -> str:
     return " ".join(tokens)
 
 
-def normalize_prediction(raw: str) -> set[str]:
-    """Split a raw output string and normalize each piece into a set."""
-    return prediction_set(raw)
-
-
 def prediction_set(prediction) -> set[str]:
     """Normalized set from either a raw string or a pre-split list."""
     if isinstance(prediction, str):

@@ -254,17 +254,6 @@ class KnowledgeGraph:
         g.duplicates_collapsed = 0
         return g
 
-    def rename_entities(self, mapping: dict[str, str]) -> "KnowledgeGraph":
-        """Apply a bijective entity renaming; every entity must be mapped."""
-        missing = [e for e in self._ents if e not in mapping]
-        if missing:
-            raise ValueError(f"mapping is missing entities, e.g. {missing[0]!r}")
-        if len(set(mapping[e] for e in self._ents)) != len(self._ents):
-            raise ValueError("entity mapping is not injective")
-        return KnowledgeGraph(
-            (mapping[s], p, mapping[o]) for s, p, o in self.triples()
-        )
-
     def anonymize(self, seed: int) -> tuple["KnowledgeGraph", dict[str, str]]:
         """Replace entity ids with a seeded permutation of decimal index strings.
 
@@ -276,7 +265,7 @@ class KnowledgeGraph:
         indices = list(range(len(self._ents)))
         rng.shuffle(indices)
         mapping = {e: str(i) for e, i in zip(self._ents, indices)}
-        return self.rename_entities(mapping), mapping
+        return KnowledgeGraph((mapping[s], p, mapping[o]) for s, p, o in self.triples()), mapping
 
 
 def write_anonymization_map(mapping: dict[str, str], path: str | Path) -> None:

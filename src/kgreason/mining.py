@@ -420,9 +420,7 @@ class _Groundings(Sequence):
     def __len__(self) -> int:
         return len(self.rows)
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(len(self))[i]]
+    def __getitem__(self, i: int) -> dict[str, str]:
         return dict(zip(self.names, map(self.ents.__getitem__, self.rows[i])))
 
 

@@ -13,9 +13,9 @@ from kgreason.bench import (
     GenConfig,
     QAInstance,
     RemovalEntry,
+    RemovalPlan,
     build_bundle,
     check_answerability,
-    complete_answer_set,
     downsample,
     draft_questions,
     generate_question,
@@ -26,7 +26,7 @@ from kgreason.bench import (
     template_question,
     verify_bundle,
 )
-from kgreason.kg import KnowledgeGraph
+from kgreason.kg import KnowledgeGraph, read_triples
 from kgreason.mining import (
     MinedRule,
     MinerConfig,
@@ -185,6 +185,13 @@ class TestQuestionGeneration:
         )
 
 
+def drafted(g, removed, topic_side):
+    """The one question drafted from a plan that removes `removed`."""
+    plan = RemovalPlan([RemovalEntry("r0000", {}, removed, ())], {"r0000": 1})
+    [q] = draft_questions(g, plan, GenConfig(topic_side=topic_side))
+    return q
+
+
 class TestAnswerCompletion:
     def test_multiple_answers_with_hard(self):
         g = KnowledgeGraph(
@@ -195,24 +202,23 @@ class TestAnswerCompletion:
                 ("139", "brotherOf", "2974"),
             ]
         )
-        answers, hard = complete_answer_set(
-            g, "139", "brotherOf", "topic-is-subject", ("139", "brotherOf", "205")
-        )
-        assert set(answers) == {"205", "138", "2973", "2974"}
-        assert hard == "205"
-        assert answers == sorted(answers)
+        q = drafted(g, ("139", "brotherOf", "205"), "subject")
+        assert set(q.answers) == {"205", "138", "2973", "2974"}
+        assert q.hard_answer == "205"
+        assert list(q.answers) == sorted(q.answers)
 
     def test_singleton(self):
         g = KnowledgeGraph([("t", "p", "h")])
-        answers, hard = complete_answer_set(g, "t", "p", "topic-is-subject", ("t", "p", "h"))
-        assert answers == ["h"]
-        assert hard == "h"
+        q = drafted(g, ("t", "p", "h"), "subject")
+        assert q.answers == ("h",)
+        assert q.hard_answer == "h"
 
     def test_object_direction(self):
         g = KnowledgeGraph([("a", "p", "t"), ("b", "p", "t")])
-        answers, hard = complete_answer_set(g, "t", "p", "topic-is-object", ("a", "p", "t"))
-        assert set(answers) == {"a", "b"}
-        assert hard == "a"
+        q = drafted(g, ("a", "p", "t"), "object")
+        assert (q.topic, q.direction) == ("t", "topic-is-object")
+        assert set(q.answers) == {"a", "b"}
+        assert q.hard_answer == "a"
 
     def test_currency_style_singleton(self):
         # anonymized-index ids; the removed fact is the only budget-currency
@@ -225,19 +231,9 @@ class TestAnswerCompletion:
                 ("9397", "statisticalRegionGdpNominalCurrency", "1109"),
             ]
         )
-        answers, hard = complete_answer_set(
-            g, "5297", "filmEstimatedBudgetCurrency", "topic-is-subject",
-            ("5297", "filmEstimatedBudgetCurrency", "1109"),
-        )
-        assert answers == ["1109"]
-        assert hard == "1109"
-
-    def test_mismatched_removed_triple_rejected(self):
-        g = KnowledgeGraph([("t", "p", "h")])
-        with pytest.raises(ValueError):
-            complete_answer_set(g, "t", "p", "topic-is-subject", ("x", "p", "h"))
-        with pytest.raises(ValueError):
-            complete_answer_set(g, "t", "q", "topic-is-subject", ("t", "p", "h"))
+        q = drafted(g, ("5297", "filmEstimatedBudgetCurrency", "1109"), "subject")
+        assert q.answers == ("1109",)
+        assert q.hard_answer == "1109"
 
 
 def make_questions(counts, n_start=0):
@@ -572,6 +568,18 @@ class TestBundle:
         assert result["ok"], result["violations"]
         for q in bundle.questions:
             assert q.topic in bundle.complete.entities
+
+    def test_anonymized_incomplete_graph_is_the_plain_one_renamed(self, tmp_path, uncle_world_file):
+        plain, _ = self.build(tmp_path / "plain", uncle_world_file)
+        anon, _ = self.build(tmp_path / "anon", uncle_world_file, anonymize_seed=4)
+        index = {e: v["index"] for e, v in json.loads((anon / "anonymization_map.json").read_text()).items()}
+
+        def renamed(name):
+            return {(index[s], p, index[o]) for s, p, o in read_triples(plain / name)}
+
+        incomplete = renamed("incomplete.tsv")
+        assert incomplete < renamed("complete.tsv")  # the plan removed some triples
+        assert set(read_triples(anon / "incomplete.tsv")) == incomplete
 
     def test_failed_check_writes_nothing(self, tmp_path, uncle_world_file, monkeypatch):
         # the check fails, or question generation fails once complete.tsv,

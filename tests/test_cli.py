@@ -143,6 +143,7 @@ class TestBench:
         )
         assert rc == 1
         assert ENDPOINT_URL_VAR in capsys.readouterr().err
+        assert not (tmp_path / "b2").exists()
 
     def test_out_dir_with_foreign_file_is_refused(
         self, bundle_dir, uncle_world_file, mined_rules, monkeypatch, capsys
@@ -737,7 +738,12 @@ class TestStreamingRun:
         + [pytest.param("eval", lambda row: {**row, "answers": 5},
                         "question {id}: answers 5 is not a list", id="eval-answers-not-a-list"),
            pytest.param("eval", lambda row: {**row, "id": [1]},
-                        "line 2: id [1] is not a string", id="eval-id-not-a-string")],
+                        "line 2: id [1] is not a string", id="eval-id-not-a-string")]
+        + [pytest.param("run", lambda row, field=field, value=value: {**row, field: value},
+                        f"question {{id}}: {field} {value!r} is not a string",
+                        id=f"run-{field}-{name}")
+           for field, name, value in (("question", "int", 5), ("question", "null", None),
+                                      ("question", "list", ["who"]), ("topic", "list", ["e1"]))],
     )
     def test_question_row_missing_a_field_is_an_error(
         self, tmp_path, bundle_dir, synonyms_file, capsys, stage, edit, problem
@@ -745,6 +751,7 @@ class TestStreamingRun:
         out = tmp_path / "out"
         out.mkdir()
         assert main(self.run_argv(bundle_dir, out, synonyms_file, 1)) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
         broken = tmp_path / "broken"
         shutil.copytree(bundle_dir, broken)
         path = broken / "questions.jsonl"
@@ -761,16 +768,23 @@ class TestStreamingRun:
         capsys.readouterr()
         assert main(argv) == 1
         assert capsys.readouterr().err == f"error: {path}: {problem}\n"
+        # refused before any output is replaced
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     @pytest.mark.parametrize(
         "edit, problem",
         [
-            (lambda row: [row["id"]], "not a JSON object"),
-            (lambda row: {"prediction": row["prediction"]}, "missing field 'id'"),
-            (lambda row: {"id": row["id"], "terminated": True}, "missing field 'prediction'"),
-            (lambda row: {**row, "id": ["q00000"]}, "id ['q00000'] is not a string"),
-        ],
-        ids=["not-an-object", "no-id", "no-prediction", "id-not-a-string"],
+            (lambda row: [row["id"]], "line 2: not a JSON object"),
+            (lambda row: {"prediction": row["prediction"]}, "line 2: missing field 'id'"),
+            (lambda row: {"id": row["id"], "terminated": True}, "line 2: missing field 'prediction'"),
+            (lambda row: {**row, "id": ["q00000"]}, "line 2: id ['q00000'] is not a string"),
+        ]
+        # a prediction of the wrong type
+        + [(lambda row, value=value: {**row, "prediction": value},
+            f"prediction {{id}}: prediction {value!r} is not a string or a list")
+           for value in (5, None, {"q00000": "x"})],
+        ids=["not-an-object", "no-id", "no-prediction", "id-not-a-string",
+             "prediction-int", "prediction-null", "prediction-object"],
     )
     def test_prediction_row_missing_a_field_is_an_error(
         self, tmp_path, bundle_dir, synonyms_file, capsys, edit, problem
@@ -779,13 +793,19 @@ class TestStreamingRun:
         out.mkdir()
         assert main(self.run_argv(bundle_dir, out, synonyms_file, 1)) == 0
         path = out / "p.jsonl"
+        argv = ["eval", "--bundle", str(bundle_dir), "--predictions", str(path),
+                "--split", "all", "--out", str(out / "r.json"), "--csv", str(out / "r.csv")]
+        assert main(argv) == 0
         rows = [json.loads(line) for line in path.read_text().splitlines()]
+        problem = problem.replace("{id}", rows[1]["id"])
         rows[1] = edit(rows[1])
         path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
         capsys.readouterr()
-        assert main(["eval", "--bundle", str(bundle_dir), "--predictions", str(path),
-                     "--split", "all", "--out", str(out / "r.json")]) == 1
-        assert capsys.readouterr().err == f"error: {path}: line 2: {problem}\n"
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {path}: {problem}\n"
+        # refused before any output is replaced
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     def test_inspect_ties_each_question_to_its_own_removal(self, bundle_dir, wide_bundle, capsys):
         # wide_bundle repeats every question under new ids, so each removal

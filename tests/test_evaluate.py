@@ -5,7 +5,6 @@ import pytest
 from kgreason.evaluate import (
     compute_report,
     normalize_answer,
-    normalize_prediction,
     prediction_set,
 )
 
@@ -14,24 +13,24 @@ from oracles import naive_report
 
 class TestNormalization:
     def test_comma_split(self):
-        assert normalize_prediction("Paris, London") == {"paris", "london"}
+        assert prediction_set("Paris, London") == {"paris", "london"}
 
     def test_articles_punctuation_whitespace(self):
-        assert normalize_prediction("The  Hague.") == {"hague"}
+        assert prediction_set("The  Hague.") == {"hague"}
 
     def test_pad_token_eliminated(self):
-        assert normalize_prediction("<pad> paris <pad>") == {"paris"}
+        assert prediction_set("<pad> paris <pad>") == {"paris"}
 
     def test_whitespace_split_only_without_comma(self):
-        assert normalize_prediction("Paris  London") == {"paris", "london"}
-        assert normalize_prediction("Paris London, Berlin") == {"paris london", "berlin"}
+        assert prediction_set("Paris  London") == {"paris", "london"}
+        assert prediction_set("Paris London, Berlin") == {"paris london", "berlin"}
 
     def test_newline_split(self):
-        assert normalize_prediction("Paris,\nLondon\nBerlin") == {"paris", "london", "berlin"}
+        assert prediction_set("Paris,\nLondon\nBerlin") == {"paris", "london", "berlin"}
 
     def test_empty_input(self):
-        assert normalize_prediction("") == set()
-        assert normalize_prediction("  ,  , ") == set()
+        assert prediction_set("") == set()
+        assert prediction_set("  ,  , ") == set()
 
     def test_article_removal_is_whole_token(self):
         assert normalize_answer("theater") == "theater"
@@ -39,8 +38,8 @@ class TestNormalization:
 
     def test_idempotent(self):
         for raw in ("Paris, London", "The  Hague.", "<pad> a  b,c"):
-            once = normalize_prediction(raw)
-            again = normalize_prediction(", ".join(sorted(once)))
+            once = prediction_set(raw)
+            again = prediction_set(", ".join(sorted(once)))
             assert again == once
 
     def test_pre_split_lists_not_resplit(self):

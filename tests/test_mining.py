@@ -80,7 +80,6 @@ class TestGroundings:
         items = list(got)
         assert len(got) == len(items) > 3
         assert [got[i] for i in range(-len(got), len(got))] == items + items
-        assert got[1:-1] == items[1:-1] and got[::2] == items[::2]
         with pytest.raises(IndexError):
             got[len(got)]
         # each read builds a new dict: a caller's edits stay its own
