@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
 
-from .kg import (KnowledgeGraph, Triple, json_document, read_triples, sha256_file,
+from .kg import (KnowledgeGraph, Triple, json_document, read_triples, sha256, sha256_file,
                  write_anonymization_map)
 from .llm import QUESTION_GENERATION_PROMPT, EndpointError, LLMClient
 from .mining import (
@@ -53,10 +53,8 @@ def _fields(record) -> dict:
 
 
 def _stable_rng(seed: int, *tags) -> random.Random:
-    import hashlib  # OpenSSL's libcrypto: loaded only where a hash is taken
-
     material = "|".join([str(seed), *[str(t) for t in tags]])
-    digest = hashlib.sha256(material.encode()).digest()
+    digest = sha256(material.encode()).digest()
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
@@ -238,9 +236,7 @@ def generate_question(
     prompt = QUESTION_GENERATION_PROMPT.format(
         entity_h=s, predicate_T=p, entity_t=o, topic_entity=topic, answer_entity=answer
     )
-    import hashlib
-
-    provenance["prompt_hash"] = hashlib.sha256(prompt.encode()).hexdigest()[:16]
+    provenance["prompt_hash"] = sha256(prompt.encode()).hexdigest()[:16]
     messages = [{"role": "user", "content": prompt}]
     for attempt in range(2):
         text = client.chat(messages, temperature=0.0).strip()

@@ -77,12 +77,17 @@ def _json_object(path: str) -> dict:
     return obj
 
 
-def _check_type(rows: list[dict], path, kind: str, name: str, types, what: str) -> None:
-    """Refuse the first row whose field `name` is not of `types`, naming the
-    file and the row's id."""
+def _check_type(rows: list[dict], path, kind: str, name: str, types, what: str,
+                of_strings: bool = False) -> None:
+    """Refuse the first row whose field `name` is not of `types`, or, with
+    `of_strings`, holds an element that is not a string, naming the file and
+    the row's id."""
     for row in rows:
-        if not isinstance(row[name], types):
-            raise ValueError(f"{path}: {kind} {row['id']}: {name} {row[name]!r} is not {what}")
+        value = row[name]
+        if not isinstance(value, types):
+            raise ValueError(f"{path}: {kind} {row['id']}: {name} {value!r} is not {what}")
+        if of_strings and not all(isinstance(v, str) for v in value):
+            raise ValueError(f"{path}: {kind} {row['id']}: {name} {value!r} is not {what} of strings")
 
 
 def _load_synonyms(path: str | None) -> dict | None:
@@ -283,7 +288,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
     gold = bundle.question_rows(args.split, ("id", "answers", "hard_answer"))
     if not gold:
         raise ValueError(f"no questions in split {args.split!r}")
-    _check_type(gold, bundle.directory / "questions.jsonl", "question", "answers", list, "a list")
+    questions_path = bundle.directory / "questions.jsonl"
+    _check_type(gold, questions_path, "question", "answers", list, "a list", of_strings=True)
+    _check_type(gold, questions_path, "question", "hard_answer", str, "a string")
     predictions = list(mining.read_rows(args.predictions, ("id", "prediction")))
     _check_type(predictions, args.predictions, "prediction", "prediction", (str, list),
                 "a string or a list")

@@ -8,11 +8,10 @@ grounding instantiates sequences into concrete triple chains.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, replace
 from typing import Iterable
 
-from .kg import KnowledgeGraph, Triple, json_line
+from .kg import KnowledgeGraph, Triple, json_line, sha256
 
 RelationPath = tuple[str, ...]
 ReasoningPath = tuple[Triple, ...]
@@ -154,7 +153,7 @@ class AgentState:
             "E": sorted(self.E),
             "terminal": self.terminal,
         })
-        return hashlib.sha256(payload.encode()).hexdigest()[:16]
+        return sha256(payload.encode()).hexdigest()[:16]
 
 
 def apply_transition(

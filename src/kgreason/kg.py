@@ -25,7 +25,10 @@ Every pinned artifact is written in one of two JSON encodings, defined here
 and nowhere else: `json_line` (one line, sorted keys) for each row of a rules
 file, bundle record file, predictions file and trace, and for the state
 digest's payload; `json_document` (indent 2, sorted keys) for the manifests,
-the anonymization map and `inspect`'s output.
+the anonymization map and `inspect`'s output. Every hash is `sha256`, the
+interpreter's built-in SHA-256: `hashlib` would load OpenSSL's libcrypto, a
+few MB of RSS, to hash a few hundred bytes at a time, and is only the
+fallback where the built-in module is missing.
 """
 
 from __future__ import annotations
@@ -38,6 +41,14 @@ from itertools import groupby
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator
+
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
 
 log = logging.getLogger(__name__)
 
@@ -91,16 +102,22 @@ class KnowledgeGraph:
     """
 
     def __init__(self, triples: Iterable[Triple]):
+        # each id string is kept once, under a handle in order of first
+        # appearance, and the triples only as handle tuples; the handles are
+        # renumbered into id order once everything is read
+        first: dict[str, int] = {}
+        pfirst: dict[str, int] = {}
         tri = set()
         raw = 0
         for s, p, o in triples:
             raw += 1
-            tri.add((s, p, o))
-        ents = sorted({s for s, _, _ in tri} | {o for _, _, o in tri})
-        preds = sorted({p for _, p, _ in tri})
+            tri.add((first.setdefault(s, len(first)), pfirst.setdefault(p, len(pfirst)),
+                     first.setdefault(o, len(first))))
+        ents, preds = sorted(first), sorted(pfirst)
         eid = {e: i for i, e in enumerate(ents)}
         pid = {p: i for i, p in enumerate(preds)}
-        spo = sorted([(eid[s], pid[p], eid[o]) for s, p, o in tri])
+        enew, pnew = [eid[e] for e in first], [pid[p] for p in pfirst]  # in handle order
+        spo = sorted([(enew[s], pnew[p], enew[o]) for s, p, o in tri])
         self._ents, self.eid, self._preds, self.pid = tuple(ents), eid, tuple(preds), pid
         self._spo: list[tuple[int, int, int]] = spo
         self.duplicates_collapsed = raw - len(tri)
@@ -161,13 +178,9 @@ class KnowledgeGraph:
         return len(self._spo)
 
     def __contains__(self, t: Triple) -> bool:
+        # an unknown id looks up None, which no handle triple holds
         s, p, o = t
-        si = self.eid.get(s)
-        pi = self.pid.get(p)
-        oi = self.eid.get(o)
-        if si is None or pi is None or oi is None:
-            return False
-        return (si, pi, oi) in self.tri
+        return (self.eid.get(s), self.pid.get(p), self.eid.get(o)) in self.tri
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, KnowledgeGraph):
@@ -193,37 +206,23 @@ class KnowledgeGraph:
 
     def outgoing(self, e: str) -> tuple[tuple[str, str], ...]:
         """(predicate, object) pairs for edges leaving e; unknown entity -> ()."""
-        ei = self.eid.get(e)
-        if ei is None:
-            return ()
         ents, preds = self._ents, self._preds
-        return tuple((preds[p], ents[o]) for p, o in self.out.get(ei, ()))
+        return tuple((preds[p], ents[o]) for p, o in self.out.get(self.eid.get(e), ()))
 
     def incoming(self, e: str) -> tuple[tuple[str, str], ...]:
         """(predicate, subject) pairs for edges entering e."""
-        ei = self.eid.get(e)
-        if ei is None:
-            return ()
         ents, preds = self._ents, self._preds
-        return tuple((preds[p], ents[s]) for p, s in self.inc.get(ei, ()))
+        return tuple((preds[p], ents[s]) for p, s in self.inc.get(self.eid.get(e), ()))
 
     def objects(self, s: str, p: str) -> tuple[str, ...]:
         """Objects o with (s, p, o) in the graph."""
-        si = self.eid.get(s)
-        pi = self.pid.get(p)
-        if si is None or pi is None:
-            return ()
         ents = self._ents
-        return tuple(ents[o] for o in self.sp.get((si, pi), ()))
+        return tuple(ents[o] for o in self.sp.get((self.eid.get(s), self.pid.get(p)), ()))
 
     def subjects(self, o: str, p: str) -> tuple[str, ...]:
         """Subjects s with (s, p, o) in the graph."""
-        oi = self.eid.get(o)
-        pi = self.pid.get(p)
-        if oi is None or pi is None:
-            return ()
         ents = self._ents
-        return tuple(ents[s] for s in self.op.get((oi, pi), ()))
+        return tuple(ents[s] for s in self.op.get((self.eid.get(o), self.pid.get(p)), ()))
 
     # -- mutation by copy --------------------------------------------------
 
@@ -275,9 +274,7 @@ def write_anonymization_map(mapping: dict[str, str], path: str | Path) -> None:
 
 
 def sha256_file(path: str | Path) -> str:
-    import hashlib  # OpenSSL's libcrypto: loaded only where a hash is taken
-
-    h = hashlib.sha256()
+    h = sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 16), b""):
             h.update(chunk)

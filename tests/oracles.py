@@ -303,15 +303,12 @@ def reference_plan_removals(g: KnowledgeGraph, mined: list, cfg):
     return RemovalPlan(entries, per_rule)
 
 
-def reference_graph_index(triples) -> dict:
-    """The eager index builder KnowledgeGraph ran in its constructor before
-    it kept one sorted handle list and built each index on first read, kept
-    as that graph's oracle: every index collected in a dict per key and each
-    key's values sorted on their own. Returns every field the graph exposes:
-    the handle indices by their attribute names ("tri", "sp", "op", "byp",
-    "out", "inc", "eid", "pid"), plus "ents" and "preds" (the entity and
-    predicate tables), "pair_predicates", "triples" (sorted id triples) and
-    "duplicates_collapsed"."""
+def reference_graph_tables(triples) -> dict:
+    """The string-set constructor KnowledgeGraph ran before it interned ids
+    as it read them, kept as that loader's oracle: every distinct string
+    triple held in a set, the entity and predicate tables sorted from it.
+    Returns "ents" and "preds" (the tables), "eid" and "pid" (id -> handle),
+    "triples" (sorted id triples) and "duplicates_collapsed"."""
     tri = set()
     raw = 0
     for s, p, o in triples:
@@ -319,9 +316,27 @@ def reference_graph_index(triples) -> dict:
         tri.add((s, p, o))
     ents = sorted({s for s, _, _ in tri} | {o for _, _, o in tri})
     preds = sorted({p for _, p, _ in tri})
-    eid = {e: i for i, e in enumerate(ents)}
-    pid = {p: i for i, p in enumerate(preds)}
-    itri = {(eid[s], pid[p], eid[o]) for s, p, o in tri}
+    return {
+        "ents": tuple(ents),
+        "preds": tuple(preds),
+        "eid": {e: i for i, e in enumerate(ents)},
+        "pid": {p: i for i, p in enumerate(preds)},
+        "triples": sorted(tri),
+        "duplicates_collapsed": raw - len(tri),
+    }
+
+
+def reference_graph_index(triples) -> dict:
+    """The eager index builder KnowledgeGraph ran in its constructor before
+    it kept one sorted handle list and built each index on first read, kept
+    as that graph's oracle: every index collected in a dict per key and each
+    key's values sorted on their own. Returns every field the graph exposes:
+    the handle indices by their attribute names ("tri", "sp", "op", "byp",
+    "out", "inc", "eid", "pid"), plus "pair_predicates" and the fields of
+    `reference_graph_tables`."""
+    tables = reference_graph_tables(triples)
+    eid, pid = tables["eid"], tables["pid"]
+    itri = {(eid[s], pid[p], eid[o]) for s, p, o in tables["triples"]}
     out, inc, sp, op, byp, pp = {}, {}, {}, {}, {}, {}
     for s, p, o in itri:
         out.setdefault(s, []).append((p, o))
@@ -341,13 +356,8 @@ def reference_graph_index(triples) -> dict:
         "byp": sort_values(byp),
         "out": sort_values(out),
         "inc": sort_values(inc),
-        "eid": eid,
-        "pid": pid,
-        "ents": tuple(ents),
-        "preds": tuple(preds),
         "pair_predicates": sort_values(pp),
-        "triples": sorted(tri),
-        "duplicates_collapsed": raw - len(tri),
+        **tables,
     }
 
 

@@ -475,38 +475,49 @@ def test_mine_process_loads_only_the_miner(tmp_path, uncle_world_file):
     assert out.stdout.split() == ["[]", "False"]
 
 
-def test_inspect_kg_process_loads_only_the_graph(uncle_world_file):
+def modules_loaded(argv: list, names: list) -> list:
+    """Those of `names` that a fresh process has loaded once `main(argv)`
+    returns 0."""
+    code = (
+        "import json, sys\n"
+        "from kgreason.cli import main\n"
+        f"assert main({argv!r}) == 0\n"
+        f"print(json.dumps(sorted(m for m in {names!r} if m in sys.modules)))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=60
+    )
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+# the built-in SHA-256 module serves every offline stage; hashlib would load
+# OpenSSL's libcrypto
+HASHLIB = ["hashlib", "_hashlib"]
+
+
+def test_inspect_kg_process_loads_only_the_graph(uncle_world_file, tmp_path):
     argv = ["inspect", "--kg", str(uncle_world_file)]
-    code = (
-        "import sys\n"
-        "from kgreason.cli import main\n"
-        f"assert main({argv!r}) == 0\n"
-        "names = ['kgreason.mining', 'kgreason.rules', 'hashlib', '_hashlib']\n"
-        "print(sorted(m for m in names if m in sys.modules))\n"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=60
-    )
-    assert out.stdout.splitlines()[-1] == "[]"
+    assert modules_loaded(argv, ["kgreason.mining", "kgreason.rules", *HASHLIB]) == []
+    # the miner hashes its input for the manifest
+    argv = ["mine", "--kg", str(uncle_world_file), "--out", str(tmp_path / "r.jsonl"),
+            "--max-len", "3"]
+    assert modules_loaded(argv, HASHLIB) == []
 
 
-def test_eval_process_loads_no_hashlib_or_thread_pool(bundle_dir, tmp_path):
+def test_eval_process_loads_no_hashlib_or_thread_pool(uncle_world_file, mined_rules, tmp_path):
+    # bench seeds its draws from hashes and hashes its inputs; run hashes
+    # every state
+    bundle = tmp_path / "bundle"
+    argv = ["bench", "--kg", str(uncle_world_file), "--rules", str(mined_rules),
+            "--out-dir", str(bundle), "--seed", "7", "--question-backend", "template"]
+    assert modules_loaded(argv, HASHLIB) == []
     predictions = tmp_path / "p.jsonl"
-    assert main(["run", "--bundle", str(bundle_dir), "--split", "all",
-                 "--out", str(predictions)]) == 0
-    argv = ["eval", "--bundle", str(bundle_dir), "--predictions", str(predictions),
+    argv = ["run", "--bundle", str(bundle), "--policy", "heuristic", "--split", "all",
+            "--out", str(predictions), "--traces", str(tmp_path / "t.jsonl")]
+    assert modules_loaded(argv, HASHLIB) == []
+    argv = ["eval", "--bundle", str(bundle), "--predictions", str(predictions),
             "--split", "all", "--out", str(tmp_path / "report.json")]
-    code = (
-        "import sys\n"
-        "from kgreason.cli import main\n"
-        f"assert main({argv!r}) == 0\n"
-        "names = ['hashlib', '_hashlib', 'concurrent.futures']\n"
-        "print(sorted(m for m in names if m in sys.modules))\n"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=60
-    )
-    assert out.stdout.splitlines()[-1] == "[]"
+    assert modules_loaded(argv, [*HASHLIB, "concurrent.futures"]) == []
 
 
 def test_every_export_resolves():
@@ -739,6 +750,13 @@ class TestStreamingRun:
                         "question {id}: answers 5 is not a list", id="eval-answers-not-a-list"),
            pytest.param("eval", lambda row: {**row, "id": [1]},
                         "line 2: id [1] is not a string", id="eval-id-not-a-string")]
+        + [pytest.param("eval", lambda row, field=field, value=value: {**row, field: value},
+                        f"question {{id}}: {field} {value!r} is not {what}", id=f"eval-{name}")
+           for field, value, what, name in (
+               ("hard_answer", None, "a string", "hard-answer-null"),
+               ("hard_answer", 5, "a string", "hard-answer-int"),
+               ("answers", [None, 5], "a list of strings", "answers-hold-non-strings"),
+               ("answers", ["e1", ["e2"]], "a list of strings", "answers-hold-a-list"))]
         + [pytest.param("run", lambda row, field=field, value=value: {**row, field: value},
                         f"question {{id}}: {field} {value!r} is not a string",
                         id=f"run-{field}-{name}")

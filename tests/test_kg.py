@@ -1,14 +1,17 @@
+import hashlib
 import json
 import random
+import subprocess
 import sys
 import threading
 
 import pytest
 
+from kgreason import kg
 from kgreason.kg import KnowledgeGraph, write_anonymization_map
 
 from conftest import random_graph
-from oracles import reference_graph_index
+from oracles import reference_graph_index, reference_graph_tables
 
 
 def write_tsv(path, rows):
@@ -307,3 +310,70 @@ class TestMatchesReferenceIndex:
                     assert got["queries"] == reference_queries(ref)
         finally:
             sys.setswitchinterval(old)
+
+
+def loader_tables(g: KnowledgeGraph) -> dict:
+    """The fields of a graph that reference_graph_tables returns."""
+    return {
+        "ents": g.entities,
+        "preds": g.predicates,
+        "eid": g.eid,
+        "pid": g.pid,
+        "triples": list(g.triples()),
+        "duplicates_collapsed": g.duplicates_collapsed,
+    }
+
+
+class TestInterningLoader:
+    """The constructor, which interns each id as it reads it and renumbers
+    the handles into id order at the end, builds the same tables as the
+    string-set constructor it replaced."""
+
+    CASES = {
+        "duplicate rows": [("a", "p", "b"), ("a", "p", "b"), ("b", "q", "c"), ("a", "p", "b")],
+        "object-only entity": [("a", "p", "b"), ("c", "p", "b"), ("a", "q", "z")],
+        "self-loop": [("a", "p", "a"), ("a", "q", "b"), ("b", "p", "b")],
+        "first appearance unlike id order": [("e10", "p2", "e2"), ("e2", "p10", "e1"),
+                                             ("e9", "p1", "e10"), ("e1", "p2", "e10")],
+        "predicate holding ->": [("a", "p -> q", "b"), ("b", "p", "c"), ("c", "->", "a")],
+    }
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_matches_string_set_constructor(self, name):
+        rows = self.CASES[name]
+        want = reference_graph_tables(rows)
+        assert loader_tables(KnowledgeGraph(rows)) == want
+        assert loader_tables(KnowledgeGraph(iter(rows))) == want
+
+    def test_anonymized_graph_matches_string_set_constructor(self):
+        for seed in range(12):
+            g = random_graph(random.Random(seed), 25, 4, 80)
+            anon, mapping = g.anonymize(seed)
+            want = reference_graph_tables((mapping[s], p, mapping[o]) for s, p, o in g.triples())
+            assert loader_tables(anon) == want  # decimal ids, so "10" sorts before "2"
+
+
+class TestSha256:
+    """kg.sha256, the one hash every stage takes, is SHA-256."""
+
+    @pytest.mark.parametrize("data", [b"", b"kinship|0", bytes(range(256)) * 300],
+                             ids=["empty", "short", "over-one-read-chunk"])
+    def test_agrees_with_hashlib(self, tmp_path, data):
+        assert kg.sha256.__module__ in ("_sha2", "_sha256")  # the built-in module
+        assert kg.sha256(data).hexdigest() == hashlib.sha256(data).hexdigest()
+        path = tmp_path / "data.bin"
+        path.write_bytes(data)
+        assert kg.sha256_file(path) == hashlib.sha256(data).hexdigest()
+
+    def test_falls_back_to_hashlib_without_the_builtin_module(self):
+        code = (
+            "import sys\n"
+            "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+            "import hashlib\n"
+            "from kgreason import kg\n"
+            "assert kg.sha256 is hashlib.sha256, kg.sha256\n"
+            "print(kg.sha256(b'abc').hexdigest())\n"
+        )
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, timeout=60)
+        assert out.stdout.strip() == hashlib.sha256(b"abc").hexdigest()
