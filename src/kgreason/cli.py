@@ -102,16 +102,24 @@ def _load_synonyms(path: str | None) -> dict | None:
 
 
 @contextmanager
-def _replacing(path):
-    """A temp path beside `path` that replaces it when the block succeeds;
-    when the block fails, the temp file is removed and `path` is untouched."""
-    tmp = f"{path}.{os.getpid()}.tmp"
+def _replacing(*paths):
+    """One temp path beside each destination, None for a None path. Once the
+    block succeeds, the temp files replace the destinations in the order
+    given; if it fails, they are removed and no destination is touched. A
+    file named twice is refused before any temp file is opened."""
+    real = [os.path.realpath(p) for p in paths if p is not None]
+    if len(set(real)) < len(real):
+        raise UsageError(f"one file named for two outputs: {max(real, key=real.count)}")
+    tmps = [None if p is None else f"{p}.{os.getpid()}.tmp" for p in paths]
     try:
-        yield tmp
-        os.replace(tmp, path)
+        yield tmps
+        for tmp, path in zip(tmps, paths):
+            if tmp is not None:
+                os.replace(tmp, path)
     finally:
-        with suppress(FileNotFoundError):
-            os.remove(tmp)
+        for tmp in filter(None, tmps):
+            with suppress(FileNotFoundError):
+                os.remove(tmp)
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -144,12 +152,7 @@ def cmd_mine(args: argparse.Namespace) -> int:
         "outputs": {"rules": str(args.out), "count": len(mined)},
         "rule_type_histogram": hist,
     }
-    # both files are written in full before either replaces the old one (the
-    # rules first), so a failed write leaves the previous run's pair in place
-    with (
-        _replacing(str(args.out) + ".manifest.json") as manifest_tmp,
-        _replacing(args.out) as rules_tmp,
-    ):
+    with _replacing(args.out, str(args.out) + ".manifest.json") as (rules_tmp, manifest_tmp):
         mining.write_rules_jsonl(mined, rules_tmp)
         Path(manifest_tmp).write_text(json_document(manifest), encoding="utf-8")
     log.info("wrote %d rules to %s", len(mined), args.out)
@@ -232,13 +235,10 @@ def cmd_run(args: argparse.Namespace) -> int:
         "outputs": {"predictions": str(args.out), "count": len(questions)},
     }
     errored = 0
-    # each episode's row and trace lines are written as it finishes, in
-    # question order; every file is complete before any replaces the old one
-    # (predictions first, the manifest last), as in cmd_mine
+    # each episode's row and trace lines are written as it ends, in question order
     with ExitStack() as stack:
-        manifest_tmp = stack.enter_context(_replacing(str(args.out) + ".manifest.json"))
-        traces_tmp = stack.enter_context(_replacing(args.traces)) if args.traces else None
-        predictions_tmp = stack.enter_context(_replacing(args.out))
+        predictions_tmp, traces_tmp, manifest_tmp = stack.enter_context(
+            _replacing(args.out, args.traces, str(args.out) + ".manifest.json"))
         predictions_fh = stack.enter_context(open(predictions_tmp, "w", encoding="utf-8"))
         traces_fh = stack.enter_context(open(traces_tmp, "w", encoding="utf-8")) if traces_tmp else None
         if parallel > 1:
@@ -293,25 +293,18 @@ def cmd_eval(args: argparse.Namespace) -> int:
     _check_type(gold, questions_path, "question", "hard_answer", str, "a string")
     predictions = list(mining.read_rows(args.predictions, ("id", "prediction")))
     _check_type(predictions, args.predictions, "prediction", "prediction", (str, list),
-                "a string or a list")
+                "a string or a list", of_strings=True)
     gold_ids = {q["id"] for q in gold}
     strays = [p["id"] for p in predictions if p["id"] not in gold_ids]
     if strays:
         raise ValueError(f"prediction ids not in the evaluated split: {strays[:5]}")
     report = evaluate.compute_report(gold, predictions)
     report.notes.append(f"split={args.split}")
-    # both files are written in full before either replaces the old one
-    with ExitStack() as stack:
-        csv_tmp = stack.enter_context(_replacing(args.csv)) if args.csv else None
-        report_tmp = stack.enter_context(_replacing(args.out))
+    with _replacing(args.out, args.csv) as (report_tmp, csv_tmp):
         evaluate.write_report(report, report_tmp)
         if csv_tmp:
             evaluate.write_report_csv(report, csv_tmp)
-    m = report.to_json()["metrics"]
-    log.info(
-        "hits_any %.4f precision %.4f recall %.4f f1 %.4f hits_hard %.4f hhr %.4f",
-        m["hits_any"], m["precision"], m["recall"], m["f1"], m["hits_hard"], m["hhr"],
-    )
+    log.info(" ".join(f"{name} {getattr(report, name):.4f}" for name in evaluate.METRICS))
     return 0
 
 

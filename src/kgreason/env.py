@@ -2,14 +2,16 @@
 
 An episode's state is (P, C, E): relation paths discovered so far (tagged
 with their start entity), grounded reasoning paths, and the entity frontier.
-Exploration enumerates predicate sequences realizable by forward walks;
-grounding instantiates sequences into concrete triple chains.
+Exploration enumerates predicate sequences realizable by walks; grounding
+instantiates each sequence into its lexicographically first
+`max_groundings_per_path` triple chains, and stops walking there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable
+from itertools import islice
+from typing import Iterable, Iterator
 
 from .kg import KnowledgeGraph, Triple, json_line, sha256
 
@@ -59,56 +61,52 @@ def explore(g: KnowledgeGraph, e: str, hops: int, cfg: EnvConfig) -> tuple[Relat
         nxt: dict[RelationPath, set[str]] = {}
         for path, ends in frontier.items():
             for end in ends:
-                for pred, nb in g.outgoing(end):
+                for pred, nb in _edges(g, end, cfg):
                     nxt.setdefault(path + (pred,), set()).add(nb)
-                if cfg.include_inverse:
-                    for pred, nb in g.incoming(end):
-                        nxt.setdefault(path + (INVERSE_PREFIX + pred,), set()).add(nb)
-        if not nxt:
-            break
         frontier = nxt
         found.update(nxt)
-    ordered = sorted(found, key=lambda p: (len(p), p))
-    cap = cfg.max_relation_paths_per_explore
-    if cap is not None:
-        ordered = ordered[:cap]
-    return tuple(ordered)
+    return tuple(sorted(found, key=lambda p: (len(p), p))[: cfg.max_relation_paths_per_explore])
 
 
 def ground(
     g: KnowledgeGraph, e: str, paths: Iterable[RelationPath], cfg: EnvConfig
 ) -> tuple[tuple[ReasoningPath, ...], tuple[str, ...]]:
     """Instantiate each relation path as chains of concrete triples starting
-    at e. Returns (reasoning paths, frontier entities); the frontier is every
-    entity appearing in the chains other than the start entity itself.
+    at e: the lexicographically first `max_groundings_per_path` chains of
+    each path, where the path's walk stops. Returns (reasoning paths,
+    frontier entities), shorter chains first; the frontier is every entity
+    appearing in the chains other than the start entity itself.
     """
-    chains: list[ReasoningPath] = []
-    for path in sorted(set(paths), key=lambda p: (len(p), p)):
-        per_path: list[ReasoningPath] = []
-        partial: list[tuple[str, ReasoningPath]] = [(e, ())]
-        for pred in path:
-            nxt: list[tuple[str, ReasoningPath]] = []
-            for node, chain in partial:
-                if cfg.include_inverse and pred.startswith(INVERSE_PREFIX):
-                    base = pred[len(INVERSE_PREFIX):]
-                    for s in g.subjects(node, base):
-                        nxt.append((s, chain + ((node, pred, s),)))
-                else:
-                    for o in g.objects(node, pred):
-                        nxt.append((o, chain + ((node, pred, o),)))
-            partial = nxt
-            if not partial:
-                break
-        per_path = sorted(chain for _, chain in partial)
-        cap = cfg.max_groundings_per_path
-        if cap is not None:
-            per_path = per_path[:cap]
-        chains.extend(per_path)
-    ordered = tuple(sorted(set(chains), key=lambda c: (len(c), c)))
+    cap = cfg.max_groundings_per_path
+    chains = [c for path in set(paths) for c in islice(_chains(g, e, path, cfg), cap)]
+    ordered = tuple(sorted(chains, key=lambda c: (len(c), c)))
     frontier = sorted(
         {ent for chain in ordered for t in chain for ent in (t[0], t[2])} - {e}
     )
     return ordered, tuple(frontier)
+
+
+def _edges(g: KnowledgeGraph, e: str, cfg: EnvConfig) -> tuple[tuple[str, str], ...]:
+    """(label, neighbour) of each step a walk can take from e: the edges
+    leaving e, then, with inverse edges on, each edge (s, p, e) entering it
+    as the step (e, inv_p, s), which `_chains` reads back."""
+    inverse = tuple((INVERSE_PREFIX + p, s) for p, s in g.incoming(e)) if cfg.include_inverse else ()
+    return g.outgoing(e) + inverse
+
+
+def _chains(g: KnowledgeGraph, e: str, path: RelationPath, cfg: EnvConfig) -> Iterator[ReasoningPath]:
+    """The chains of triples that realize path from e, depth first. Each step
+    takes its successors in id order, so the chains come out in
+    lexicographic order."""
+    if not path:
+        yield ()
+        return
+    pred = path[0]
+    inverse = cfg.include_inverse and pred.startswith(INVERSE_PREFIX)
+    successors = g.subjects(e, pred[len(INVERSE_PREFIX):]) if inverse else g.objects(e, pred)
+    for nb in successors:
+        for rest in _chains(g, nb, path[1:], cfg):
+            yield ((e, pred, nb),) + rest
 
 
 # -- state and transitions ----------------------------------------------------

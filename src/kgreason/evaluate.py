@@ -24,6 +24,9 @@ SPLIT_PRECEDENCE_NOTE = (
 )
 EMPTY_PREDICTION_NOTE = "per-question precision with an empty prediction set is 0"
 
+# the report's metrics in report and log order: five per-question means, then hhr
+METRICS = ("hits_any", "precision", "recall", "f1", "hits_hard", "hhr")
+
 
 def normalize_answer(text: str) -> str:
     """Normalize one answer string (no splitting)."""
@@ -34,10 +37,10 @@ def normalize_answer(text: str) -> str:
 
 
 def prediction_set(prediction) -> set[str]:
-    """Normalized set from either a raw string or a pre-split list."""
+    """Normalized set from either a raw string or a pre-split list of strings."""
     if isinstance(prediction, str):
         prediction = re.split(r"[,\n]", prediction) if "," in prediction else prediction.split()
-    out = {normalize_answer(str(piece)) for piece in prediction}
+    out = {normalize_answer(piece) for piece in prediction}
     out.discard("")
     return out
 
@@ -56,14 +59,7 @@ class MetricsReport:
 
     def to_json(self) -> dict:
         return {
-            "metrics": {
-                "hits_any": self.hits_any,
-                "precision": self.precision,
-                "recall": self.recall,
-                "f1": self.f1,
-                "hits_hard": self.hits_hard,
-                "hhr": self.hhr,
-            },
+            "metrics": {name: getattr(self, name) for name in METRICS},
             "num_questions": self.num_questions,
             "per_question": self.per_question,
             "notes": self.notes,
@@ -73,10 +69,10 @@ class MetricsReport:
 def compute_report(gold: list[dict], predictions: list[dict]) -> MetricsReport:
     """Score predictions against gold questions.
 
-    gold rows need id / answers / hard_answer; prediction rows need id and
-    prediction (string or list). Every gold id must have at most one
-    prediction record; a missing record counts as an empty prediction and is
-    reported per question. Duplicate prediction ids are an error.
+    gold rows need id, answers and hard_answer; prediction rows need id and
+    prediction, a string or a list of strings. Each gold id may have one
+    prediction record at most; a missing one counts as an empty prediction
+    and is reported per question. Duplicate prediction ids are an error.
     """
     by_id: dict[str, dict] = {}
     for row in predictions:
@@ -85,34 +81,25 @@ def compute_report(gold: list[dict], predictions: list[dict]) -> MetricsReport:
             raise ValueError(f"duplicate prediction id: {qid}")
         by_id[qid] = row
 
+    n = len(gold)
+    if n == 0:
+        raise ValueError("no gold questions to evaluate")
     rows = []
-    sum_hits = sum_prec = sum_rec = sum_f1 = sum_hard = 0.0
     for q in gold:
-        qid = q["id"]
-        gold_set = {normalize_answer(str(a)) for a in q["answers"]}
+        gold_set = {normalize_answer(a) for a in q["answers"]}
         gold_set.discard("")
-        hard = normalize_answer(str(q["hard_answer"]))
-        rec = by_id.get(qid)
+        hard = normalize_answer(q["hard_answer"])
+        rec = by_id.get(q["id"])
         pred_set = prediction_set(rec["prediction"]) if rec is not None else set()
         inter = len(pred_set & gold_set)
-        hit = 1.0 if inter else 0.0
-        prec = inter / len(pred_set) if pred_set else 0.0
-        recall = inter / len(gold_set) if gold_set else 0.0
-        f1 = 2 * inter / (len(pred_set) + len(gold_set)) if (pred_set or gold_set) else 0.0
-        hard_hit = 1.0 if hard and hard in pred_set else 0.0
-        sum_hits += hit
-        sum_prec += prec
-        sum_rec += recall
-        sum_f1 += f1
-        sum_hard += hard_hit
         rows.append(
             {
-                "id": qid,
-                "hit": bool(hit),
-                "hard_hit": bool(hard_hit),
-                "precision": prec,
-                "recall": recall,
-                "f1": f1,
+                "id": q["id"],
+                "hit": inter > 0,
+                "hard_hit": bool(hard) and hard in pred_set,
+                "precision": inter / len(pred_set) if pred_set else 0.0,
+                "recall": inter / len(gold_set) if gold_set else 0.0,
+                "f1": 2 * inter / (len(pred_set) + len(gold_set)) if (pred_set or gold_set) else 0.0,
                 "predicted": sorted(pred_set),
                 "gold": sorted(gold_set),
                 "hard_answer": hard,
@@ -121,18 +108,15 @@ def compute_report(gold: list[dict], predictions: list[dict]) -> MetricsReport:
             }
         )
 
-    n = len(gold)
-    if n == 0:
-        raise ValueError("no gold questions to evaluate")
-    hits_any = sum_hits / n
-    hits_hard = sum_hard / n
+    means = {}
+    for name, field in zip(METRICS, ("hit", "precision", "recall", "f1", "hard_hit")):
+        total = 0.0  # not sum(): from Python 3.12 on it rounds differently
+        for row in rows:
+            total += row[field]
+        means[name] = total / n
     return MetricsReport(
-        hits_any=hits_any,
-        precision=sum_prec / n,
-        recall=sum_rec / n,
-        f1=sum_f1 / n,
-        hits_hard=hits_hard,
-        hhr=hits_hard / hits_any if hits_any > 0 else 0.0,
+        **means,
+        hhr=means["hits_hard"] / means["hits_any"] if means["hits_any"] > 0 else 0.0,
         num_questions=n,
         per_question=rows,
         notes=[SPLIT_PRECEDENCE_NOTE, EMPTY_PREDICTION_NOTE],

@@ -21,11 +21,13 @@ order without a sort per key, and a stage pays only for the indices it
 reads: the joins of `bench` read tri, sp, op and byp, and never build the
 edge lists out and inc.
 
-Every pinned artifact is written in one of two JSON encodings, defined here
-and nowhere else: `json_line` (one line, sorted keys) for each row of a rules
-file, bundle record file, predictions file and trace, and for the state
-digest's payload; `json_document` (indent 2, sorted keys) for the manifests,
-the anonymization map and `inspect`'s output. Every hash is `sha256`, the
+Every pinned artifact but one is written in one of two JSON encodings,
+defined here and nowhere else: `json_line` (one line, sorted keys) for each
+row of a rules file, bundle record file, predictions file and trace, and for
+the state digest's payload; `json_document` (indent 2, sorted keys) for the
+manifests, the anonymization map and `inspect`'s output. The one other is
+`eval`'s report, in a third layout with one writer, `evaluate.write_report`:
+`json.dump` at indent 2, its keys in report order. Every hash is `sha256`, the
 interpreter's built-in SHA-256: `hashlib` would load OpenSSL's libcrypto, a
 few MB of RSS, to hash a few hundred bytes at a time, and is only the
 fallback where the built-in module is missing.

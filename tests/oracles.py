@@ -8,6 +8,7 @@ from __future__ import annotations
 import itertools
 
 from kgreason.bench import RemovalEntry, RemovalPlan, _stable_rng
+from kgreason.env import INVERSE_PREFIX
 from kgreason.kg import KnowledgeGraph
 from kgreason.mining import _compile, _facts, _make_plan, substitute_body, substitute_head
 from kgreason.rules import Atom, HornRule, Term, variable_symbol
@@ -388,8 +389,10 @@ def exhaustive_groundings(g: KnowledgeGraph, rule: HornRule):
     return out
 
 
-def enumerate_walks(g: KnowledgeGraph, start: str, hops: int):
-    """All walks from start up to the hop limit, as triple chains."""
+def enumerate_walks(g: KnowledgeGraph, start: str, hops: int, include_inverse: bool = False):
+    """All walks from start up to the hop limit, as triple chains. With
+    include_inverse, a walk also takes each edge (s, p, o) backwards from o,
+    as the step (o, inv_p, s)."""
     walks = []
 
     def extend(node, chain):
@@ -397,7 +400,10 @@ def enumerate_walks(g: KnowledgeGraph, start: str, hops: int):
             walks.append(tuple(chain))
         if len(chain) == hops:
             return
-        for pred, nxt in g.outgoing(node):
+        steps = list(g.outgoing(node))
+        if include_inverse:
+            steps += [("inv_" + pred, s) for pred, s in g.incoming(node)]
+        for pred, nxt in steps:
             chain.append((node, pred, nxt))
             extend(nxt, chain)
             chain.pop()
@@ -406,8 +412,42 @@ def enumerate_walks(g: KnowledgeGraph, start: str, hops: int):
     return walks
 
 
-def exhaustive_relation_paths(g: KnowledgeGraph, start: str, hops: int):
-    return {tuple(t[1] for t in walk) for walk in enumerate_walks(g, start, hops)}
+def exhaustive_relation_paths(g: KnowledgeGraph, start: str, hops: int,
+                              include_inverse: bool = False):
+    return {tuple(t[1] for t in walk) for walk in enumerate_walks(g, start, hops, include_inverse)}
+
+
+def reference_ground(g: KnowledgeGraph, e: str, paths, cfg):
+    """The breadth-first ground that built every chain of a path, sorted
+    them and only then cut them to the per-path cap, kept as the oracle of
+    the depth-first walk that stops at the cap."""
+    chains = []
+    for path in sorted(set(paths), key=lambda p: (len(p), p)):
+        per_path = []
+        partial = [(e, ())]
+        for pred in path:
+            nxt = []
+            for node, chain in partial:
+                if cfg.include_inverse and pred.startswith(INVERSE_PREFIX):
+                    base = pred[len(INVERSE_PREFIX):]
+                    for s in g.subjects(node, base):
+                        nxt.append((s, chain + ((node, pred, s),)))
+                else:
+                    for o in g.objects(node, pred):
+                        nxt.append((o, chain + ((node, pred, o),)))
+            partial = nxt
+            if not partial:
+                break
+        per_path = sorted(chain for _, chain in partial)
+        cap = cfg.max_groundings_per_path
+        if cap is not None:
+            per_path = per_path[:cap]
+        chains.extend(per_path)
+    ordered = tuple(sorted(set(chains), key=lambda c: (len(c), c)))
+    frontier = sorted(
+        {ent for chain in ordered for t in chain for ent in (t[0], t[2])} - {e}
+    )
+    return ordered, tuple(frontier)
 
 
 def naive_report(gold_sets, pred_sets, hard_answers):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -616,6 +617,33 @@ class TestAtomicOutputs:
         assert main(argv) == 1
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
+    @pytest.mark.parametrize("traces", ["p.jsonl", "./p.jsonl", "p.jsonl.manifest.json"])
+    def test_run_refuses_one_file_for_two_outputs(
+        self, run_dir, bundle_dir, synonyms_file, monkeypatch, capsys, traces
+    ):
+        out, _ = run_dir
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        monkeypatch.chdir(out)
+        capsys.readouterr()
+        assert main(["run", "--bundle", str(bundle_dir), "--split", "all", "--out", "p.jsonl",
+                     "--traces", traces, "--synonyms", str(synonyms_file)]) == 2
+        named = os.path.realpath(traces)
+        assert capsys.readouterr().err == f"usage error: one file named for two outputs: {named}\n"
+        # the previous outputs are kept and no temp file is left beside them
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_eval_refuses_one_file_for_two_outputs(self, run_dir, bundle_dir, capsys):
+        out, _ = run_dir
+        argv = ["eval", "--bundle", str(bundle_dir), "--predictions", str(out / "p.jsonl"),
+                "--split", "all", "--out", str(out / "report.json")]
+        assert main(argv) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        capsys.readouterr()
+        assert main(argv + ["--csv", str(out / "report.json")]) == 2
+        named = os.path.realpath(out / "report.json")
+        assert capsys.readouterr().err == f"usage error: one file named for two outputs: {named}\n"
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
 
 @pytest.fixture
 def wide_bundle(tmp_path, bundle_dir):
@@ -800,9 +828,14 @@ class TestStreamingRun:
         # a prediction of the wrong type
         + [(lambda row, value=value: {**row, "prediction": value},
             f"prediction {{id}}: prediction {value!r} is not a string or a list")
-           for value in (5, None, {"q00000": "x"})],
+           for value in (5, None, {"q00000": "x"})]
+        # a list that holds a non-string
+        + [(lambda row, value=value: {**row, "prediction": value},
+            f"prediction {{id}}: prediction {value!r} is not a string or a list of strings")
+           for value in ([None, 5], ["e1", ["e2"]])],
         ids=["not-an-object", "no-id", "no-prediction", "id-not-a-string",
-             "prediction-int", "prediction-null", "prediction-object"],
+             "prediction-int", "prediction-null", "prediction-object",
+             "prediction-list-of-null-and-int", "prediction-nested-list"],
     )
     def test_prediction_row_missing_a_field_is_an_error(
         self, tmp_path, bundle_dir, synonyms_file, capsys, edit, problem

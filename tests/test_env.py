@@ -17,10 +17,22 @@ from kgreason.env import (
 from kgreason.kg import KnowledgeGraph
 
 from conftest import random_graph
-from oracles import enumerate_walks, exhaustive_relation_paths
+from oracles import enumerate_walks, exhaustive_relation_paths, reference_ground
 
 CFG = EnvConfig()
 UNCAPPED = EnvConfig(max_relation_paths_per_explore=None, max_groundings_per_path=None)
+CAPS = (1, 3, 100, None)
+
+
+def star_hub(leaves: int):
+    """A hub h with `leaves` out-edges h -p-> l<i> and as many in-edges
+    s<i> -r-> h; every leaf reaches two of eleven ends by q, so paths
+    through the hub ground into far more chains than small caps keep."""
+    triples = []
+    for i in range(leaves):
+        triples += [("h", "p", f"l{i:03d}"), (f"s{i:03d}", "r", "h")]
+        triples += [(f"l{i:03d}", "q", f"m{j:02d}") for j in (i % 7, 7 + i % 4)]
+    return KnowledgeGraph(triples)
 
 FIVE_PATHS = {
     ("hasParent",),
@@ -116,11 +128,70 @@ class TestGround:
                 for a, b in zip(chain, chain[1:]):
                     assert a[2] == b[0]
 
-    def test_grounding_cap_is_per_path_prefix(self, celebrity_family):
-        capped = EnvConfig(max_groundings_per_path=1)
-        paths = [("hasParent",), ("hasSibling",)]
-        chains, _ = ground(celebrity_family, "Justin Bieber", paths, capped)
-        assert len(chains) == 2  # one chain per path survives
+    def test_grounding_cap_is_per_path_prefix(self):
+        g = KnowledgeGraph([
+            ("a", "p", "c"), ("a", "p", "b"), ("a", "q", "z"), ("a", "q", "y"),
+            ("b", "r", "x2"), ("b", "r", "x1"), ("c", "r", "x0"),
+        ])
+        paths = [("q",), ("p", "r"), ("p",)]
+        chains, frontier = ground(g, "a", paths, EnvConfig(max_groundings_per_path=2))
+        # each path keeps its lexicographically first two chains: through b
+        # before c, although c's end x0 sorts first
+        assert chains == (
+            (("a", "p", "b"),),
+            (("a", "p", "c"),),
+            (("a", "q", "y"),),
+            (("a", "q", "z"),),
+            (("a", "p", "b"), ("b", "r", "x1")),
+            (("a", "p", "b"), ("b", "r", "x2")),
+        )
+        assert frontier == ("b", "c", "x1", "x2", "y", "z")
+        chains, _ = ground(g, "a", paths, EnvConfig(max_groundings_per_path=1))
+        assert chains == ((("a", "p", "b"),), (("a", "q", "y"),),
+                          (("a", "p", "b"), ("b", "r", "x1")))
+
+    @pytest.mark.parametrize("inverse", [False, True])
+    def test_matches_reference_oracle(self, inverse):
+        rng = random.Random(4)
+        explore_cfg = EnvConfig(max_relation_paths_per_explore=None, include_inverse=inverse)
+        for _ in range(10):
+            g = random_graph(rng, 12, 4, 60)
+            for e in g.entities[:3]:
+                paths = explore(g, e, 3, explore_cfg)
+                for cap in CAPS:
+                    cfg = EnvConfig(max_groundings_per_path=cap, include_inverse=inverse)
+                    assert ground(g, e, paths, cfg) == reference_ground(g, e, paths, cfg)
+
+    @pytest.mark.parametrize("inverse", [False, True])
+    def test_matches_reference_oracle_on_a_hub(self, inverse):
+        g = star_hub(40)
+        for start in ("h", "l000", "m00"):
+            paths = explore(g, start, 3, EnvConfig(max_relation_paths_per_explore=None,
+                                                   include_inverse=inverse))
+            for cap in CAPS:
+                cfg = EnvConfig(max_groundings_per_path=cap, include_inverse=inverse)
+                chains, frontier = ground(g, start, paths, cfg)
+                assert (chains, frontier) == reference_ground(g, start, paths, cfg)
+                if cap in (1, 3) and start == "h":
+                    assert len(chains) == cap * len(paths)  # the cap binds on every path
+
+    @pytest.mark.parametrize("start, path, inverse", [
+        ("h", ("p", "q"), False),
+        ("l000", ("inv_p", "p", "q"), True),
+    ])
+    def test_walk_stops_at_the_cap(self, monkeypatch, start, path, inverse):
+        g = star_hub(500)
+        cfg = EnvConfig(max_groundings_per_path=3, include_inverse=inverse)
+        expected = reference_ground(g, start, [path], cfg)
+        visited = []
+        for name in ("objects", "subjects"):
+            real = getattr(KnowledgeGraph, name)
+            monkeypatch.setattr(KnowledgeGraph, name,
+                                lambda self, e, p, real=real: visited.append(e) or real(self, e, p))
+        assert ground(g, start, [path], cfg) == expected
+        # the walk looks up the successors of the nodes on the way to the
+        # first three chains, two leaves' worth, and none of the other 498
+        assert visited == [start, "h", "l000", "l001"][-len(path) - 1:]
 
     def test_inverse_grounding_checks_out(self):
         g = KnowledgeGraph([("a", "p", "b"), ("c", "q", "b")])
@@ -136,15 +207,18 @@ class TestCompleteness:
         rng = random.Random(3)
         for _ in range(10):
             g = random_graph(rng, 15, 4, 80)
-            for e in g.entities[:2]:
-                for hops in (1, 2, 3):
-                    walks = enumerate_walks(g, e, hops)
-                    assert set(explore(g, e, hops, UNCAPPED)) == exhaustive_relation_paths(
-                        g, e, hops
-                    )
-                    paths = explore(g, e, hops, UNCAPPED)
-                    chains, _ = ground(g, e, paths, UNCAPPED)
-                    assert set(chains) == set(walks)
+            for inverse in (False, True):
+                cfg = EnvConfig(max_relation_paths_per_explore=None, max_groundings_per_path=None,
+                                include_inverse=inverse)
+                for e in g.entities[:2]:
+                    for hops in (1, 2, 3):
+                        walks = enumerate_walks(g, e, hops, inverse)
+                        assert set(explore(g, e, hops, cfg)) == exhaustive_relation_paths(
+                            g, e, hops, inverse
+                        )
+                        paths = explore(g, e, hops, cfg)
+                        chains, _ = ground(g, e, paths, cfg)
+                        assert set(chains) == set(walks)
 
 
 class TestTransitions:
