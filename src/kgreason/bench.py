@@ -75,6 +75,9 @@ class GenConfig:
             raise ValueError(f"unknown question backend: {self.question_backend}")
         if self.topic_side not in ("random", "subject", "object"):
             raise ValueError(f"unknown topic side: {self.topic_side}")
+        for name in ("groundings_per_rule", "max_inflight"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
     def to_json(self) -> dict:
         return {**_fields(self), "split_ratio": SPLIT_RATIO}

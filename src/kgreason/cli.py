@@ -205,6 +205,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     synonyms = _load_synonyms(res.get("synonyms", None, str))
     parallel = res.get("parallel", 1, int)
     top_k = res.get("top_k", agent.HeuristicPolicy.TOP_K, int)
+    for name, count in (("parallel", parallel), ("top_k", top_k)):
+        if count < 1:
+            raise ValueError(f"{name} must be >= 1, got {count}")
 
     if args.policy == "llm" and not os.environ.get(ENDPOINT_URL_VAR):
         raise UsageError(f"policy 'llm' needs {ENDPOINT_URL_VAR} set")

@@ -14,11 +14,11 @@ comprehension over the sp / op / byp / tri indices, and after each atom the
 rows keep only the variables a later atom or the projection still needs, so
 every step deduplicates (semi-join reduction, then join: Yannakakis, VLDB
 1981; AMIE 3 gets the same effect from per-variable count queries). The
-steps are built once per shape of plan, and a one-atom body is read straight
-off the indices. The metrics project each body component onto the head
-variables it holds. Grounding enumeration, like the count query below,
-joins the head in after the body, so it yields only the support groundings
-(body and head both hold) and decodes them to entity ids as they are read.
+steps are built once per shape of plan. The metrics project each body
+component onto the head variables it holds. Grounding enumeration, like the
+count query below, joins the head in after the body, so it yields only the
+support groundings (body and head both hold) and decodes them to entity ids
+as they are read.
 An existence check -- head_binding_check, whose head bindings enter the
 body as constants, or a body component holding neither head variable -- is
 a projection onto no variable, non-empty iff the body holds.
@@ -36,9 +36,9 @@ once, onto X, Y and the variables its refinements read, and one pass over
 those rows per operator and variable counts, for every one-atom refinement
 at once, the distinct (X, Y) pairs the new atom holds on -- its support. A
 signature and key are computed only for the refinements whose support
-clears the head's threshold. The set of enqueued keys is dropped whenever
-the search reaches the next rule length, as no key of a shorter rule comes
-up again.
+clears the head's threshold. A refinement keeps its parent's head, so
+mine() runs one search per head predicate, each with its own queue and its
+own set of enqueued keys, and sorts their concatenated outputs.
 """
 
 from __future__ import annotations
@@ -156,8 +156,6 @@ def _compile(g: KnowledgeGraph, rule: HornRule) -> _Compiled:
 def _make_plan(body) -> tuple:
     """Join order fixed once per rule: fully bound atoms first, half-bound
     next, unbound scans last. Order never changes results, only cost."""
-    if len(body) < 2:
-        return tuple(body)
     bound = set()
     remaining = list(body)
     plan = []
@@ -274,17 +272,6 @@ def _project(g: KnowledgeGraph, plan, proj) -> set:
     is empty when a projected variable occurs in no atom. Only the indices
     a step reads are built.
     """
-    if len(plan) == 1:
-        # one atom: the keys come straight from its facts
-        (_, a1, a2), facts = plan[0], _facts(g, plan[0])
-        if proj == (a1, a2):
-            return set(facts)
-        if proj == (a2, a1):
-            return {(o, s) for s, o in facts}
-        if proj == (a1,):
-            return {s for s, _ in facts}
-        if proj == (a2,):
-            return {o for _, o in facts}
     args = [a for atom in plan for a in atom[1:]] + list(proj)
     compiled = _steps(tuple(a if a[0] else None for a in args), len(plan))
     if compiled is None:
@@ -601,7 +588,8 @@ def _closed(rule: HornRule) -> bool:
 
 
 def mine(g: KnowledgeGraph, cfg: MinerConfig | None = None) -> list[MinedRule]:
-    """Breadth-first queue mining.
+    """Breadth-first queue mining, one search per head predicate: a
+    refinement keeps its parent's head, so no two heads share a rule.
 
     A dequeued rule is output iff it is closed (connected and safe follow by
     construction), its PCA confidence beats the threshold and every mined
@@ -609,61 +597,63 @@ def mine(g: KnowledgeGraph, cfg: MinerConfig | None = None) -> list[MinedRule]:
     It is refined iff shorter than the length cap and not yet at PCA 1.0;
     refinements enqueue iff head coverage passes and they were not enqueued
     before. Output is sorted by head predicate, length, then canonical form.
+    """
+    cfg = cfg or MinerConfig()
+    if len(g) == 0:
+        raise ValueError("empty graph")
+    output = [found for p in g.predicates for found in _mine_head(g, cfg, p)]
+    output.sort(key=lambda rm: (rm[0].head.predicate, rm[0].length, rm[0].key()))
+    return [
+        MinedRule(f"r{i:04d}", rule, met, classify_rule(rule))
+        for i, (rule, met) in enumerate(output)
+    ]
+
+
+def _mine_head(g: KnowledgeGraph, cfg: MinerConfig, p: str) -> list[tuple[HornRule, RuleMetrics]]:
+    """The (rule, metrics) pairs mine() outputs with head p(X, Y), in the
+    order its FIFO queue, seeded with p(X, Y), dequeues them.
 
     Each dequeued rule's metrics come from one compute_metrics call, which
     the output test and the refinement test both read. Candidates that fail
     the head coverage gate, and open candidates at the cap, which could
     never be output, are never built: refine counts every refinement's
     support on the parent's join and skips them before computing a
-    signature. The debug log line of each length gives the refinements
-    counted and the candidates built.
-    """
-    cfg = cfg or MinerConfig()
-    if len(g) == 0:
-        raise ValueError("empty graph")
-    queue = deque((rule_from_signature(((p, "v0", "v1"),)), 0.0) for p in g.predicates)  # p(X,Y)
+    signature. The debug log line of the head gives the refinements
+    counted, the candidates built and the rules enqueued."""
+    started = time.perf_counter()
+    queue = deque([(rule_from_signature(((p, "v0", "v1"),)), 0.0)])
+    seen: set[str] = set()
     output: list[tuple[HornRule, RuleMetrics]] = []
+    counted = candidates = 0
     while queue:
-        # one rule length at a time; the next length's rules queue up behind
-        # this one's, and no key recurs across lengths
-        length, size, started = queue[0][0].length, len(queue), time.perf_counter()
-        seen: set[str] = set()
-        counted = candidates = 0
-        for _ in range(size):
-            rule, ancestor_conf = queue.popleft()
-            met = compute_metrics(g, rule)
-            if (
-                rule.body
-                and _closed(rule)
-                and met.pca_confidence > cfg.pca_threshold
-                and met.pca_confidence > ancestor_conf
-                and met.confidence >= cfg.min_confidence
-            ):
-                output.append((rule, met))
-                ancestor_conf = met.pca_confidence
-            if rule.length < cfg.max_rule_length and met.pca_confidence < 1.0:
-                # a candidate at the cap is never refined, so only a closed
-                # one can be output (with a p(X,Y) head closed implies safe,
-                # and refinement keeps rules connected): refine builds no
-                # other, and none that fails the head coverage gate
-                refined = refine(rule, g, cfg)
-                counted += refined.counted
-                candidates += len(refined)
-                for key, sig in refined:
-                    if key not in seen:
-                        seen.add(key)
-                        queue.append((rule_from_signature(sig), ancestor_conf))
-        log.debug(
-            "length %d: %d rules dequeued, %d refinements counted, %d candidates built,"
-            " %d enqueued, %.2f s",
-            length, size, counted, candidates, len(queue), time.perf_counter() - started,
-        )
-
-    output.sort(key=lambda rm: (rm[0].head.predicate, rm[0].length, rm[0].key()))
-    return [
-        MinedRule(f"r{i:04d}", rule, met, classify_rule(rule))
-        for i, (rule, met) in enumerate(output)
-    ]
+        rule, ancestor_conf = queue.popleft()
+        met = compute_metrics(g, rule)
+        if (
+            rule.body
+            and _closed(rule)
+            and met.pca_confidence > cfg.pca_threshold
+            and met.pca_confidence > ancestor_conf
+            and met.confidence >= cfg.min_confidence
+        ):
+            output.append((rule, met))
+            ancestor_conf = met.pca_confidence
+        if rule.length < cfg.max_rule_length and met.pca_confidence < 1.0:
+            # a candidate at the cap is never refined, so only a closed
+            # one can be output (with a p(X,Y) head closed implies safe,
+            # and refinement keeps rules connected): refine builds no
+            # other, and none that fails the head coverage gate
+            refined = refine(rule, g, cfg)
+            counted += refined.counted
+            candidates += len(refined)
+            for key, sig in refined:
+                if key not in seen:
+                    seen.add(key)
+                    queue.append((rule_from_signature(sig), ancestor_conf))
+    log.debug(
+        "head %s: %d refinements counted, %d candidates built, %d enqueued, %.2f s",
+        p, counted, candidates, len(seen), time.perf_counter() - started,
+    )
+    return output
 
 
 # -- persistence -------------------------------------------------------------

@@ -6,12 +6,29 @@ report metrics."""
 from __future__ import annotations
 
 import itertools
+import logging
+import time
+from collections import deque
 
 from kgreason.bench import RemovalEntry, RemovalPlan, _stable_rng
 from kgreason.env import INVERSE_PREFIX
 from kgreason.kg import KnowledgeGraph
-from kgreason.mining import _compile, _facts, _make_plan, substitute_body, substitute_head
-from kgreason.rules import Atom, HornRule, Term, variable_symbol
+from kgreason.mining import (
+    MinedRule,
+    MinerConfig,
+    RuleMetrics,
+    _closed,
+    _compile,
+    _facts,
+    _make_plan,
+    compute_metrics,
+    refine,
+    substitute_body,
+    substitute_head,
+)
+from kgreason.rules import Atom, HornRule, Term, classify_rule, rule_from_signature, variable_symbol
+
+log = logging.getLogger(__name__)
 
 
 def _apply(term, sigma):
@@ -234,6 +251,12 @@ def walk_project(g, plan, nvars, proj, keep=None, visit=None) -> set:
 
     _walk(g, plan[:depth], 0, binding, leaf)
     return keys
+
+
+def walk_exists(g, plan, nvars) -> bool:
+    """Whether plan has a grounding, by the walk: the oracle of a
+    projection onto no variable."""
+    return _walk(g, plan, 0, [None] * nvars)
 
 
 def walk_groundings(g: KnowledgeGraph, rule: HornRule) -> list[tuple[dict[str, str], bool]]:
@@ -471,3 +494,72 @@ def naive_report(gold_sets, pred_sets, hard_answers):
         "hits_hard": hard,
         "hhr": hard / hits if hits > 0 else 0.0,
     }
+
+
+def reference_mine(g: KnowledgeGraph, cfg: MinerConfig | None = None) -> list[MinedRule]:
+    """Breadth-first queue mining.
+
+    mine() as it was when every head predicate shared one queue, taken one
+    rule length at a time, kept as the oracle of the one search per head.
+
+    A dequeued rule is output iff it is closed (connected and safe follow by
+    construction), its PCA confidence beats the threshold and every mined
+    ancestor's PCA confidence, and its standard confidence reaches min_confidence.
+    It is refined iff shorter than the length cap and not yet at PCA 1.0;
+    refinements enqueue iff head coverage passes and they were not enqueued
+    before. Output is sorted by head predicate, length, then canonical form.
+
+    Each dequeued rule's metrics come from one compute_metrics call, which
+    the output test and the refinement test both read. Candidates that fail
+    the head coverage gate, and open candidates at the cap, which could
+    never be output, are never built: refine counts every refinement's
+    support on the parent's join and skips them before computing a
+    signature. The debug log line of each length gives the refinements
+    counted and the candidates built.
+    """
+    cfg = cfg or MinerConfig()
+    if len(g) == 0:
+        raise ValueError("empty graph")
+    queue = deque((rule_from_signature(((p, "v0", "v1"),)), 0.0) for p in g.predicates)  # p(X,Y)
+    output: list[tuple[HornRule, RuleMetrics]] = []
+    while queue:
+        # one rule length at a time; the next length's rules queue up behind
+        # this one's, and no key recurs across lengths
+        length, size, started = queue[0][0].length, len(queue), time.perf_counter()
+        seen: set[str] = set()
+        counted = candidates = 0
+        for _ in range(size):
+            rule, ancestor_conf = queue.popleft()
+            met = compute_metrics(g, rule)
+            if (
+                rule.body
+                and _closed(rule)
+                and met.pca_confidence > cfg.pca_threshold
+                and met.pca_confidence > ancestor_conf
+                and met.confidence >= cfg.min_confidence
+            ):
+                output.append((rule, met))
+                ancestor_conf = met.pca_confidence
+            if rule.length < cfg.max_rule_length and met.pca_confidence < 1.0:
+                # a candidate at the cap is never refined, so only a closed
+                # one can be output (with a p(X,Y) head closed implies safe,
+                # and refinement keeps rules connected): refine builds no
+                # other, and none that fails the head coverage gate
+                refined = refine(rule, g, cfg)
+                counted += refined.counted
+                candidates += len(refined)
+                for key, sig in refined:
+                    if key not in seen:
+                        seen.add(key)
+                        queue.append((rule_from_signature(sig), ancestor_conf))
+        log.debug(
+            "length %d: %d rules dequeued, %d refinements counted, %d candidates built,"
+            " %d enqueued, %.2f s",
+            length, size, counted, candidates, len(queue), time.perf_counter() - started,
+        )
+
+    output.sort(key=lambda rm: (rm[0].head.predicate, rm[0].length, rm[0].key()))
+    return [
+        MinedRule(f"r{i:04d}", rule, met, classify_rule(rule))
+        for i, (rule, met) in enumerate(output)
+    ]

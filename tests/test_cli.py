@@ -439,6 +439,41 @@ class TestBadInputs:
         assert capsys.readouterr().err.startswith(f"error: {path}: ")
         assert not (tmp_path / "p.jsonl").exists()
 
+    @pytest.mark.parametrize(
+        "option, value",
+        [("--top-k", "-1"), ("--top-k", "0"), ("--parallel", "0"), ("--parallel", "-2")],
+    )
+    def test_run_count_below_one(self, tmp_path, bundle_dir, capsys, option, value):
+        # refused before any output is opened: the previous run's files stay
+        out = tmp_path / "run"
+        out.mkdir()
+        argv = ["run", "--bundle", str(bundle_dir), "--split", "all",
+                "--out", str(out / "p.jsonl"), "--traces", str(out / "t.jsonl")]
+        assert main(argv) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        capsys.readouterr()
+        assert main(argv + [option, value]) == 1
+        name = option[2:].replace("-", "_")
+        assert capsys.readouterr().err == f"error: {name} must be >= 1, got {value}\n"
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    @pytest.mark.parametrize(
+        "option, value",
+        [("--groundings-per-rule", "0"), ("--groundings-per-rule", "-1"), ("--max-inflight", "0")],
+    )
+    def test_bench_count_below_one(
+        self, bundle_dir, uncle_world_file, mined_rules, monkeypatch, capsys, option, value
+    ):
+        # refused before any removal is planned: the previous bundle stays
+        before = {p.name: p.read_bytes() for p in bundle_dir.iterdir()}
+        monkeypatch.setattr(bench, "plan_removals", lambda *args: pytest.fail("planned"))
+        capsys.readouterr()
+        assert main(["bench", "--kg", str(uncle_world_file), "--rules", str(mined_rules),
+                     "--out-dir", str(bundle_dir), "--seed", "7", option, value]) == 1
+        name = option[2:].replace("-", "_")
+        assert capsys.readouterr().err == f"error: {name} must be >= 1, got {value}\n"
+        assert {p.name: p.read_bytes() for p in bundle_dir.iterdir()} == before
+
 
 def test_switch_rejects_unknown_value(tmp_path, bundle_dir, monkeypatch, capsys):
     monkeypatch.setenv("KGREASON_INCLUDE_INVERSE", "maybe")

@@ -42,6 +42,8 @@ from oracles import (
     exhaustive_groundings,
     exhaustive_metrics,
     permutation_refine,
+    reference_mine,
+    walk_exists,
     walk_groundings,
     walk_project,
 )
@@ -461,7 +463,8 @@ class TestProjectionEngine:
 
     def test_project_matches_walk_oracle(self):
         shapes = dict.fromkeys(
-            ["reflexive", "constant", "absent constant", "disconnected", "no X", "no Y"], 0
+            ["reflexive", "constant", "absent constant", "disconnected", "no X", "no Y", "holds",
+             "holds nowhere"], 0
         )
         for g, rules in self.rules():
             for rule in rules:
@@ -480,10 +483,14 @@ class TestProjectionEngine:
                 plan = _make_plan(c.body)
                 _, hx, hy = c.head
                 # a constant in the key, as in a head p(X, c); -2 is absent
-                for proj in ((hx, hy), (hx,), (hy,), (hx, (False, 0)), ((False, -2), hy)):
+                projections = (hx, hy), (hy, hx), (hx,), (hy,), (hx, (False, 0)), ((False, -2), hy)
+                for proj in projections:
                     assert _project(g, plan, proj) == walk_project(
                         g, plan, c.nvars, proj
                     ), (rule, proj)
+                holds = walk_exists(g, plan, c.nvars)
+                assert _project(g, plan, ()) == ({()} if holds else set()), rule
+                shapes["holds" if holds else "holds nowhere"] += 1
         assert all(shapes.values()), shapes
 
     def test_enumerate_groundings_matches_walk_oracle(self):
@@ -695,19 +702,59 @@ class TestMine:
                 child = rule_from_signature(sig)
                 assert compute_metrics(g, child).support <= parent.support
 
-    def test_debug_log_one_line_per_length(self, uncle_world, caplog):
+    def test_debug_log_one_line_per_head(self, uncle_world, caplog, monkeypatch):
+        # every rule a head's search enqueues, and its seed p(X, Y), has its
+        # metrics computed once; every candidate refine returns is built
+        spied = dict.fromkeys(["metrics", "counted", "built"], 0)
+        real_metrics, real_refine = mining.compute_metrics, mining.refine
+
+        def metrics_spy(g, rule):
+            spied["metrics"] += 1
+            return real_metrics(g, rule)
+
+        def refine_spy(rule, g, cfg):
+            found = real_refine(rule, g, cfg)
+            spied["counted"] += found.counted
+            spied["built"] += len(found)
+            return found
+
+        monkeypatch.setattr(mining, "compute_metrics", metrics_spy)
+        monkeypatch.setattr(mining, "refine", refine_spy)
         with caplog.at_level(logging.DEBUG, logger="kgreason.mining"):
             mine(uncle_world, MinerConfig(max_rule_length=3))
+        lines = [r.getMessage() for r in caplog.records if r.name == "kgreason.mining"]
+        heads = [re.match(r"head (\S+): ", line)[1] for line in lines]
+        assert heads == list(uncle_world.predicates)
         counts = [
-            tuple(map(int, re.findall(r"(\d+) (?:rules|candidates|enqueued)", r.getMessage())))
-            for r in caplog.records
-            if r.name == "kgreason.mining"
+            tuple(map(int, re.findall(r"(\d+) (?:refinements|candidates|enqueued)", line)))
+            for line in lines
         ]
-        assert len(counts) == 3
-        # what one length enqueues is what the next dequeues; the last refines nothing
-        assert counts[0][0] == len(uncle_world.predicates)
-        assert [c[2] for c in counts[:-1]] == [c[0] for c in counts[1:]]
-        assert counts[-1][1:] == (0, 0)
+        assert all(len(c) == 3 for c in counts)
+        assert sum(c[0] for c in counts) == spied["counted"]
+        assert sum(c[1] for c in counts) == spied["built"] > 0
+        assert sum(c[2] + 1 for c in counts) == spied["metrics"]
+
+    def test_matches_the_global_queue_oracle(self):
+        # the per-head searches, concatenated and sorted, against the one
+        # queue all heads shared: criterion 3's corpus, then the gate corpus
+        # at each entry's length, with and without constants
+        rng = random.Random(303)
+        cases = [
+            (random_graph(rng, rng.randint(8, 14), rng.randint(3, 6), rng.randint(30, 120)),
+             MinerConfig(max_rule_length=3))
+            for _ in range(60)
+        ]
+        cases += [
+            (_corpus_graph(*entry[:4]),
+             MinerConfig(max_rule_length=entry[4], allow_instantiated_atoms=entry[5]))
+            for entry in TestHeadCoverageGate.CORPUS
+        ]
+        emitted = 0
+        for g, cfg in cases:
+            got = mine(g, cfg)
+            assert got == reference_mine(g, cfg), (g.predicates, cfg)
+            emitted += len(got)
+        assert emitted > 50
 
     def test_no_open_rule_enqueued_at_the_cap(self, uncle_world, monkeypatch):
         checked = []
