@@ -181,6 +181,8 @@ class HeuristicPolicy:
 
     def __init__(self, question: str, topic: str, synonyms: dict[str, list[str]] | None = None,
                  top_k: int = TOP_K, max_hops: int = EnvConfig.max_hop_limit):
+        if top_k < 1:  # ranked[:top_k] would drop paths from the end, not keep top_k
+            raise ValueError(f"top_k must be >= 1, got {top_k}")
         self.question = question
         self.topic = topic
         self.top_k = top_k

@@ -22,19 +22,18 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
 
-from .kg import (KnowledgeGraph, Triple, json_document, read_triples, sha256, sha256_file,
-                 write_anonymization_map)
+from .kg import (ANY, STRING, TRIPLE, KnowledgeGraph, Triple, json_document, mistyped,
+                 read_rows, read_triples, sha256, sha256_file, write_anonymization_map,
+                 write_rows)
 from .llm import QUESTION_GENERATION_PROMPT, EndpointError, LLMClient
 from .mining import (
     MinedRule,
     enumerate_groundings,
     head_binding_check,
-    read_rows,
     read_rules_jsonl,
     rule_type_histogram,
     substitute_body,
     substitute_head,
-    write_rows,
     write_rules_jsonl,
 )
 from .rules import Atom, HornRule, Term
@@ -398,9 +397,9 @@ class Bundle:
         with open(self.directory / "questions.jsonl", encoding="utf-8") as fh:
             return [QAInstance.from_json(json.loads(line)) for line in fh if line.strip()]
 
-    def question_rows(self, split: str, fields: tuple[str, ...]) -> list[dict]:
-        """The named fields of each question in `split`, as `read_rows`
-        reads them from questions.jsonl."""
+    def question_rows(self, split: str, fields: dict[str, str | None]) -> list[dict]:
+        """The named fields of each question in `split`, each of its kind in
+        `fields`, as `read_rows` reads them from questions.jsonl."""
         return list(read_rows(self.directory / "questions.jsonl", fields, split))
 
     @cached_property
@@ -576,41 +575,33 @@ def load_bundle(directory: str | Path) -> Bundle:
     return Bundle(d)
 
 
-def _malformed(row: dict, triple: str) -> str | None:
-    """What keeps a bundle row from being checked: its `triple` field is not
-    three strings, or another of its fields is not a string."""
-    for k, v in row.items():
-        if k == triple and not (isinstance(v, list) and list(map(type, v)) == [str, str, str]):
-            return f"{k} {v!r} is not three strings"
-        if k != triple and not isinstance(v, str):
-            return f"{k} {v!r} is not a string"
-    return None
-
-
 def verify_bundle(directory: str | Path) -> dict:
     """Re-check the answerability invariant and the size arithmetic of a
     bundle on disk, and that each question has an id of its own and stands
     for a row of removals.jsonl that no other question stands for. A row
-    whose triple is not three strings, or whose id or rule id is not a
-    string, is a violation and is not checked further. Only the incomplete
+    whose triple is not three strings, or whose rule id is not a string, is
+    a violation and is not checked further (`read_rows` refuses a question
+    id that is not a string). Only the incomplete
     graph is built, and only once the distinct triples of complete.tsv (as
     `read_triples` parses them) are counted, the questions are tied to the
     removals, and each question's id, removed triple and rule id are held
     as a tuple, with no row dict kept."""
     bundle = load_bundle(directory)
     complete = len(set(read_triples(bundle.directory / "complete.tsv")))
-    rows = list(read_rows(bundle.directory / "removals.jsonl", ("removed", "rule_id")))
+    rows = list(read_rows(bundle.directory / "removals.jsonl", {"removed": ANY, "rule_id": ANY}))
+    kinds = {"removed": TRIPLE, "rule_id": STRING}
     removals, unclaimed, malformed = len(rows), Counter(), []
     for n, r in enumerate(rows, start=1):
-        if why := _malformed(r, "removed"):
+        if why := mistyped(r, kinds):
             malformed.append(f"removals.jsonl row {n}: {why}")
         else:
             unclaimed[tuple(r["removed"]), r["rule_id"]] += 1
-    rows = bundle.question_rows("all", ("id", "removed_triple", "rule_id"))
+    rows = bundle.question_rows("all", {"id": STRING, "removed_triple": ANY, "rule_id": ANY})
+    kinds = {"removed_triple": TRIPLE, "rule_id": STRING}
     questions = len(rows)
-    malformed += [f"{r['id']}: {why}" for r in rows if (why := _malformed(r, "removed_triple"))]
+    malformed += [f"{r['id']}: {why}" for r in rows if (why := mistyped(r, kinds))]
     rows = [(r["id"], tuple(r["removed_triple"]), r["rule_id"])
-            for r in rows if not _malformed(r, "removed_triple")]
+            for r in rows if not mistyped(r, kinds)]
     ids, ties = set(), []
     for qid, removed, rule_id in rows:
         if qid in ids:

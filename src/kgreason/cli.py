@@ -19,7 +19,8 @@ from pathlib import Path
 
 # only the graph module, which `inspect --kg` needs; every other command
 # imports its stage's modules when it runs
-from .kg import KnowledgeGraph, json_document, json_line, sha256_file
+from .kg import (STRING, STRING_OR_STRINGS, STRINGS, KnowledgeGraph, json_document, json_line,
+                 mistyped, read_rows, sha256_file)
 
 log = logging.getLogger("kgreason")
 
@@ -77,27 +78,13 @@ def _json_object(path: str) -> dict:
     return obj
 
 
-def _check_type(rows: list[dict], path, kind: str, name: str, types, what: str,
-                of_strings: bool = False) -> None:
-    """Refuse the first row whose field `name` is not of `types`, or, with
-    `of_strings`, holds an element that is not a string, naming the file and
-    the row's id."""
-    for row in rows:
-        value = row[name]
-        if not isinstance(value, types):
-            raise ValueError(f"{path}: {kind} {row['id']}: {name} {value!r} is not {what}")
-        if of_strings and not all(isinstance(v, str) for v in value):
-            raise ValueError(f"{path}: {kind} {row['id']}: {name} {value!r} is not {what} of strings")
-
-
 def _load_synonyms(path: str | None) -> dict | None:
     if not path:
         return None
     table = _json_object(path)
-    for names in table.values():
-        if not isinstance(names, (str, list)) or not all(isinstance(n, str) for n in names):
-            raise ValueError(f"{path}: not an object mapping each word to a predicate "
-                             "name or a list of names")
+    if mistyped(table, dict.fromkeys(table, STRING_OR_STRINGS)):
+        raise ValueError(f"{path}: not an object mapping each word to a predicate "
+                         "name or a list of names")
     return table
 
 
@@ -189,12 +176,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     res = _Resolver(args)
     bundle = bench.load_bundle(args.bundle)
     g = bundle.incomplete if args.graph == "incomplete" else bundle.complete
-    questions = bundle.question_rows(args.split, ("id", "question", "topic"))
+    questions = bundle.question_rows(args.split, dict.fromkeys(("id", "question", "topic"), STRING))
     if not questions:
         raise ValueError(f"no questions in split {args.split!r}")
-    for name in ("question", "topic"):
-        _check_type(questions, bundle.directory / "questions.jsonl", "question", name, str,
-                    "a string")
 
     budget = agent.PolicyBudget(res.get("max_actions", agent.PolicyBudget.max_actions, int))
     max_endpoint_calls = res.get("max_endpoint_calls", 30, int)
@@ -205,7 +189,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     synonyms = _load_synonyms(res.get("synonyms", None, str))
     parallel = res.get("parallel", 1, int)
     top_k = res.get("top_k", agent.HeuristicPolicy.TOP_K, int)
-    for name, count in (("parallel", parallel), ("top_k", top_k)):
+    for name, count in (("parallel", parallel), ("top_k", top_k),
+                        ("max_endpoint_calls", max_endpoint_calls)):
         if count < 1:
             raise ValueError(f"{name} must be >= 1, got {count}")
 
@@ -285,18 +270,13 @@ def _in_order(pool, fn, items, ahead: int):
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    from . import bench, evaluate, mining
+    from . import bench, evaluate
 
     bundle = bench.load_bundle(args.bundle)
-    gold = bundle.question_rows(args.split, ("id", "answers", "hard_answer"))
+    gold = bundle.question_rows(args.split, dict(id=STRING, answers=STRINGS, hard_answer=STRING))
     if not gold:
         raise ValueError(f"no questions in split {args.split!r}")
-    questions_path = bundle.directory / "questions.jsonl"
-    _check_type(gold, questions_path, "question", "answers", list, "a list", of_strings=True)
-    _check_type(gold, questions_path, "question", "hard_answer", str, "a string")
-    predictions = list(mining.read_rows(args.predictions, ("id", "prediction")))
-    _check_type(predictions, args.predictions, "prediction", "prediction", (str, list),
-                "a string or a list", of_strings=True)
+    predictions = list(read_rows(args.predictions, {"id": STRING, "prediction": STRING_OR_STRINGS}))
     gold_ids = {q["id"] for q in gold}
     strays = [p["id"] for p in predictions if p["id"] not in gold_ids]
     if strays:

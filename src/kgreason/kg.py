@@ -27,10 +27,13 @@ row of a rules file, bundle record file, predictions file and trace, and for
 the state digest's payload; `json_document` (indent 2, sorted keys) for the
 manifests, the anonymization map and `inspect`'s output. The one other is
 `eval`'s report, in a third layout with one writer, `evaluate.write_report`:
-`json.dump` at indent 2, its keys in report order. Every hash is `sha256`, the
-interpreter's built-in SHA-256: `hashlib` would load OpenSSL's libcrypto, a
-few MB of RSS, to hash a few hundred bytes at a time, and is only the
-fallback where the built-in module is missing.
+`json.dump` at indent 2, its keys in report order. `read_rows` is the one
+reader of JSON-lines files, refusing by file and line a row that lacks a
+field or holds one of the wrong kind (`mistyped`), and `write_rows` writes
+each one written whole. Every hash is `sha256`, the interpreter's built-in
+SHA-256: `hashlib` would load OpenSSL's libcrypto, a few MB of RSS, to hash
+a few hundred bytes at a time, and is only the fallback where the built-in
+module is missing.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from functools import cached_property
 from itertools import groupby
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Mapping
 
 try:
     from _sha2 import sha256  # Python 3.12+
@@ -59,6 +62,61 @@ Triple = tuple[str, str, str]
 # one shared encoder each; `encode` keeps no state between calls
 json_line = json.JSONEncoder(sort_keys=True).encode
 json_document = json.JSONEncoder(indent=2, sort_keys=True).encode
+
+# the kinds of value a row field can be required to hold, each named by the
+# words a refusal uses; ANY holds every value
+STRING, STRINGS, TRIPLE, ANY = "a string", "a list of strings", "three strings", None
+STRING_OR_STRINGS = "a string or a list of strings"
+
+
+def mistyped(row: dict, kinds: Mapping[str, str | None]) -> str | None:
+    """`<field> <value> is not <kind>` for the first field named in `kinds`
+    whose value in `row` is not of its kind, or None if every one is."""
+    for name, kind in kinds.items():
+        value = row[name]
+        if isinstance(value, str):
+            fits = kind in (ANY, STRING, STRING_OR_STRINGS)
+        else:
+            fits = kind is ANY or (kind != STRING and isinstance(value, list)
+                                   and all(isinstance(v, str) for v in value)
+                                   and (kind != TRIPLE or len(value) == 3))
+        if not fits:
+            return f"{name} {value!r} is not {kind}"
+    return None
+
+
+def read_rows(path: str | Path, fields: Mapping[str, str | None],
+              split: str = "all") -> Iterator[dict]:
+    """Yield the named fields of each row of a JSON-lines file in `split`
+    ("all" for every row), in file order; a row with no split reads as "".
+    A line that is no JSON object, or a row of the split that lacks a field
+    or holds one not of its kind in `fields`, is refused with a ValueError
+    naming the file and the line."""
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                row = json.loads(line)
+            except json.JSONDecodeError:
+                row = None
+            if not isinstance(row, dict):
+                raise ValueError(f"{path}: line {lineno}: not a JSON object")
+            if split in ("all", row.get("split", "")):
+                try:
+                    row = {k: row[k] for k in fields}
+                except KeyError as err:
+                    raise ValueError(f"{path}: line {lineno}: missing field {err}") from None
+                if why := mistyped(row, fields):
+                    raise ValueError(f"{path}: line {lineno}: {why}")
+                yield row
+
+
+def write_rows(path: str | Path, rows: Iterable[dict]) -> None:
+    """Each row as one `json_line`, written as it comes."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for row in rows:
+            fh.write(json_line(row) + "\n")
 
 
 _FIRST, _FIRST_TWO = itemgetter(0), itemgetter(0, 1)

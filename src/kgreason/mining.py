@@ -45,18 +45,17 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import logging
 import math
 import time
 from collections import Counter, deque
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
-from .kg import KnowledgeGraph, json_line
+from .kg import ANY, STRING, KnowledgeGraph, read_rows, write_rows
 from .rules import (
     RULE_TYPES,
     Atom,
@@ -247,16 +246,16 @@ def _facts(g: KnowledgeGraph, atom) -> list | tuple:
     return [f for f in facts if f[0] == f[1]] if x1 == x2 else facts
 
 
-def _columns(facts, cols) -> list | set | tuple:
-    """Distinct tuples of the columns `cols` (0 for s, 1 for o) of facts."""
+def _columns(facts, cols) -> set:
+    """A new set of the distinct tuples of columns `cols` (0: s, 1: o) of facts."""
     if cols == (0, 1):
-        return facts
+        return set(facts)
     if cols == (1, 0):
-        return [(o, s) for s, o in facts]
+        return {(o, s) for s, o in facts}
     if cols:
         i = cols[0]
         return {(f[i],) for f in facts}
-    return [()] * bool(facts)
+    return {()} if facts else set()
 
 
 def _project(g: KnowledgeGraph, plan, proj) -> set:
@@ -296,7 +295,7 @@ def _project(g: KnowledgeGraph, plan, proj) -> set:
         else:
             values = _columns(_facts(g, (p, a1, a2)), scan)
             bases = {pick(r) for r in rows}
-            rows = set(values) if bases == {()} else {b + v for b in bases for v in values}
+            rows = values if bases == {()} else {b + v for b in bases for v in values}
     return rows if key is None else {key(r) for r in rows}
 
 
@@ -656,7 +655,7 @@ def _mine_head(g: KnowledgeGraph, cfg: MinerConfig, p: str) -> list[tuple[HornRu
     return output
 
 
-# -- persistence -------------------------------------------------------------
+# -- the rules file ----------------------------------------------------------
 
 
 def rule_type_histogram(mined: list[MinedRule]) -> dict[str, int]:
@@ -665,39 +664,6 @@ def rule_type_histogram(mined: list[MinedRule]) -> dict[str, int]:
         hist[mr.rule_type] += 1
     hist["total"] = len(mined)
     return hist
-
-
-def read_rows(path: str | Path, fields: tuple[str, ...], split: str = "all") -> Iterator[dict]:
-    """Yield the named fields of each row of a JSON-lines file in `split`
-    ("all" for every row), in file order; a row with no split reads as "".
-    A line that is no JSON object, or a row of the split that lacks a field
-    or whose `id` (the key that other rows and files refer to) is no string,
-    is refused with a ValueError naming the file and the line."""
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError:
-                row = None
-            if not isinstance(row, dict):
-                raise ValueError(f"{path}: line {lineno}: not a JSON object")
-            if split in ("all", row.get("split", "")):
-                try:
-                    row = {k: row[k] for k in fields}
-                except KeyError as err:
-                    raise ValueError(f"{path}: line {lineno}: missing field {err}") from None
-                if not isinstance(row.get("id", ""), str):
-                    raise ValueError(f"{path}: line {lineno}: id {row['id']!r} is not a string")
-                yield row
-
-
-def write_rows(path: str | Path, rows: Iterable[dict]) -> None:
-    """Each row as one `json_line`, written as it comes."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write(json_line(row) + "\n")
 
 
 def write_rules_jsonl(mined: list[MinedRule], path: str | Path) -> None:
@@ -710,7 +676,7 @@ def read_rules_jsonl(path: str | Path) -> list[MinedRule]:
     head, body or metrics do not parse, or whose type is no rule type, is
     refused with a ValueError naming the file and the rule."""
     mined = []
-    for r in read_rows(path, ("id", "head", "body", "metrics", "type")):
+    for r in read_rows(path, {"id": STRING, "head": ANY, "body": ANY, "metrics": ANY, "type": ANY}):
         if r["type"] not in RULE_TYPES:
             raise ValueError(f"{path}: rule {r['id']}: unknown rule type {r['type']!r}")
         try:

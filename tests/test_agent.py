@@ -113,6 +113,13 @@ class TestHeuristicPolicy:
             runs.append([json.dumps(s["action"], sort_keys=True) for s in trace.steps])
         assert runs[0] == runs[1]
 
+    @pytest.mark.parametrize("top_k", [0, -1])
+    def test_top_k_below_one_is_refused(self, top_k):
+        # a negative top_k would ground ranked[:top_k], every path but the last few
+        with pytest.raises(ValueError, match=f"top_k must be >= 1, got {top_k}"):
+            HeuristicPolicy("Who is 139's brother?", "139", top_k=top_k)
+        assert HeuristicPolicy("Who is 139's brother?", "139", top_k=1).top_k == 1
+
     def test_prediction_justified_by_supporting_paths(self, celebrity_family):
         question = q("j1", "Who is Justin Bieber's parent?", "Justin Bieber")
         policy = HeuristicPolicy(question["question"], "Justin Bieber", max_hops=3)

@@ -26,7 +26,7 @@ from kgreason.bench import (
     template_question,
     verify_bundle,
 )
-from kgreason.kg import KnowledgeGraph, read_triples
+from kgreason.kg import STRING, KnowledgeGraph, read_triples
 from kgreason.mining import (
     MinedRule,
     MinerConfig,
@@ -646,11 +646,11 @@ class TestBundle:
     def test_question_rows_read_only_the_named_fields(self, tmp_path, uncle_world_file):
         out, _ = self.build(tmp_path, uncle_world_file)
         bundle = load_bundle(out)
-        assert bundle.question_rows("all", ("id", "topic")) == [
+        assert bundle.question_rows("all", {"id": STRING, "topic": STRING}) == [
             {"id": q.id, "topic": q.topic} for q in bundle.questions
         ]
         for split in ("train", "val", "test"):
-            assert [row["id"] for row in bundle.question_rows(split, ("id",))] == [
+            assert [row["id"] for row in bundle.question_rows(split, {"id": STRING})] == [
                 q.id for q in bundle.questions if q.split == split
             ]
         # a row with no split is in no split, as QAInstance.from_json reads it
@@ -661,8 +661,8 @@ class TestBundle:
         path.write_text("".join(json.dumps(row) + "\n" for row in rows))
         bundle = load_bundle(out)
         assert {q.split for q in bundle.questions} == {""}
-        assert bundle.question_rows("test", ("id",)) == []
-        assert len(bundle.question_rows("all", ("id",))) == len(rows)
+        assert bundle.question_rows("test", {"id": STRING}) == []
+        assert len(bundle.question_rows("all", {"id": STRING})) == len(rows)
         path.unlink()
         with pytest.raises(ValueError, match="bundle is missing questions.jsonl"):
             load_bundle(out)

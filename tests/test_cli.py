@@ -290,9 +290,10 @@ class TestInspect:
              "rule r0001: bad head, body or metrics: "),
             (lambda row: {**row, "head": {**row["head"], "p": ["x"]}},
              "rule r0001: bad head, body or metrics: "),
+            (lambda row: {**row, "id": 7}, "line 2: id 7 is not a string\n"),
         ],
         ids=["no-metrics", "not-an-object", "one-argument-head", "short-metrics", "unknown-type",
-             "text-metric", "list-predicate"],
+             "text-metric", "list-predicate", "id-not-a-string"],
     )
     def test_malformed_rules_row_is_an_error(
         self, tmp_path, uncle_world_file, mined_rules, capsys, stage, edit, problem
@@ -441,7 +442,8 @@ class TestBadInputs:
 
     @pytest.mark.parametrize(
         "option, value",
-        [("--top-k", "-1"), ("--top-k", "0"), ("--parallel", "0"), ("--parallel", "-2")],
+        [("--top-k", "-1"), ("--top-k", "0"), ("--parallel", "0"), ("--parallel", "-2"),
+         ("--max-endpoint-calls", "0")],
     )
     def test_run_count_below_one(self, tmp_path, bundle_dir, capsys, option, value):
         # refused before any output is opened: the previous run's files stay
@@ -810,18 +812,18 @@ class TestStreamingRun:
            for stage in ("run", "eval", "inspect")]
         # a field of the wrong type
         + [pytest.param("eval", lambda row: {**row, "answers": 5},
-                        "question {id}: answers 5 is not a list", id="eval-answers-not-a-list"),
+                        "line 2: answers 5 is not a list of strings", id="eval-answers-not-a-list"),
            pytest.param("eval", lambda row: {**row, "id": [1]},
                         "line 2: id [1] is not a string", id="eval-id-not-a-string")]
         + [pytest.param("eval", lambda row, field=field, value=value: {**row, field: value},
-                        f"question {{id}}: {field} {value!r} is not {what}", id=f"eval-{name}")
+                        f"line 2: {field} {value!r} is not {what}", id=f"eval-{name}")
            for field, value, what, name in (
                ("hard_answer", None, "a string", "hard-answer-null"),
                ("hard_answer", 5, "a string", "hard-answer-int"),
                ("answers", [None, 5], "a list of strings", "answers-hold-non-strings"),
                ("answers", ["e1", ["e2"]], "a list of strings", "answers-hold-a-list"))]
         + [pytest.param("run", lambda row, field=field, value=value: {**row, field: value},
-                        f"question {{id}}: {field} {value!r} is not a string",
+                        f"line 2: {field} {value!r} is not a string",
                         id=f"run-{field}-{name}")
            for field, name, value in (("question", "int", 5), ("question", "null", None),
                                       ("question", "list", ["who"]), ("topic", "list", ["e1"]))],
@@ -862,11 +864,11 @@ class TestStreamingRun:
         ]
         # a prediction of the wrong type
         + [(lambda row, value=value: {**row, "prediction": value},
-            f"prediction {{id}}: prediction {value!r} is not a string or a list")
+            f"line 2: prediction {value!r} is not a string or a list of strings")
            for value in (5, None, {"q00000": "x"})]
         # a list that holds a non-string
         + [(lambda row, value=value: {**row, "prediction": value},
-            f"prediction {{id}}: prediction {value!r} is not a string or a list of strings")
+            f"line 2: prediction {value!r} is not a string or a list of strings")
            for value in ([None, 5], ["e1", ["e2"]])],
         ids=["not-an-object", "no-id", "no-prediction", "id-not-a-string",
              "prediction-int", "prediction-null", "prediction-object",

@@ -8,7 +8,7 @@ import threading
 import pytest
 
 from kgreason import kg
-from kgreason.kg import KnowledgeGraph, write_anonymization_map
+from kgreason.kg import STRING, KnowledgeGraph, read_rows, write_anonymization_map
 
 from conftest import random_graph
 from oracles import reference_graph_index, reference_graph_tables
@@ -57,6 +57,14 @@ class TestLoad:
         out = tmp_path / "out.tsv"
         toy_family.save(out)
         assert KnowledgeGraph.load(out) == toy_family
+
+
+def test_read_rows_names_the_file_and_line_of_a_line_that_is_not_json(tmp_path):
+    path = tmp_path / "rows.jsonl"
+    path.write_text('{"id": "a"}\nnot json at all\n')
+    with pytest.raises(ValueError) as err:
+        list(read_rows(path, {"id": STRING}))
+    assert str(err.value) == f"{path}: line 2: not a JSON object"
 
 
 class TestQueries:

@@ -16,7 +16,6 @@ from kgreason.mining import (
     enumerate_groundings,
     head_binding_check,
     mine,
-    read_rows,
     refine,
     rule_type_histogram,
     read_rules_jsonl,
@@ -821,11 +820,3 @@ class TestMine:
         row = json.loads(path.read_text().splitlines()[0])
         assert set(row) == {"id", "head", "body", "metrics", "type"}
         assert set(row["metrics"]) == {"support", "hc", "conf", "pca_conf"}
-
-
-def test_read_rows_names_the_file_and_line_of_a_line_that_is_not_json(tmp_path):
-    path = tmp_path / "rows.jsonl"
-    path.write_text('{"id": "a"}\nnot json at all\n')
-    with pytest.raises(ValueError) as err:
-        list(read_rows(path, ("id",)))
-    assert str(err.value) == f"{path}: line 2: not a JSON object"
