@@ -20,8 +20,7 @@ _EXPORTS = {
     ),
     "env": ("AgentState", "EnvConfig", "apply_transition", "explore", "ground"),
     "agent": (
-        "Action", "EpisodeTrace", "HeuristicPolicy", "LLMPolicy", "PolicyBudget",
-        "replay_trace", "run_episode",
+        "Action", "EpisodeTrace", "HeuristicPolicy", "LLMPolicy", "replay_trace", "run_episode",
     ),
     "evaluate": ("MetricsReport", "compute_report"),
 }

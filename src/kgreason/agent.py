@@ -1,9 +1,10 @@
 """Episode runner and policies for the graph-reasoning environment.
 
 A policy alternates explore / ground actions against the environment until it
-synthesizes an answer or the budget runs out. Ships a deterministic
-token-overlap heuristic policy (offline) and a policy backed by an external
-chat endpoint speaking single-JSON tool calls.
+synthesizes an answer or the episode's actions run out (`MAX_ACTIONS` unless
+the caller names another count). Ships a deterministic token-overlap
+heuristic policy (offline) and a policy backed by an external chat endpoint
+speaking single-JSON tool calls.
 
 A policy answers three calls: `decide(state)` returns the next Action for the
 AgentState, `repair(state, reason)` replaces an action the environment
@@ -21,11 +22,9 @@ from dataclasses import dataclass, field
 from .env import (
     AgentState,
     EnvConfig,
-    ExploreOutcome,
-    GroundOutcome,
+    InvalidAction,
     ReasoningPath,
     RelationPath,
-    SynthesisOutcome,
     apply_transition,
     explore,
     ground,
@@ -44,6 +43,8 @@ from .llm import (
 )
 
 log = logging.getLogger(__name__)
+
+MAX_ACTIONS = 10  # actions an episode may take when the caller names no other count
 
 # words with no retrieval value in questions or predicate names
 LINK_WORDS = frozenset(
@@ -90,15 +91,6 @@ class Action:
             selected=tuple(row.get("selected", ())),
             answers=tuple(row.get("answers", ())),
         )
-
-
-@dataclass
-class PolicyBudget:
-    max_actions: int = 10
-
-    def __post_init__(self):
-        if self.max_actions < 1:
-            raise ValueError("max_actions must be >= 1")
 
 
 @dataclass
@@ -151,11 +143,6 @@ _FINAL_FIELDS = (
 
 class PolicyError(RuntimeError):
     """The policy failed to produce a usable action after repair."""
-
-
-class InvalidAction(ValueError):
-    """The action does not fit the current state; the message is the reason
-    quoted back to the policy."""
 
 
 # -- heuristic policy ---------------------------------------------------------
@@ -410,18 +397,15 @@ def _named(texts, items, serialize, what: str) -> list:
 
 def _execute(g: KnowledgeGraph, action: Action, state: AgentState, cfg: EnvConfig):
     """Check the action against the state, then carry it out. Returns the
-    outcome to apply and the observation payload to record; raises
-    InvalidAction when the action does not fit."""
+    next state, the observation payload to record and the reasoning paths a
+    synthesis selected (none for any other action); raises InvalidAction
+    when the action does not fit."""
     if action.kind == "explore":
         if not action.entity:
             raise InvalidAction("explore needs an entity")
-        hops = action.hops or 0
-        if not 1 <= hops <= cfg.max_hop_limit:
-            raise InvalidAction(f"hop limit must be in [1, {cfg.max_hop_limit}], got {hops}")
-        paths = explore(g, action.entity, action.hops, cfg)
-        outcome = ExploreOutcome(start=action.entity, paths=paths)
+        paths = explore(g, action.entity, action.hops or 0, cfg)
         payload = {"relation_paths": [serialize_relation_path(p) for p in paths]}
-        return outcome, payload
+        return apply_transition(state, paths=[(action.entity, p) for p in paths]), payload, ()
     if action.kind == "ground":
         if not action.entity:
             raise InvalidAction("ground needs an entity")
@@ -430,19 +414,17 @@ def _execute(g: KnowledgeGraph, action: Action, state: AgentState, cfg: EnvConfi
         paths = _named(action.paths, {p for _, p in state.P}, serialize_relation_path,
                        "relation paths")
         chains, frontier = ground(g, action.entity, paths, cfg)
-        outcome = GroundOutcome(start=action.entity, reasoning_paths=chains, frontier=frontier)
         payload = {
             "reasoning_paths": [serialize_reasoning_path(c) for c in chains],
             "frontier": list(frontier),
         }
-        return outcome, payload
+        return apply_transition(state, chains=chains, frontier=frontier), payload, ()
     if action.kind == "synthesize":
         if action.answers and not action.selected:
             raise InvalidAction("synthesis with answers needs supporting reasoning paths")
         selected = _named(action.selected, state.C, serialize_reasoning_path, "reasoning paths")
-        outcome = SynthesisOutcome(selected=tuple(selected), answers=action.answers)
         payload = {"answers": list(action.answers), "selected": list(action.selected)}
-        return outcome, payload
+        return apply_transition(state, terminal=True), payload, tuple(selected)
     raise InvalidAction(f"unknown action kind: {action.kind}")
 
 
@@ -450,17 +432,18 @@ def run_episode(
     g: KnowledgeGraph,
     question: dict,
     policy,
-    budget: PolicyBudget | None = None,
+    max_actions: int = MAX_ACTIONS,
     cfg: EnvConfig | None = None,
 ) -> EpisodeTrace:
-    """Drive one episode to synthesis, abort, endpoint error, or budget
-    exhaustion. An early exit records one step whose last event is
-    "abort: <reason>"; only a budget exit falls back to a prediction.
+    """Drive one episode to synthesis, abort, endpoint error, or the end of
+    its `max_actions` actions. An early exit records one step whose last
+    event is "abort: <reason>"; only a budget exit falls back to a prediction.
 
     `question` needs id / question / topic keys. The returned trace replays
     byte-for-byte via replay_trace.
     """
-    budget = budget or PolicyBudget()
+    if max_actions < 1:
+        raise ValueError(f"max_actions must be >= 1, got {max_actions}")
     cfg = cfg or EnvConfig()
     qid = question["id"]
     qtext = question["question"]
@@ -469,19 +452,19 @@ def run_episode(
     state = AgentState.initial(topic)
     chains: tuple[ReasoningPath, ...] = ()   # the selected reasoning paths
 
-    for i in range(budget.max_actions):
+    for i in range(max_actions):
         digest = state.digest()
         events: list[str] = []
         try:
             action = policy.decide(state)
             events = policy.drain_events()
             try:
-                outcome, payload = _execute(g, action, state, cfg)
+                state, payload, chains = _execute(g, action, state, cfg)
             except InvalidAction as invalid:
                 action = policy.repair(state, str(invalid))
                 events += [f"repair: {invalid}", *policy.drain_events()]
                 try:
-                    outcome, payload = _execute(g, action, state, cfg)
+                    state, payload, chains = _execute(g, action, state, cfg)
                 except InvalidAction as err:
                     raise PolicyError(f"still invalid: {err}") from err
         except (PolicyError, EndpointBudgetExceeded, EndpointError) as err:
@@ -492,7 +475,6 @@ def run_episode(
                 else "budget" if isinstance(err, EndpointBudgetExceeded) else "error"
             )
             break
-        state = apply_transition(state, outcome)
         trace.steps.append(
             {
                 "i": i,
@@ -505,7 +487,6 @@ def run_episode(
         if action.kind == "synthesize":
             trace.prediction = list(action.answers)
             trace.supporting_paths = list(action.selected)
-            chains = outcome.selected
             trace.termination = "synthesized"
             break
 
@@ -532,9 +513,7 @@ def replay_trace(g: KnowledgeGraph, trace: EpisodeTrace, cfg: EnvConfig | None =
         assert step["state_digest"] == state.digest(), (
             f"state digest mismatch at step {step['i']}"
         )
-        action = Action.from_json(step["action"])
-        outcome, payload = _execute(g, action, state, cfg)
+        state, payload, _ = _execute(g, Action.from_json(step["action"]), state, cfg)
         recorded, fresh = json_line(step["observation"]), json_line(payload)
         assert recorded == fresh, f"observation mismatch at step {step['i']}"
-        state = apply_transition(state, outcome)
     return True

@@ -180,19 +180,18 @@ def cmd_run(args: argparse.Namespace) -> int:
     if not questions:
         raise ValueError(f"no questions in split {args.split!r}")
 
-    budget = agent.PolicyBudget(res.get("max_actions", agent.PolicyBudget.max_actions, int))
+    max_actions = res.get("max_actions", agent.MAX_ACTIONS, int)
     max_endpoint_calls = res.get("max_endpoint_calls", 30, int)
-    env_cfg = EnvConfig(
-        max_hop_limit=res.get("max_hops", EnvConfig.max_hop_limit, int),
-        include_inverse=res.get("include_inverse", EnvConfig.include_inverse, _switch),
-    )
+    max_hops = res.get("max_hops", EnvConfig.max_hop_limit, int)
+    include_inverse = res.get("include_inverse", EnvConfig.include_inverse, _switch)
     synonyms = _load_synonyms(res.get("synonyms", None, str))
     parallel = res.get("parallel", 1, int)
     top_k = res.get("top_k", agent.HeuristicPolicy.TOP_K, int)
-    for name, count in (("parallel", parallel), ("top_k", top_k),
-                        ("max_endpoint_calls", max_endpoint_calls)):
+    for name, count in (("parallel", parallel), ("top_k", top_k), ("max_actions", max_actions),
+                        ("max_endpoint_calls", max_endpoint_calls), ("max_hops", max_hops)):
         if count < 1:
             raise ValueError(f"{name} must be >= 1, got {count}")
+    env_cfg = EnvConfig(max_hop_limit=max_hops, include_inverse=include_inverse)
 
     if args.policy == "llm" and not os.environ.get(ENDPOINT_URL_VAR):
         raise UsageError(f"policy 'llm' needs {ENDPOINT_URL_VAR} set")
@@ -206,7 +205,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         else:
             client = LLMClient(max_calls=max_endpoint_calls)
             policy = agent.LLMPolicy(q["question"], q["topic"], client)
-        return agent.run_episode(g, q, policy, budget, env_cfg)
+        return agent.run_episode(g, q, policy, max_actions, env_cfg)
 
     manifest = {
         "command": "run",

@@ -5,11 +5,16 @@ with their start entity), grounded reasoning paths, and the entity frontier.
 Exploration enumerates predicate sequences realizable by walks; grounding
 instantiates each sequence into its lexicographically first
 `max_groundings_per_path` triple chains, and stops walking there.
+
+A transition is a union: the agent's step (`agent._execute`) carries out an
+action and hands `apply_transition` what it found, the explored relation
+paths, the grounded chains and their frontier, or the terminal mark of a
+synthesis.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable, Iterator
 
@@ -37,6 +42,11 @@ class EnvConfig:
                 raise ValueError(f"{name} must be >= 1 or None")
 
 
+class InvalidAction(ValueError):
+    """The action does not fit the current state; the message is the reason
+    quoted back to the policy."""
+
+
 def serialize_relation_path(path: RelationPath) -> str:
     return " -> ".join(path)
 
@@ -51,10 +61,11 @@ def explore(g: KnowledgeGraph, e: str, hops: int, cfg: EnvConfig) -> tuple[Relat
     deduplicated regardless of the witnessing walks. Unknown entity -> ().
 
     Deterministic order: shorter paths first, then lexicographic; truncated
-    to the per-explore cap when one is configured.
+    to the per-explore cap when one is configured. A hop limit outside
+    [1, max_hop_limit] raises InvalidAction.
     """
     if not 1 <= hops <= cfg.max_hop_limit:
-        raise ValueError(f"hop limit must be in [1, {cfg.max_hop_limit}], got {hops}")
+        raise InvalidAction(f"hop limit must be in [1, {cfg.max_hop_limit}], got {hops}")
     frontier: dict[RelationPath, set[str]] = {(): {e}}
     found: set[RelationPath] = set()
     for _ in range(hops):
@@ -113,25 +124,6 @@ def _chains(g: KnowledgeGraph, e: str, path: RelationPath, cfg: EnvConfig) -> It
 
 
 @dataclass(frozen=True)
-class ExploreOutcome:
-    start: str
-    paths: tuple[RelationPath, ...]
-
-
-@dataclass(frozen=True)
-class GroundOutcome:
-    start: str
-    reasoning_paths: tuple[ReasoningPath, ...]
-    frontier: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class SynthesisOutcome:
-    selected: tuple[ReasoningPath, ...]
-    answers: tuple[str, ...]
-
-
-@dataclass(frozen=True)
 class AgentState:
     """Monotone episode memory; synthesis marks it terminal."""
 
@@ -155,21 +147,16 @@ class AgentState:
 
 
 def apply_transition(
-    state: AgentState, outcome: ExploreOutcome | GroundOutcome | SynthesisOutcome
+    state: AgentState,
+    paths: Iterable[tuple[str, RelationPath]] = (),
+    chains: Iterable[ReasoningPath] = (),
+    frontier: Iterable[str] = (),
+    terminal: bool = False,
 ) -> AgentState:
-    """Union the outcome into memory; memory never shrinks. Raises on a
-    terminal state."""
+    """Union what one step found into memory: relation paths tagged with
+    their start entity, reasoning paths and frontier entities; memory never
+    shrinks. Raises on a terminal state."""
     if state.terminal:
         raise ValueError("cannot transition a terminal state")
-    if isinstance(outcome, ExploreOutcome):
-        new_p = state.P | {(outcome.start, p) for p in outcome.paths}
-        return replace(state, P=new_p)
-    if isinstance(outcome, GroundOutcome):
-        return replace(
-            state,
-            C=state.C | set(outcome.reasoning_paths),
-            E=state.E | set(outcome.frontier),
-        )
-    if isinstance(outcome, SynthesisOutcome):
-        return replace(state, terminal=True)
-    raise TypeError(f"unknown outcome type: {type(outcome).__name__}")
+    return AgentState(state.P.union(paths), state.C.union(chains), state.E.union(frontier),
+                      terminal)

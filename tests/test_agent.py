@@ -8,7 +8,6 @@ from kgreason.agent import (
     EpisodeTrace,
     HeuristicPolicy,
     LLMPolicy,
-    PolicyBudget,
     PolicyError,
     content_tokens,
     parse_tool_call,
@@ -166,7 +165,7 @@ class TestBudget:
     def test_budget_one_action_flags_fallback(self, celebrity_family):
         question = q("f1", "Who is Justin Bieber's parent?", "Justin Bieber")
         policy = HeuristicPolicy(question["question"], "Justin Bieber", max_hops=3)
-        trace = run_episode(celebrity_family, question, policy, PolicyBudget(max_actions=1))
+        trace = run_episode(celebrity_family, question, policy, max_actions=1)
         assert trace.termination == "budget"
         assert trace.fallback
         assert trace.step_count == 1  # only the first explore ran
@@ -175,14 +174,16 @@ class TestBudget:
         # two actions: explore + ground happen, then the budget ends the episode
         question = q("f2", "Who is Justin Bieber's parent?", "Justin Bieber")
         policy = HeuristicPolicy(question["question"], "Justin Bieber", max_hops=3)
-        trace = run_episode(celebrity_family, question, policy, PolicyBudget(max_actions=2))
+        trace = run_episode(celebrity_family, question, policy, max_actions=2)
         assert trace.termination == "budget"
         assert trace.fallback
         assert "Jeremy Bieber" in trace.prediction
 
-    def test_budget_validation(self):
-        with pytest.raises(ValueError):
-            PolicyBudget(max_actions=0)
+    def test_budget_validation(self, celebrity_family):
+        question = q("f3", "Who is Justin Bieber's parent?", "Justin Bieber")
+        policy = HeuristicPolicy(question["question"], "Justin Bieber")
+        with pytest.raises(ValueError, match=r"^max_actions must be >= 1, got 0$"):
+            run_episode(celebrity_family, question, policy, max_actions=0)
 
 
 class TestToolCallParsing:
@@ -375,6 +376,26 @@ class TestLLMPolicyEpisodes:
             "repair: synthesis with answers needs supporting reasoning paths"
         ]
 
+    def test_hop_limit_out_of_range_gets_the_repair_round_trip(self):
+        g = KnowledgeGraph([("a", "p", "b")])
+        client = ScriptedClient(
+            [
+                '{"tool":"relation_path_mining","entity":"a","max_hops":9}',
+                '{"tool":"relation_path_mining","entity":"a","max_hops":1}',
+                '{"tool":"complete_task","explored_reasoning_paths":[],"answer_entities":[]}',
+            ]
+        )
+        question = q("h1", "what is p of a?", "a")
+        trace = run_episode(g, question, LLMPolicy(question["question"], "a", client))
+        reason = "hop limit must be in [1, 3], got 9"
+        assert client.requests[1][-1]["content"].startswith(
+            f"The previous action was invalid: {reason}.\n"
+        )
+        assert trace.steps[0]["events"] == [f"repair: {reason}"]
+        assert trace.steps[0]["action"] == {"kind": "explore", "entity": "a", "hops": 1}
+        assert trace.termination == "synthesized"
+        assert replay_trace(g, trace)
+
     def test_endpoint_budget_exhaustion_terminates_with_fallback(self):
         g = KnowledgeGraph([("a", "p", "b")])
         client = ScriptedClient(
@@ -407,6 +428,13 @@ class TestTraces:
         mutated = celebrity_family.remove([("Justin Bieber", "hasParent", "Jeremy Bieber")])
         with pytest.raises(AssertionError):
             replay_trace(mutated, trace)
+
+    def test_replay_detects_state_change(self, celebrity_family):
+        # without the first explore, the second step starts from another state
+        trace = self.run_one(celebrity_family)
+        del trace.steps[0]
+        with pytest.raises(AssertionError, match=r"^state digest mismatch at step 1$"):
+            replay_trace(celebrity_family, trace)
 
     def test_json_lines_roundtrip(self, celebrity_family):
         trace = self.run_one(celebrity_family)
@@ -511,7 +539,7 @@ class TestExitPaths:
     def run_scripted(self, replies, max_calls, max_actions):
         client = ScriptedClient(replies, max_calls=max_calls)
         policy = LLMPolicy(self.question["question"], "a", client)
-        trace = run_episode(self.graph, self.question, policy, PolicyBudget(max_actions))
+        trace = run_episode(self.graph, self.question, policy, max_actions=max_actions)
         return trace, client
 
     @pytest.mark.parametrize("name", sorted(EXIT_PATHS))

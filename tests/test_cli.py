@@ -443,7 +443,7 @@ class TestBadInputs:
     @pytest.mark.parametrize(
         "option, value",
         [("--top-k", "-1"), ("--top-k", "0"), ("--parallel", "0"), ("--parallel", "-2"),
-         ("--max-endpoint-calls", "0")],
+         ("--max-endpoint-calls", "0"), ("--max-actions", "0"), ("--max-hops", "0")],
     )
     def test_run_count_below_one(self, tmp_path, bundle_dir, capsys, option, value):
         # refused before any output is opened: the previous run's files stay

@@ -5,9 +5,6 @@ import pytest
 from kgreason.env import (
     AgentState,
     EnvConfig,
-    ExploreOutcome,
-    GroundOutcome,
-    SynthesisOutcome,
     apply_transition,
     explore,
     ground,
@@ -224,8 +221,7 @@ class TestCompleteness:
 class TestTransitions:
     def test_explore_union_from_empty(self):
         s = AgentState.initial("t")
-        out = ExploreOutcome("t", (("p",), ("q",), ("r",), ("s",), ("u",)))
-        s2 = apply_transition(s, out)
+        s2 = apply_transition(s, paths=[("t", p) for p in (("p",), ("q",), ("r",), ("s",), ("u",))])
         assert len(s2.P) == 5
         assert s2.E == frozenset({"t"})
 
@@ -234,17 +230,16 @@ class TestTransitions:
         chains, frontier = ground(
             celebrity_family, "Justin Bieber", [("hasParent",)], CFG
         )
-        out = GroundOutcome("Justin Bieber", chains, frontier)
-        s1 = apply_transition(s, out)
-        s2 = apply_transition(s1, out)
+        s1 = apply_transition(s, chains=chains, frontier=frontier)
+        s2 = apply_transition(s1, chains=chains, frontier=frontier)
         assert s1 == s2
 
     def test_frontier_matches_fixture_after_explore_and_ground(self, celebrity_family):
         s = AgentState.initial("Justin Bieber")
         paths = explore(celebrity_family, "Justin Bieber", 2, CFG)
-        s = apply_transition(s, ExploreOutcome("Justin Bieber", paths))
+        s = apply_transition(s, paths=[("Justin Bieber", p) for p in paths])
         chains, frontier = ground(celebrity_family, "Justin Bieber", paths, CFG)
-        s = apply_transition(s, GroundOutcome("Justin Bieber", chains, frontier))
+        s = apply_transition(s, chains=chains, frontier=frontier)
         # E is the grounded frontier plus the topic entity
         assert s.E == frozenset(
             {"Justin Bieber", "Jeremy Bieber", "Jaxon Bieber", "Jazmyn Bieber", "Erin Wagner"}
@@ -252,20 +247,20 @@ class TestTransitions:
 
     def test_terminal_state_rejects_transitions(self):
         s = AgentState.initial("t")
-        s = apply_transition(s, SynthesisOutcome((), ()))
+        s = apply_transition(s, terminal=True)
         assert s.terminal
         with pytest.raises(ValueError):
-            apply_transition(s, ExploreOutcome("t", ()))
+            apply_transition(s, paths=())
 
     def test_monotonicity(self, celebrity_family):
         s = AgentState.initial("Justin Bieber")
         seen_p, seen_c, seen_e = set(), set(), set(s.E)
         paths = explore(celebrity_family, "Justin Bieber", 1, CFG)
-        s = apply_transition(s, ExploreOutcome("Justin Bieber", paths))
+        s = apply_transition(s, paths=[("Justin Bieber", p) for p in paths])
         assert seen_p <= set(s.P) and seen_e <= set(s.E)
         seen_p, seen_e = set(s.P), set(s.E)
         chains, frontier = ground(celebrity_family, "Justin Bieber", paths, CFG)
-        s = apply_transition(s, GroundOutcome("Justin Bieber", chains, frontier))
+        s = apply_transition(s, chains=chains, frontier=frontier)
         assert seen_p <= set(s.P) and seen_c <= set(s.C) and seen_e <= set(s.E)
 
 
