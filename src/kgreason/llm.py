@@ -11,7 +11,9 @@ from __future__ import annotations
 import json
 import logging
 import os
+import re
 import time
+from urllib.parse import SplitResult, urlsplit
 
 log = logging.getLogger(__name__)
 
@@ -195,9 +197,13 @@ def extract_text(payload: dict) -> str:
 class LLMClient:
     """Thin POST wrapper with bounded retries and an optional call budget.
 
-    Each call opens one connection through urllib's default opener, which
-    reads the proxy environment once per process and verifies HTTPS
-    certificates against the system trust store."""
+    Each attempt is one HTTP/1.1 request on a connection of its own, written
+    in one piece; the response is framed by its Content-Length or chunked
+    coding (RFC 9112), else read to close, and a 3xx is reported, not
+    followed. An https:// URL is verified against the system trust store,
+    with one TLS context per client. A URL that the proxy environment
+    (HTTP_PROXY, HTTPS_PROXY, NO_PROXY) sends through a proxy, or whose
+    scheme is neither http nor https, goes through urllib.request instead."""
 
     def __init__(
         self,
@@ -213,47 +219,198 @@ class LLMClient:
             raise ValueError(f"no endpoint configured ({ENDPOINT_URL_VAR} unset)")
         self.token = token if token is not None else os.environ.get(API_TOKEN_VAR)
         if max_calls is not None and max_calls < 1:
-            raise ValueError("max_calls must be >= 1")
+            raise ValueError(f"max_calls must be >= 1, got {max_calls}")
+        for name, value in (("retries", retries), ("backoff", backoff)):
+            if value < 0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
+        # a zero timeout would make the socket non-blocking
+        if timeout <= 0:
+            raise ValueError(f"timeout must be > 0, got {timeout}")
         self.max_calls = max_calls
         self.timeout = timeout
         self.retries = retries
         self.backoff = backoff
         self.calls = 0
+        self._tls = None
 
     def chat(self, messages: list[dict], temperature: float = 0.0) -> str:
-        # imported on first use, so that loading this module (as bench and
-        # agent do) does not load the HTTP stack
-        import http.client
-        import urllib.error
-        import urllib.request
-
         if self.max_calls is not None and self.calls >= self.max_calls:
             raise EndpointBudgetExceeded(
                 f"endpoint call budget of {self.max_calls} exhausted"
             )
         self.calls += 1
-        headers = {"Content-Type": "application/json"}
-        if self.token:
-            headers["Authorization"] = f"Bearer {self.token}"
         data = json.dumps({"messages": messages, "temperature": temperature}).encode()
+        url = urlsplit(self.base_url)
+        direct = url.scheme in ("http", "https") and not _proxied(url)
         last_err: Exception | None = None
         for attempt in range(self.retries + 1):
             try:
-                req = urllib.request.Request(self.base_url, data, headers, method="POST")
-                try:
-                    with urllib.request.urlopen(req, timeout=self.timeout) as resp:
-                        status, raw = resp.status, resp.read()
-                except urllib.error.HTTPError as err:
-                    with err:
-                        status, raw = err.code, err.read()
+                status, raw = self._post(url, data) if direct else self._urlopen(data)
                 if status >= 500:
                     raise EndpointError(f"server error {status}")
                 if status != 200:
                     text = raw.decode("utf-8", "replace")
                     raise EndpointError(f"status {status}: {text[:200]}")
                 return extract_text(json.loads(raw))
-            except (OSError, http.client.HTTPException, ValueError, EndpointError) as err:
+            except (OSError, ValueError, EndpointError) as err:
                 last_err = err
                 if attempt < self.retries:
                     time.sleep(self.backoff * (attempt + 1))
         raise EndpointError(f"endpoint failed after {self.retries + 1} attempts: {last_err}")
+
+    def _post(self, url: SplitResult, data: bytes) -> tuple[int, bytes]:
+        """POST `data` on a new connection; the response's status and body."""
+        # imported on first use, so that loading this module (as bench and
+        # agent do) loads no socket or OpenSSL
+        import socket
+
+        target = url.path or "/"
+        if url.query:
+            target += "?" + url.query
+        token = self.token or ""
+        unsafe = _UNSAFE_IN_URL.search(target + url.netloc) or _UNSAFE_IN_VALUE.search(token)
+        if not url.hostname or unsafe:
+            raise ValueError(f"endpoint URL or token not fit for a request: {self.base_url!r}")
+        head = (
+            f"POST {target} HTTP/1.1\r\nHost: {url.netloc}\r\n"
+            f"Content-Type: application/json\r\nContent-Length: {len(data)}\r\n"
+            "Connection: close\r\n"
+        )
+        if token:
+            head += f"Authorization: Bearer {token}\r\n"
+        request = (head + "\r\n").encode("latin-1") + data
+        https = url.scheme == "https"
+        address = (url.hostname, url.port or (443 if https else 80))
+        sock = socket.create_connection(address, self.timeout)
+        try:
+            if https:
+                sock = self._tls_context().wrap_socket(sock, server_hostname=url.hostname)
+            sock.sendall(request)
+            with sock.makefile("rb") as response:
+                return _read_response(response)
+        finally:
+            sock.close()
+
+    def _tls_context(self):
+        # two threads may both build one; either serves
+        if self._tls is None:
+            import ssl
+
+            tls = ssl.create_default_context()
+            tls.set_alpn_protocols(["http/1.1"])
+            self._tls = tls
+        return self._tls
+
+    def _urlopen(self, data: bytes) -> tuple[int, bytes]:
+        """POST `data` through urllib.request's default opener, which takes
+        the proxy and follows redirects."""
+        import http.client
+        import urllib.error
+        import urllib.request
+
+        headers = {"Content-Type": "application/json"}
+        if self.token:
+            headers["Authorization"] = f"Bearer {self.token}"
+        req = urllib.request.Request(self.base_url, data, headers, method="POST")
+        try:
+            try:
+                with urllib.request.urlopen(req, timeout=self.timeout) as resp:
+                    return resp.status, resp.read()
+            except urllib.error.HTTPError as err:
+                with err:
+                    return err.code, err.read()
+        except http.client.HTTPException as err:
+            raise EndpointError(str(err)) from err
+
+
+def _proxied(url: SplitResult) -> bool:
+    """Whether urllib.request's proxy handler would send `url` through a
+    proxy. urllib.request is loaded only when a `<scheme>_proxy` variable is
+    set, in any case."""
+    var = f"{url.scheme}_proxy"
+    if not any(name.lower() == var for name in os.environ):
+        return False
+    import urllib.request
+
+    proxies = urllib.request.getproxies_environment()
+    bypass = urllib.request.proxy_bypass_environment(url.netloc, proxies)
+    return url.scheme in proxies and not bypass
+
+
+# a request target or host holds no space or control character; a header
+# value holds no control character
+_UNSAFE_IN_URL = re.compile(r"[\x00-\x20\x7f]")
+_UNSAFE_IN_VALUE = re.compile(r"[\x00-\x1f\x7f]")
+_STATUS_LINE = re.compile(rb"HTTP/\d\.\d (\d{3})[ \r\n]")
+_MAX_LINE = 65536
+_MAX_FIELDS = 100
+
+
+def _read_response(response) -> tuple[int, bytes]:
+    """Status and body of the HTTP/1.1 response read from the binary file
+    `response`, after any interim (1xx) responses. The body is framed by
+    chunked coding, else by Content-Length, else by the connection's close."""
+    status = 100
+    while status < 200:
+        line = _read_line(response)
+        if not line:
+            raise EndpointError("connection closed without a response")
+        m = _STATUS_LINE.match(line)
+        if m is None:
+            raise EndpointError(f"bad status line: {line[:100]!r}")
+        status = int(m[1])
+        fields = _read_fields(response)
+    coding = fields.get(b"transfer-encoding")
+    if coding is not None:
+        if coding.rsplit(b",", 1)[-1].strip().lower() == b"chunked":
+            return status, _read_chunked(response)
+        return status, response.read()
+    length = fields.get(b"content-length")
+    if length is None:
+        return status, response.read()
+    if not length.isdigit():
+        raise EndpointError(f"bad Content-Length: {length[:100]!r}")
+    return status, _read_exactly(response, int(length))
+
+
+def _read_line(response) -> bytes:
+    line = response.readline(_MAX_LINE + 1)
+    if len(line) > _MAX_LINE:
+        raise EndpointError(f"response line longer than {_MAX_LINE} bytes")
+    return line
+
+
+def _read_fields(response) -> dict[bytes, bytes]:
+    """Header (or trailer) fields up to the blank line, by lower-case name;
+    a repeated field's values are joined with commas."""
+    fields: dict[bytes, bytes] = {}
+    for _ in range(_MAX_FIELDS + 1):
+        line = _read_line(response)
+        if line in (b"\r\n", b"\n", b""):
+            return fields
+        name, _, value = line.partition(b":")
+        name, value = name.strip().lower(), value.strip()
+        fields[name] = fields[name] + b", " + value if name in fields else value
+    raise EndpointError(f"more than {_MAX_FIELDS} header fields")
+
+
+def _read_chunked(response) -> bytes:
+    chunks = []
+    while True:
+        size = _read_line(response).split(b";", 1)[0].strip()
+        if not size or size.strip(b"0123456789abcdefABCDEF"):
+            raise EndpointError(f"bad chunk size: {size[:100]!r}")
+        n = int(size, 16)
+        if n == 0:
+            _read_fields(response)  # the trailer
+            return b"".join(chunks)
+        chunks.append(_read_exactly(response, n))
+        if _read_line(response) not in (b"\r\n", b"\n"):
+            raise EndpointError("chunk data not followed by a line end")
+
+
+def _read_exactly(response, n: int) -> bytes:
+    data = response.read(n)
+    if len(data) < n:
+        raise EndpointError(f"incomplete body: {len(data)} bytes read, {n} expected")
+    return data

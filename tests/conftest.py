@@ -1,3 +1,4 @@
+import os
 import random
 import sys
 from pathlib import Path
@@ -11,6 +12,14 @@ from kgreason.rules import Atom, HornRule, Term
 
 
 X, Y, Z = Term.var("X"), Term.var("Y"), Term.var("Z")
+
+
+@pytest.fixture
+def no_proxy_env(monkeypatch):
+    """No `<scheme>_proxy` variable, in any case, so endpoint calls go direct."""
+    for name in list(os.environ):
+        if name.lower().endswith("_proxy"):
+            monkeypatch.delenv(name)
 
 
 @pytest.fixture

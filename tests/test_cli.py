@@ -14,6 +14,7 @@ from kgreason import agent, bench, cli, mining
 from kgreason.agent import EpisodeTrace
 from kgreason.cli import main
 from kgreason.llm import ENDPOINT_URL_VAR
+from test_endpoint import FakeEndpoint, openai_style
 
 
 def sha(path):
@@ -556,6 +557,39 @@ def test_eval_process_loads_no_hashlib_or_thread_pool(uncle_world_file, mined_ru
     argv = ["eval", "--bundle", str(bundle), "--predictions", str(predictions),
             "--split", "all", "--out", str(tmp_path / "report.json")]
     assert modules_loaded(argv, [*HASHLIB, "concurrent.futures"]) == []
+
+
+def test_llm_stages_load_no_http_stack_or_openssl(
+    uncle_world_file, mined_rules, tmp_path, monkeypatch, no_proxy_env
+):
+    # a plain-http endpoint is reached on a socket: no urllib.request,
+    # http.client (and its email header parser) or OpenSSL
+    def reply(body):
+        content = body["messages"][-1]["content"]
+        if "ready" in content:
+            return openai_style("ready")
+        if "Question Entity: " in content:
+            topic = content.split("Question Entity: ")[1].splitlines()[0]
+            return openai_style(f"Which relative is linked to {topic} here?")
+        return openai_style(
+            '{"tool":"complete_task","explored_reasoning_paths":[],"answer_entities":[]}'
+        )
+
+    stack = ["ssl", "_ssl", *HASHLIB, "http.client", "urllib.request", "email.parser"]
+    ep = FakeEndpoint(reply)
+    try:
+        monkeypatch.setenv(ENDPOINT_URL_VAR, ep.url)
+        bundle = tmp_path / "bundle"
+        argv = ["bench", "--kg", str(uncle_world_file), "--rules", str(mined_rules),
+                "--out-dir", str(bundle), "--seed", "7", "--question-backend", "external"]
+        assert modules_loaded(argv, stack) == []
+        asked = len(ep.requests)
+        argv = ["run", "--bundle", str(bundle), "--policy", "llm", "--split", "all",
+                "--out", str(tmp_path / "p.jsonl")]
+        assert modules_loaded(argv, stack) == []
+        assert asked > 1 and len(ep.requests) > asked
+    finally:
+        ep.close()
 
 
 def test_every_export_resolves():

@@ -1,6 +1,10 @@
 import json
+import re
+import shutil
+import subprocess
 import threading
 import time
+import urllib.request
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
@@ -18,13 +22,18 @@ from kgreason.llm import (
 )
 from kgreason.mining import MinerConfig, mine, write_rules_jsonl
 
+# every test here reaches its endpoint without a proxy unless it sets one
+pytestmark = pytest.mark.usefixtures("no_proxy_env")
+
 
 class FakeEndpoint:
     """Tiny chat endpoint; the reply function sees the request body and
-    returns (status, payload). A bytes payload is sent as it is, anything
-    else JSON-encoded."""
+    returns (status, payload), or bytes to send as the whole response,
+    status line and headers included. A bytes payload is sent as it is,
+    anything else JSON-encoded. Every connection is closed after one
+    response. With an SSL context the endpoint speaks HTTPS."""
 
-    def __init__(self, reply):
+    def __init__(self, reply, tls=None):
         self.reply = reply
         self.requests = []
         outer = self
@@ -33,10 +42,17 @@ class FakeEndpoint:
             def do_POST(self):
                 length = int(self.headers["Content-Length"])
                 body = json.loads(self.rfile.read(length))
-                outer.requests.append(
-                    {"body": body, "auth": self.headers.get("Authorization")}
-                )
-                status, payload = outer.reply(body)
+                outer.requests.append({
+                    "body": body,
+                    "auth": self.headers.get("Authorization"),
+                    "host": self.headers.get("Host"),
+                    "path": self.path,
+                })
+                out = outer.reply(body)
+                if isinstance(out, bytes):
+                    self.wfile.write(out)
+                    return
+                status, payload = out
                 data = payload if isinstance(payload, bytes) else json.dumps(payload).encode()
                 self.send_response(status)
                 self.send_header("Content-Type", "application/json")
@@ -48,12 +64,20 @@ class FakeEndpoint:
                 pass
 
         self.server = HTTPServer(("127.0.0.1", 0), Handler)
+        self.scheme = "http"
+        if tls is not None:
+            self.server.socket = tls.wrap_socket(self.server.socket, server_side=True)
+            self.scheme = "https"
         self.thread = threading.Thread(target=self.server.serve_forever, daemon=True)
         self.thread.start()
 
     @property
+    def port(self):
+        return self.server.server_port
+
+    @property
     def url(self):
-        return f"http://127.0.0.1:{self.server.server_port}/chat"
+        return f"{self.scheme}://127.0.0.1:{self.port}/chat"
 
     def close(self):
         self.server.shutdown()
@@ -62,8 +86,8 @@ class FakeEndpoint:
 
 @pytest.fixture
 def canned():
-    def make(reply):
-        ep = FakeEndpoint(reply)
+    def make(reply, tls=None):
+        ep = FakeEndpoint(reply, tls)
         endpoints.append(ep)
         return ep
 
@@ -80,15 +104,35 @@ def openai_style(text):
 class TestClient:
     def test_chat_roundtrip_with_auth(self, canned, monkeypatch):
         ep = canned(lambda body: openai_style("hello"))
-        monkeypatch.setenv(ENDPOINT_URL_VAR, ep.url)
+        monkeypatch.setenv(ENDPOINT_URL_VAR, ep.url + "?model=m1")
         monkeypatch.setenv(API_TOKEN_VAR, "sekret")
         client = LLMClient()
         out = client.chat([{"role": "user", "content": "hi"}], temperature=0.0)
         assert out == "hello"
         sent = ep.requests[0]
         assert sent["auth"] == "Bearer sekret"
+        assert sent["host"] == f"127.0.0.1:{ep.port}"
+        assert sent["path"] == "/chat?model=m1"
         assert sent["body"]["temperature"] == 0.0
         assert sent["body"]["messages"][0]["content"] == "hi"
+
+    @pytest.mark.parametrize("setting, message", [
+        ({"retries": -1}, "retries must be >= 0, got -1"),
+        ({"backoff": -1}, "backoff must be >= 0, got -1"),
+        ({"timeout": 0}, "timeout must be > 0, got 0"),
+        ({"max_calls": 0}, "max_calls must be >= 1, got 0"),
+    ])
+    def test_settings_that_break_chat_are_refused(self, setting, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            LLMClient(base_url="http://127.0.0.1:1/chat", **setting)
+
+    @pytest.mark.parametrize("query, token", [("", "sekret\r\nX-Injected: 1"), ("?q=a b", "")])
+    def test_control_character_or_space_is_not_sent(self, canned, query, token):
+        ep = canned(lambda body: openai_style("hello"))
+        client = LLMClient(base_url=ep.url + query, token=token, retries=0)
+        with pytest.raises(EndpointError, match="not fit for a request"):
+            client.chat([{"role": "user", "content": "x"}])
+        assert ep.requests == []
 
     def test_missing_endpoint_config(self, monkeypatch):
         monkeypatch.delenv(ENDPOINT_URL_VAR, raising=False)
@@ -168,6 +212,112 @@ class TestClient:
         assert extract_text({"text": "e"}) == "e"
         with pytest.raises(EndpointError):
             extract_text({"unrelated": 1})
+
+
+def http_response(head: str, body: bytes) -> bytes:
+    return head.replace("\n", "\r\n").encode() + b"\r\n" + body
+
+
+HELLO = json.dumps({"choices": [{"message": {"content": "hello"}}]}).encode()
+
+
+class TestResponseFraming:
+    @pytest.mark.parametrize("response", [
+        http_response(
+            "HTTP/1.1 200 OK\nTransfer-Encoding: chunked\n",
+            b"%x;note=1\r\n%s\r\n%x\r\n%s\r\n0\r\nTrailer-Field: x\r\n\r\n"
+            % (10, HELLO[:10], len(HELLO) - 10, HELLO[10:]),
+        ),
+        http_response("HTTP/1.0 200 OK\nContent-Type: application/json\n", HELLO),
+        http_response("HTTP/1.1 100 Continue\n", b"")
+        + http_response(f"HTTP/1.1 200 OK\nContent-Length: {len(HELLO)}\n", HELLO),
+    ], ids=["chunked", "read_to_close", "after_interim_100"])
+    def test_body_framing(self, canned, response):
+        ep = canned(lambda body: response)
+        assert LLMClient(base_url=ep.url).chat([{"role": "user", "content": "x"}]) == "hello"
+
+    @pytest.mark.parametrize("response, message", [
+        (http_response(f"HTTP/1.1 200 OK\nContent-Length: {len(HELLO) + 10}\n", HELLO),
+         f"incomplete body: {len(HELLO)} bytes read, {len(HELLO) + 10} expected"),
+        (http_response("HTTP/1.1 301 Moved Permanently\nLocation: /elsewhere\n"
+                       "Content-Length: 5\n", b"moved"),
+         "status 301: moved"),
+        (b"garbage\r\n\r\n", "bad status line: b'garbage\\r\\n'"),
+        (http_response("HTTP/1.1 200 OK\nTransfer-Encoding: chunked\n", b"zz\r\n"),
+         "bad chunk size: b'zz'"),
+    ], ids=["short_body", "redirect_not_followed", "bad_status_line", "bad_chunk_size"])
+    def test_unusable_response_is_retried_then_raises(self, canned, response, message):
+        ep = canned(lambda body: response)
+        client = LLMClient(base_url=ep.url, retries=1, backoff=0.01)
+        with pytest.raises(EndpointError) as info:
+            client.chat([{"role": "user", "content": "x"}])
+        assert str(info.value) == f"endpoint failed after 2 attempts: {message}"
+        assert [r["path"] for r in ep.requests] == ["/chat", "/chat"]
+
+
+@pytest.fixture(scope="module")
+def self_signed(tmp_path_factory):
+    """(server SSL context, certificate path) for a certificate issued to
+    IP address 127.0.0.1 and signed by itself."""
+    if shutil.which("openssl") is None:
+        pytest.skip("no openssl command to make a certificate")
+    import ssl
+
+    tmp = tmp_path_factory.mktemp("tls")
+    cert, key = tmp / "cert.pem", tmp / "key.pem"
+    subprocess.run(
+        ["openssl", "req", "-x509", "-newkey", "ec", "-pkeyopt", "ec_paramgen_curve:prime256v1",
+         "-nodes", "-keyout", str(key), "-out", str(cert), "-days", "1",
+         "-subj", "/CN=127.0.0.1", "-addext", "subjectAltName=IP:127.0.0.1"],
+        check=True, capture_output=True, timeout=60,
+    )
+    server = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+    server.load_cert_chain(cert, key)
+    return server, cert
+
+
+class TestHTTPS:
+    def test_certificate_and_host_are_verified(self, canned, self_signed, monkeypatch):
+        server, cert = self_signed
+        ep = canned(lambda body: openai_style("secure"), tls=server)
+        monkeypatch.delenv("SSL_CERT_DIR", raising=False)
+        monkeypatch.delenv("SSL_CERT_FILE", raising=False)
+        message = [{"role": "user", "content": "x"}]
+        with pytest.raises(EndpointError, match="CERTIFICATE_VERIFY_FAILED"):
+            LLMClient(base_url=ep.url, retries=0).chat(message)
+        monkeypatch.setenv("SSL_CERT_FILE", str(cert))
+        assert LLMClient(base_url=ep.url).chat(message) == "secure"
+        # the certificate names 127.0.0.1, not localhost
+        other_name = f"https://localhost:{ep.port}/chat"
+        with pytest.raises(EndpointError, match="mismatch"):
+            LLMClient(base_url=other_name, retries=0).chat(message)
+        assert len(ep.requests) == 1
+
+
+class TestProxy:
+    def test_proxied_request_reaches_the_proxy_in_absolute_form(self, canned, monkeypatch):
+        ep = canned(lambda body: openai_style("direct"))
+        proxy = canned(lambda body: openai_style("proxied"))
+        monkeypatch.setenv("HTTP_PROXY", f"http://127.0.0.1:{proxy.port}")
+        # urllib builds its default opener, and reads the proxies, on first use
+        monkeypatch.setattr(urllib.request, "_opener", None)
+        client = LLMClient(base_url=ep.url, token="sekret")
+        assert client.chat([{"role": "user", "content": "x"}]) == "proxied"
+        assert [(r["path"], r["auth"]) for r in proxy.requests] == [(ep.url, "Bearer sekret")]
+        assert ep.requests == []
+
+    def test_no_proxy_host_goes_direct(self, canned, monkeypatch):
+        ep = canned(lambda body: openai_style("direct"))
+        proxy = canned(lambda body: openai_style("proxied"))
+        monkeypatch.setenv("HTTP_PROXY", f"http://127.0.0.1:{proxy.port}")
+        monkeypatch.setenv("NO_PROXY", "localhost,127.0.0.1")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("urlopen called for a host in NO_PROXY")
+
+        monkeypatch.setattr(urllib.request, "urlopen", refuse)
+        assert LLMClient(base_url=ep.url).chat([{"role": "user", "content": "x"}]) == "direct"
+        assert len(ep.requests) == 1 and proxy.requests == []
 
 
 class TestExternalQuestionBackend:
