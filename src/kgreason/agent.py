@@ -312,13 +312,20 @@ class LLMPolicy:
     """Asks the endpoint for one JSON tool call per turn (temperature 0).
 
     An unparseable response triggers one repair round-trip quoting the
-    schema; a second failure raises PolicyError.
+    schema; a second failure raises PolicyError. The policy counts its
+    calls, repairs included; the one past `max_calls` raises
+    EndpointBudgetExceeded instead of being sent.
     """
 
-    def __init__(self, question: str, topic: str, client: LLMClient):
+    def __init__(self, question: str, topic: str, client: LLMClient,
+                 max_calls: int | None = None):
+        if max_calls is not None and max_calls < 1:
+            raise ValueError(f"max_calls must be >= 1, got {max_calls}")
         self.question = question
         self.topic = topic
         self.client = client
+        self.max_calls = max_calls
+        self.calls = 0
         self.q_tokens = content_tokens(question)
         self.events: list[str] = []
 
@@ -353,6 +360,9 @@ class LLMPolicy:
     def _ask(self, state_message: str, note: str | None = None) -> Action:
         """Send the system prompt and the state message, followed on a
         repair by the note and the schema, and parse the reply."""
+        if self.calls == self.max_calls:
+            raise EndpointBudgetExceeded(f"endpoint call budget of {self.max_calls} exhausted")
+        self.calls += 1
         messages = [
             {"role": "system", "content": SYSTEM_PROMPT},
             {"role": "user", "content": state_message},

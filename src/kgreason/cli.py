@@ -193,8 +193,11 @@ def cmd_run(args: argparse.Namespace) -> int:
             raise ValueError(f"{name} must be >= 1, got {count}")
     env_cfg = EnvConfig(max_hop_limit=max_hops, include_inverse=include_inverse)
 
-    if args.policy == "llm" and not os.environ.get(ENDPOINT_URL_VAR):
-        raise UsageError(f"policy 'llm' needs {ENDPOINT_URL_VAR} set")
+    if args.policy == "llm":
+        if not os.environ.get(ENDPOINT_URL_VAR):
+            raise UsageError(f"policy 'llm' needs {ENDPOINT_URL_VAR} set")
+        # one client, checked here, serves every episode on every thread
+        client = LLMClient()
 
     def episode(q: dict) -> agent.EpisodeTrace:
         if args.policy == "heuristic":
@@ -203,8 +206,7 @@ def cmd_run(args: argparse.Namespace) -> int:
                 max_hops=env_cfg.max_hop_limit,
             )
         else:
-            client = LLMClient(max_calls=max_endpoint_calls)
-            policy = agent.LLMPolicy(q["question"], q["topic"], client)
+            policy = agent.LLMPolicy(q["question"], q["topic"], client, max_endpoint_calls)
         return agent.run_episode(g, q, policy, max_actions, env_cfg)
 
     manifest = {

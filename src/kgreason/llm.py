@@ -9,13 +9,10 @@ response containing the generated text.
 from __future__ import annotations
 
 import json
-import logging
 import os
 import re
 import time
-from urllib.parse import SplitResult, urlsplit
-
-log = logging.getLogger(__name__)
+from urllib.parse import urlsplit
 
 ENDPOINT_URL_VAR = "LLM_ENDPOINT_URL"
 API_TOKEN_VAR = "LLM_API_TOKEN"
@@ -195,21 +192,25 @@ def extract_text(payload: dict) -> str:
 
 
 class LLMClient:
-    """Thin POST wrapper with bounded retries and an optional call budget.
+    """Thin POST wrapper with bounded retries. The URL, the token and the
+    route are read and checked once, when the client is built, and no call
+    changes the client, so one serves a whole stage from any thread. A URL
+    that is not http:// or https://, names no host or holds a space or
+    control character, or a token with a control character, raises
+    ValueError naming the URL and never the token.
 
     Each attempt is one HTTP/1.1 request on a connection of its own, written
     in one piece; the response is framed by its Content-Length or chunked
     coding (RFC 9112), else read to close, and a 3xx is reported, not
     followed. An https:// URL is verified against the system trust store,
     with one TLS context per client. A URL that the proxy environment
-    (HTTP_PROXY, HTTPS_PROXY, NO_PROXY) sends through a proxy, or whose
-    scheme is neither http nor https, goes through urllib.request instead."""
+    (HTTP_PROXY, HTTPS_PROXY, NO_PROXY) sends through a proxy goes through
+    urllib.request instead."""
 
     def __init__(
         self,
         base_url: str | None = None,
         token: str | None = None,
-        max_calls: int | None = None,
         timeout: float = 60.0,
         retries: int = 2,
         backoff: float = 0.5,
@@ -218,34 +219,61 @@ class LLMClient:
         if not self.base_url:
             raise ValueError(f"no endpoint configured ({ENDPOINT_URL_VAR} unset)")
         self.token = token if token is not None else os.environ.get(API_TOKEN_VAR)
-        if max_calls is not None and max_calls < 1:
-            raise ValueError(f"max_calls must be >= 1, got {max_calls}")
         for name, value in (("retries", retries), ("backoff", backoff)):
             if value < 0:
                 raise ValueError(f"{name} must be >= 0, got {value}")
         # a zero timeout would make the socket non-blocking
         if timeout <= 0:
             raise ValueError(f"timeout must be > 0, got {timeout}")
-        self.max_calls = max_calls
         self.timeout = timeout
         self.retries = retries
         self.backoff = backoff
-        self.calls = 0
+        try:  # a bracket that does not close, or a port that is no number, raises
+            url = urlsplit(self.base_url)
+            port = url.port
+            problem = (
+                "not an http:// or https:// URL" if url.scheme not in ("http", "https")
+                else "no host" if not url.hostname
+                else "a space, control or non-Latin-1 character in the URL"
+                if _UNSAFE_IN_URL.search(url.netloc + url.path + url.query)
+                else "a control or non-Latin-1 character in the token"
+                if _UNSAFE_IN_VALUE.search(self.token or "") else None
+            )
+        except ValueError as err:
+            problem = str(err)
+        if problem:
+            raise ValueError(f"endpoint URL {self.base_url!r} not fit for a request: {problem}")
+        # as urllib.request's proxy handler decides; urllib.request is loaded
+        # only when a `<scheme>_proxy` variable is set, in any case
+        self._proxied = False
+        if any(name.lower() == f"{url.scheme}_proxy" for name in os.environ):
+            import urllib.request
+
+            proxies = urllib.request.getproxies_environment()
+            bypass = urllib.request.proxy_bypass_environment(url.netloc, proxies)
+            self._proxied = url.scheme in proxies and not bypass
+        https = url.scheme == "https"
+        self._address = (url.hostname, port or (443 if https else 80))
+        # the request head up to the body's length, the one part that varies
+        target = (url.path or "/") + (f"?{url.query}" if url.query else "")
+        head = f"POST {target} HTTP/1.1\r\nHost: {url.netloc}\r\nContent-Type: application/json\r\n"
+        if self.token:
+            head += f"Authorization: Bearer {self.token}\r\n"
+        self._head = (head + "Connection: close\r\nContent-Length: ").encode("latin-1")
         self._tls = None
+        if https and not self._proxied:
+            import ssl
+
+            self._tls = ssl.create_default_context()
+            self._tls.set_alpn_protocols(["http/1.1"])
 
     def chat(self, messages: list[dict], temperature: float = 0.0) -> str:
-        if self.max_calls is not None and self.calls >= self.max_calls:
-            raise EndpointBudgetExceeded(
-                f"endpoint call budget of {self.max_calls} exhausted"
-            )
-        self.calls += 1
         data = json.dumps({"messages": messages, "temperature": temperature}).encode()
-        url = urlsplit(self.base_url)
-        direct = url.scheme in ("http", "https") and not _proxied(url)
+        post = self._urlopen if self._proxied else self._post
         last_err: Exception | None = None
         for attempt in range(self.retries + 1):
             try:
-                status, raw = self._post(url, data) if direct else self._urlopen(data)
+                status, raw = post(data)
                 if status >= 500:
                     raise EndpointError(f"server error {status}")
                 if status != 200:
@@ -258,48 +286,21 @@ class LLMClient:
                     time.sleep(self.backoff * (attempt + 1))
         raise EndpointError(f"endpoint failed after {self.retries + 1} attempts: {last_err}")
 
-    def _post(self, url: SplitResult, data: bytes) -> tuple[int, bytes]:
+    def _post(self, data: bytes) -> tuple[int, bytes]:
         """POST `data` on a new connection; the response's status and body."""
         # imported on first use, so that loading this module (as bench and
-        # agent do) loads no socket or OpenSSL
+        # agent do) loads no socket
         import socket
 
-        target = url.path or "/"
-        if url.query:
-            target += "?" + url.query
-        token = self.token or ""
-        unsafe = _UNSAFE_IN_URL.search(target + url.netloc) or _UNSAFE_IN_VALUE.search(token)
-        if not url.hostname or unsafe:
-            raise ValueError(f"endpoint URL or token not fit for a request: {self.base_url!r}")
-        head = (
-            f"POST {target} HTTP/1.1\r\nHost: {url.netloc}\r\n"
-            f"Content-Type: application/json\r\nContent-Length: {len(data)}\r\n"
-            "Connection: close\r\n"
-        )
-        if token:
-            head += f"Authorization: Bearer {token}\r\n"
-        request = (head + "\r\n").encode("latin-1") + data
-        https = url.scheme == "https"
-        address = (url.hostname, url.port or (443 if https else 80))
-        sock = socket.create_connection(address, self.timeout)
+        sock = socket.create_connection(self._address, self.timeout)
         try:
-            if https:
-                sock = self._tls_context().wrap_socket(sock, server_hostname=url.hostname)
-            sock.sendall(request)
+            if self._tls is not None:
+                sock = self._tls.wrap_socket(sock, server_hostname=self._address[0])
+            sock.sendall(self._head + b"%d\r\n\r\n" % len(data) + data)
             with sock.makefile("rb") as response:
                 return _read_response(response)
         finally:
             sock.close()
-
-    def _tls_context(self):
-        # two threads may both build one; either serves
-        if self._tls is None:
-            import ssl
-
-            tls = ssl.create_default_context()
-            tls.set_alpn_protocols(["http/1.1"])
-            self._tls = tls
-        return self._tls
 
     def _urlopen(self, data: bytes) -> tuple[int, bytes]:
         """POST `data` through urllib.request's default opener, which takes
@@ -323,24 +324,10 @@ class LLMClient:
             raise EndpointError(str(err)) from err
 
 
-def _proxied(url: SplitResult) -> bool:
-    """Whether urllib.request's proxy handler would send `url` through a
-    proxy. urllib.request is loaded only when a `<scheme>_proxy` variable is
-    set, in any case."""
-    var = f"{url.scheme}_proxy"
-    if not any(name.lower() == var for name in os.environ):
-        return False
-    import urllib.request
-
-    proxies = urllib.request.getproxies_environment()
-    bypass = urllib.request.proxy_bypass_environment(url.netloc, proxies)
-    return url.scheme in proxies and not bypass
-
-
-# a request target or host holds no space or control character; a header
-# value holds no control character
-_UNSAFE_IN_URL = re.compile(r"[\x00-\x20\x7f]")
-_UNSAFE_IN_VALUE = re.compile(r"[\x00-\x1f\x7f]")
+# a request target or host holds no space, control or non-Latin-1 character;
+# a header value holds no control or non-Latin-1 character
+_UNSAFE_IN_URL = re.compile(r"[^\x21-\x7e\x80-\xff]")
+_UNSAFE_IN_VALUE = re.compile(r"[^\x20-\x7e\x80-\xff]")
 _STATUS_LINE = re.compile(rb"HTTP/\d\.\d (\d{3})[ \r\n]")
 _MAX_LINE = 65536
 _MAX_FIELDS = 100

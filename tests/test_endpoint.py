@@ -2,15 +2,20 @@ import json
 import re
 import shutil
 import subprocess
+import sys
 import threading
 import time
 import urllib.request
+from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
+from kgreason import llm
+from kgreason.agent import Action, LLMPolicy
 from kgreason.bench import GenConfig, build_bundle, generate_question
 from kgreason.cli import main
+from kgreason.env import AgentState
 from kgreason.kg import KnowledgeGraph
 from kgreason.llm import (
     API_TOKEN_VAR,
@@ -68,7 +73,9 @@ class FakeEndpoint:
         if tls is not None:
             self.server.socket = tls.wrap_socket(self.server.socket, server_side=True)
             self.scheme = "https"
-        self.thread = threading.Thread(target=self.server.serve_forever, daemon=True)
+        # a short poll, so that close does not wait out the default half second
+        self.thread = threading.Thread(
+            target=self.server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True)
         self.thread.start()
 
     @property
@@ -101,6 +108,15 @@ def openai_style(text):
     return 200, {"choices": [{"message": {"content": text}}]}
 
 
+def set_bad_endpoint(monkeypatch, ep, bad):
+    """Point the endpoint variables at `ep`, with a URL that has no scheme
+    (bad="url") or a token that holds a newline (bad="token"); the URL set."""
+    url = f"localhost:{ep.port}/chat" if bad == "url" else ep.url
+    monkeypatch.setenv(ENDPOINT_URL_VAR, url)
+    monkeypatch.setenv(API_TOKEN_VAR, "sekret\nX-Injected: 1" if bad == "token" else "sekret")
+    return url
+
+
 class TestClient:
     def test_chat_roundtrip_with_auth(self, canned, monkeypatch):
         ep = canned(lambda body: openai_style("hello"))
@@ -120,7 +136,6 @@ class TestClient:
         ({"retries": -1}, "retries must be >= 0, got -1"),
         ({"backoff": -1}, "backoff must be >= 0, got -1"),
         ({"timeout": 0}, "timeout must be > 0, got 0"),
-        ({"max_calls": 0}, "max_calls must be >= 1, got 0"),
     ])
     def test_settings_that_break_chat_are_refused(self, setting, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -129,10 +144,23 @@ class TestClient:
     @pytest.mark.parametrize("query, token", [("", "sekret\r\nX-Injected: 1"), ("?q=a b", "")])
     def test_control_character_or_space_is_not_sent(self, canned, query, token):
         ep = canned(lambda body: openai_style("hello"))
-        client = LLMClient(base_url=ep.url + query, token=token, retries=0)
-        with pytest.raises(EndpointError, match="not fit for a request"):
-            client.chat([{"role": "user", "content": "x"}])
+        with pytest.raises(ValueError, match="not fit for a request") as info:
+            LLMClient(base_url=ep.url + query, token=token, retries=0)
+        assert repr(ep.url + query) in str(info.value)
+        assert "sekret" not in str(info.value)
         assert ep.requests == []
+
+    @pytest.mark.parametrize("url, problem", [
+        ("localhost:8080/chat", "not an http:// or https:// URL"),
+        ("ftp://127.0.0.1/chat", "not an http:// or https:// URL"),
+        ("http:///chat", "no host"),
+        ("http://127.0.0.1/ch\u20acat", "a space, control or non-Latin-1 character in the URL"),
+        ("http://127.0.0.1:port/chat", "Port could not be cast to integer value as 'port'"),
+    ], ids=["no_scheme", "ftp", "no_host", "beyond_latin1", "port_no_number"])
+    def test_url_is_checked_when_the_client_is_built(self, url, problem):
+        message = f"endpoint URL {url!r} not fit for a request: {problem}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            LLMClient(base_url=url, token="sekret")
 
     def test_missing_endpoint_config(self, monkeypatch):
         monkeypatch.delenv(ENDPOINT_URL_VAR, raising=False)
@@ -195,14 +223,23 @@ class TestClient:
         assert LLMClient(base_url=ep.url).chat([{"role": "user", "content": "x"}]) == "hello"
         assert ep.requests[0]["auth"] is None
 
-    def test_call_budget_stops_before_sending(self, canned):
-        ep = canned(lambda body: openai_style("ok"))
-        client = LLMClient(base_url=ep.url, max_calls=2)
-        for _ in range(2):
-            assert client.chat([{"role": "user", "content": "x"}]) == "ok"
-        with pytest.raises(EndpointBudgetExceeded):
-            client.chat([{"role": "user", "content": "x"}])
-        assert len(ep.requests) == 2
+    def test_one_client_serves_threads_at_once(self, canned):
+        ep = canned(lambda body: openai_style(body["messages"][0]["content"]))
+        client = LLMClient(base_url=ep.url)
+        before = dict(vars(client))
+
+        def ask(n):
+            return [client.chat([{"role": "user", "content": f"{n}-{i}"}]) for i in range(10)]
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                answers = list(pool.map(ask, range(4), timeout=60))
+        finally:
+            sys.setswitchinterval(switch)
+        assert answers == [[f"{n}-{i}" for i in range(10)] for n in range(4)]
+        assert vars(client) == before and len(ep.requests) == 40
 
     def test_extract_text_shapes(self):
         assert extract_text({"choices": [{"message": {"content": "a"}}]}) == "a"
@@ -320,6 +357,51 @@ class TestProxy:
         assert len(ep.requests) == 1 and proxy.requests == []
 
 
+EXPLORE = '{"tool":"relation_path_mining","entity":"a","max_hops":1}'
+
+
+class TestPolicyCallBudget:
+    """The episode's endpoint call budget is counted by LLMPolicy."""
+
+    state = AgentState.initial("a")
+
+    def test_call_budget_stops_before_sending(self, canned):
+        ep = canned(lambda body: openai_style(EXPLORE))
+        policy = LLMPolicy("what?", "a", LLMClient(base_url=ep.url), max_calls=2)
+        for _ in range(2):
+            assert policy.decide(self.state) == Action("explore", entity="a", hops=1)
+        with pytest.raises(EndpointBudgetExceeded, match="^endpoint call budget of 2 exhausted$"):
+            policy.decide(self.state)
+        assert len(ep.requests) == 2
+
+    def test_repair_counts_against_the_budget(self, canned):
+        replies = iter(["not a tool call", EXPLORE, EXPLORE])
+        ep = canned(lambda body: openai_style(next(replies)))
+        policy = LLMPolicy("what?", "a", LLMClient(base_url=ep.url), max_calls=2)
+        # the unparseable reply and its repair are the two calls
+        assert policy.decide(self.state) == Action("explore", entity="a", hops=1)
+        with pytest.raises(EndpointBudgetExceeded, match="^endpoint call budget of 2 exhausted$"):
+            policy.repair(self.state, "hop limit too high")
+        assert len(ep.requests) == 2
+
+    def test_budget_below_one_is_refused(self):
+        client = LLMClient(base_url="http://127.0.0.1:1/chat")
+        with pytest.raises(ValueError, match="^max_calls must be >= 1, got 0$"):
+            LLMPolicy("what?", "a", client, max_calls=0)
+
+    def test_policies_share_a_client_that_keeps_no_count(self, canned):
+        ep = canned(lambda body: openai_style(EXPLORE))
+        client = LLMClient(base_url=ep.url)
+        before = dict(vars(client))
+        for _ in range(2):
+            policy = LLMPolicy("what?", "a", client, max_calls=1)
+            policy.decide(self.state)
+            with pytest.raises(EndpointBudgetExceeded):
+                policy.decide(self.state)
+        assert vars(client) == before
+        assert len(ep.requests) == 2
+
+
 class TestExternalQuestionBackend:
     def test_prompt_filled_and_question_returned(self, canned):
         ep = canned(lambda body: openai_style("Who is Carol's wife?"))
@@ -364,6 +446,23 @@ class TestBenchWithEndpoint:
         path = tmp_path / "rules.jsonl"
         write_rules_jsonl(mined, path)
         return path
+
+    @pytest.mark.parametrize("bad", ["url", "token"])
+    def test_bad_endpoint_setting_is_refused_before_the_probe(
+        self, tmp_path, uncle_world_file, canned, monkeypatch, capsys, bad
+    ):
+        ep = canned(lambda body: openai_style("ready"))
+        url = set_bad_endpoint(monkeypatch, ep, bad)
+        rules = self._rules(tmp_path, KnowledgeGraph.load(uncle_world_file))
+        out = tmp_path / "bundle"
+        started = time.monotonic()
+        assert main(["bench", "--kg", str(uncle_world_file), "--rules", str(rules),
+                     "--out-dir", str(out), "--question-backend", "external"]) == 1
+        assert time.monotonic() - started < 0.5  # well under one back-off
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: endpoint URL {url!r} not fit for a request: ")
+        assert "sekret" not in err
+        assert ep.requests == [] and not out.exists()
 
     def test_unreachable_endpoint_fails_before_writing(self, tmp_path, uncle_world_file, monkeypatch):
         monkeypatch.setenv(ENDPOINT_URL_VAR, "http://127.0.0.1:1/chat")
@@ -440,23 +539,108 @@ class TestBenchWithEndpoint:
         assert len(ep.requests) - 1 == len(kept) + retries  # minus the probe
 
 
+ABSTAIN = '{"tool":"complete_task","explored_reasoning_paths":[],"answer_entities":[]}'
+
+
 class TestRunWithEndpoint:
-    def test_endpoint_failure_ends_one_episode(
-        self, tmp_path, uncle_world_file, canned, monkeypatch, caplog
-    ):
+    @pytest.fixture
+    def bundle(self, tmp_path, uncle_world_file):
+        """A bundle of two questions, about justin and anna."""
         rules, bundle = tmp_path / "rules.jsonl", tmp_path / "bundle"
         assert main(["mine", "--kg", str(uncle_world_file), "--out", str(rules),
                      "--min-conf", "0.9", "--max-len", "3"]) == 0
         assert main(["bench", "--kg", str(uncle_world_file), "--rules", str(rules),
                      "--out-dir", str(bundle), "--seed", "7", "--groundings-per-rule", "2",
                      "--topic-side", "subject"]) == 0
+        return bundle
 
+    @staticmethod
+    def run_llm(bundle, out, *options):
+        """`run --policy llm` over every question, writing into the directory `out`."""
+        return main(["run", "--bundle", str(bundle), "--policy", "llm", "--split", "all",
+                     "--out", str(out / "preds.jsonl"), "--traces", str(out / "traces.jsonl"),
+                     *options])
+
+    @pytest.mark.parametrize("bad", ["url", "token"])
+    def test_bad_endpoint_setting_ends_the_run_before_any_output(
+        self, tmp_path, bundle, canned, monkeypatch, capsys, bad
+    ):
+        ep = canned(lambda body: openai_style(ABSTAIN))
+        url = set_bad_endpoint(monkeypatch, ep, bad)
+        out = tmp_path / "run"
+        out.mkdir()
+        capsys.readouterr()
+        started = time.monotonic()
+        assert self.run_llm(bundle, out) == 1
+        assert time.monotonic() - started < 0.5  # well under one back-off
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: endpoint URL {url!r} not fit for a request: ")
+        assert "sekret" not in err
+        assert ep.requests == [] and list(out.iterdir()) == []
+
+    def test_one_client_serves_every_episode(self, tmp_path, bundle, canned, monkeypatch):
+        ep = canned(lambda body: openai_style(ABSTAIN))
+        monkeypatch.setenv(ENDPOINT_URL_VAR, ep.url)
+        built = []
+
+        class Counted(llm.LLMClient):
+            def __init__(self, *args, **kwargs):
+                built.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(llm, "LLMClient", Counted)
+        assert self.run_llm(bundle, tmp_path) == 0
+        assert len(built) == 1 and len(ep.requests) == 2
+
+    def test_parallel_episodes_write_what_sequential_ones_do(
+        self, tmp_path, bundle, canned, monkeypatch
+    ):
+        def reply(body):  # explore the topic two hops out, then abstain
+            content = body["messages"][1]["content"]
+            if "Relation paths discovered so far:\n(none)" not in content:
+                return openai_style(ABSTAIN)
+            topic = content.split("Topic entity: ")[1].splitlines()[0]
+            return openai_style(
+                f'{{"tool":"relation_path_mining","entity":"{topic}","max_hops":2}}')
+
+        ep = canned(reply)
+        monkeypatch.setenv(ENDPOINT_URL_VAR, ep.url)
+        written = []
+        for parallel in ("1", "2"):
+            out = tmp_path / parallel
+            out.mkdir()
+            assert self.run_llm(bundle, out, "--parallel", parallel) == 0
+            written.append({p.name: p.read_bytes() for p in out.glob("*.jsonl")})
+        assert written[0] == written[1] and len(written[0]) == 2
+        assert len(ep.requests) == 8
+
+    def test_https_run_builds_one_tls_context(
+        self, tmp_path, bundle, canned, self_signed, monkeypatch
+    ):
+        import ssl
+
+        server, cert = self_signed
+        ep = canned(lambda body: openai_style(ABSTAIN), tls=server)
+        monkeypatch.setenv(ENDPOINT_URL_VAR, ep.url)
+        monkeypatch.delenv("SSL_CERT_DIR", raising=False)
+        monkeypatch.setenv("SSL_CERT_FILE", str(cert))
+        real, built = ssl.create_default_context, []
+
+        def counted(*args, **kwargs):
+            built.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(ssl, "create_default_context", counted)
+        assert self.run_llm(bundle, tmp_path) == 0
+        rows = [json.loads(line) for line in (tmp_path / "preds.jsonl").read_text().splitlines()]
+        assert [r["terminated"] for r in rows] == [True, True]
+        assert len(built) == 1 and len(ep.requests) == 2
+
+    def test_endpoint_failure_ends_one_episode(self, tmp_path, bundle, canned, monkeypatch, caplog):
         def reply(body):
             if "Topic entity: justin\n" in body["messages"][1]["content"]:
                 return 500, {"error": "down"}
-            return openai_style(
-                '{"tool":"complete_task","explored_reasoning_paths":[],"answer_entities":[]}'
-            )
+            return openai_style(ABSTAIN)
 
         ep = canned(reply)
         monkeypatch.setenv(ENDPOINT_URL_VAR, ep.url)
