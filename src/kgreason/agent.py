@@ -369,7 +369,7 @@ class LLMPolicy:
         ]
         if note:
             messages.append({"role": "user", "content": f"{note}.\n{TOOL_CALL_SCHEMA}"})
-        return parse_tool_call(self.client.chat(messages, temperature=0.0))
+        return parse_tool_call(self.client.chat(messages))
 
     def decide(self, state: AgentState) -> Action:
         state_message = self._state_message(state)

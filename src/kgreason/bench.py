@@ -25,7 +25,7 @@ from pathlib import Path
 from .kg import (ANY, STRING, TRIPLE, KnowledgeGraph, Triple, json_document, mistyped,
                  read_rows, read_triples, sha256, sha256_file, write_anonymization_map,
                  write_rows)
-from .llm import QUESTION_GENERATION_PROMPT, EndpointError, LLMClient
+from .llm import QUESTION_GENERATION_PROMPT, EndpointError, LLMClient, in_order
 from .mining import (
     MinedRule,
     enumerate_groundings,
@@ -241,7 +241,7 @@ def generate_question(
     provenance["prompt_hash"] = sha256(prompt.encode()).hexdigest()[:16]
     messages = [{"role": "user", "content": prompt}]
     for attempt in range(2):
-        text = client.chat(messages, temperature=0.0).strip()
+        text = client.chat(messages).strip()
         if text and not _contains_token(text, answer):
             return text, topic, provenance
         provenance["retries"] += 1
@@ -284,20 +284,15 @@ def generate_questions(
     drafts: list[QAInstance], cfg: GenConfig, client: LLMClient | None = None
 ) -> list[QAInstance]:
     """The drafts with question text and provenance filled in; endpoint calls
-    (external backend) run with bounded concurrency but order stays fixed."""
+    (external backend) run on max_inflight threads (`in_order`) but order
+    stays fixed."""
 
     def make_text(q: QAInstance):
         side = "subject" if q.direction == TOPIC_IS_SUBJECT else "object"
         return generate_question(q.removed_triple, side, cfg.question_backend, client)
 
-    if cfg.question_backend == "external" and len(drafts) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=cfg.max_inflight) as pool:
-            texts = list(pool.map(make_text, drafts))
-    else:
-        texts = [make_text(q) for q in drafts]
-
+    workers = cfg.max_inflight if cfg.question_backend == "external" else 1
+    texts = list(in_order(make_text, drafts, workers))
     return [replace(q, question=text, provenance=prov) for q, (text, _, prov) in zip(drafts, texts)]
 
 
@@ -490,7 +485,7 @@ def build_bundle(
             client = LLMClient()
         probe = [{"role": "user", "content": "Reply with the single word: ready"}]
         try:
-            client.chat(probe, temperature=0.0)
+            client.chat(probe)
         except EndpointError as err:
             raise EndpointError(f"question endpoint unreachable, aborting before removal: {err}")
 

@@ -13,8 +13,7 @@ import json
 import logging
 import os
 import sys
-from collections import deque
-from contextlib import ExitStack, contextmanager, suppress
+from contextlib import ExitStack, closing, contextmanager, suppress
 from pathlib import Path
 
 # only the graph module, which `inspect --kg` needs; every other command
@@ -171,7 +170,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
 def cmd_run(args: argparse.Namespace) -> int:
     from . import agent, bench
     from .env import EnvConfig
-    from .llm import ENDPOINT_URL_VAR, LLMClient
+    from .llm import ENDPOINT_URL_VAR, LLMClient, in_order
 
     res = _Resolver(args)
     bundle = bench.load_bundle(args.bundle)
@@ -230,15 +229,8 @@ def cmd_run(args: argparse.Namespace) -> int:
             _replacing(args.out, args.traces, str(args.out) + ".manifest.json"))
         predictions_fh = stack.enter_context(open(predictions_tmp, "w", encoding="utf-8"))
         traces_fh = stack.enter_context(open(traces_tmp, "w", encoding="utf-8")) if traces_tmp else None
-        if parallel > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            pool = ThreadPoolExecutor(max_workers=parallel)
-            # a failed run waits only for the episodes already started
-            stack.callback(pool.shutdown, cancel_futures=True)
-            traces = _in_order(pool, episode, questions, ahead=2 * parallel)
-        else:
-            traces = map(episode, questions)
+        # a failed run waits only for the episodes already started
+        traces = stack.enter_context(closing(in_order(episode, questions, parallel)))
         for t in traces:
             row = {
                 "id": t.question_id,
@@ -255,19 +247,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     if errored:
         log.warning("%d of %d episodes ended in an endpoint error", errored, len(questions))
     return 0
-
-
-def _in_order(pool, fn, items, ahead: int):
-    """fn(item) for each item, in order, computed on the pool with at most
-    `ahead` calls submitted and not yet read, so finished results wait for
-    a slow one without piling up."""
-    pending = deque()
-    for item in items:
-        pending.append(pool.submit(fn, item))
-        if len(pending) >= ahead:
-            yield pending.popleft().result()
-    while pending:
-        yield pending.popleft().result()
 
 
 def cmd_eval(args: argparse.Namespace) -> int:

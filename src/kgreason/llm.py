@@ -2,8 +2,8 @@
 prompt payloads used for question generation and the agent's tool calls.
 
 The endpoint is configured through LLM_ENDPOINT_URL / LLM_API_TOKEN and
-speaks JSON: request {"messages": [{"role", "content"}], "temperature": 0},
-response containing the generated text.
+speaks JSON: request {"messages": [{"role", "content"}], "temperature": 0.0},
+always at that temperature, response containing the generated text.
 """
 
 from __future__ import annotations
@@ -195,9 +195,10 @@ class LLMClient:
     """Thin POST wrapper with bounded retries. The URL, the token and the
     route are read and checked once, when the client is built, and no call
     changes the client, so one serves a whole stage from any thread. A URL
-    that is not http:// or https://, names no host or holds a space or
-    control character, or a token with a control character, raises
-    ValueError naming the URL and never the token.
+    that is not http:// or https://, holds user information, names no host
+    or holds a space or control character, or a token with a control
+    character, raises ValueError naming the URL without its user
+    information and never the token.
 
     Each attempt is one HTTP/1.1 request on a connection of its own, written
     in one piece; the response is framed by its Content-Length or chunked
@@ -233,6 +234,8 @@ class LLMClient:
             port = url.port
             problem = (
                 "not an http:// or https:// URL" if url.scheme not in ("http", "https")
+                # it would go out as part of the Host header, never as credentials
+                else "user information in the URL" if "@" in url.netloc
                 else "no host" if not url.hostname
                 else "a space, control or non-Latin-1 character in the URL"
                 if _UNSAFE_IN_URL.search(url.netloc + url.path + url.query)
@@ -242,7 +245,8 @@ class LLMClient:
         except ValueError as err:
             problem = str(err)
         if problem:
-            raise ValueError(f"endpoint URL {self.base_url!r} not fit for a request: {problem}")
+            shown = _USERINFO.sub(r"\1", self.base_url)
+            raise ValueError(f"endpoint URL {shown!r} not fit for a request: {problem}")
         # as urllib.request's proxy handler decides; urllib.request is loaded
         # only when a `<scheme>_proxy` variable is set, in any case
         self._proxied = False
@@ -267,8 +271,8 @@ class LLMClient:
             self._tls = ssl.create_default_context()
             self._tls.set_alpn_protocols(["http/1.1"])
 
-    def chat(self, messages: list[dict], temperature: float = 0.0) -> str:
-        data = json.dumps({"messages": messages, "temperature": temperature}).encode()
+    def chat(self, messages: list[dict]) -> str:
+        data = json.dumps({"messages": messages, "temperature": 0.0}).encode()
         post = self._urlopen if self._proxied else self._post
         last_err: Exception | None = None
         for attempt in range(self.retries + 1):
@@ -324,6 +328,32 @@ class LLMClient:
             raise EndpointError(str(err)) from err
 
 
+def in_order(fn, items, workers: int):
+    """fn(item) for each item, yielded in input order. With one worker this
+    is map and loads no thread pool; with more, the calls run on that many
+    threads, at most 2 * workers of them submitted and not yet read. A call
+    that raises, or closing the iterator early, cancels the calls not yet
+    started and waits for the running ones."""
+    if workers == 1:
+        yield from map(fn, items)
+        return
+    from collections import deque
+    from concurrent.futures import ThreadPoolExecutor
+
+    pool = ThreadPoolExecutor(max_workers=workers)
+    try:
+        pending = deque()
+        for item in items:
+            pending.append(pool.submit(fn, item))
+            if len(pending) == 2 * workers:
+                yield pending.popleft().result()
+        yield from (f.result() for f in pending)
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+# the user information of a URL's authority, up to its last "@"
+_USERINFO = re.compile(r"^([^/?#]*//)[^/?#]*@")
 # a request target or host holds no space, control or non-Latin-1 character;
 # a header value holds no control or non-Latin-1 character
 _UNSAFE_IN_URL = re.compile(r"[^\x21-\x7e\x80-\xff]")

@@ -451,30 +451,25 @@ def head_binding_check(g: KnowledgeGraph, rule: HornRule):
     exists in g under the variable bindings that a head triple forces.
 
     A head constant matches only the same id, and a head variable only an
-    entity of g. The bindings enter the body as constants, and the check is
-    a projection onto no variable. The rule is compiled and its join planned
-    once for every head triple the test is asked about."""
+    entity of g. The rule is compiled once; for each head triple the test
+    is asked about, the bindings enter the body as constants, and that body
+    is planned (_make_plan) and projected onto no variable."""
     c = _compile(g, rule)
-    # the join order depends only on which arguments are bound, and every
-    # head triple binds the same ones: plan with a placeholder constant for
-    # each head variable, and put the triple's handles in their place
-    slots = {a: (False, -3 - i) for i, a in enumerate(dict.fromkeys(c.head[1:])) if a[0]}
-    plan = _make_plan([(p, slots.get(a1, a1), slots.get(a2, a2)) for p, a1, a2 in c.body])
 
     def holds(head_triple: tuple[str, str, str]) -> bool:
         s, p, o = head_triple
         if p != rule.head.predicate:
             return False
-        bound: dict[tuple, tuple] = {}  # placeholder -> constant argspec
+        bound: dict[tuple, tuple] = {}  # head variable argspec -> constant argspec
         for arg, term, name in zip(c.head[1:], rule.head.args, (s, o)):
             if term.is_var:
                 const = (False, g.eid.get(name, -2))
-                if const[1] < 0 or bound.setdefault(slots[arg], const) != const:
+                if const[1] < 0 or bound.setdefault(arg, const) != const:
                     return False
             elif term.name != name:
                 return False
-        body = [(bp, bound.get(a1, a1), bound.get(a2, a2)) for bp, a1, a2 in plan]
-        return bool(_project(g, body, ()))
+        body = [(bp, bound.get(a1, a1), bound.get(a2, a2)) for bp, a1, a2 in c.body]
+        return bool(_project(g, _make_plan(body), ()))
 
     return holds
 

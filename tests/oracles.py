@@ -82,20 +82,13 @@ def metrics_from_body_pairs(g: KnowledgeGraph, head: Atom, body_pairs: set):
     return support, hc, conf, pca
 
 
-def exhaustive_body_holds(g: KnowledgeGraph, rule: HornRule, head_triple) -> bool:
-    """Whether some substitution of the rule's variables over all entities
-    turns the head into head_triple and every body atom into a fact of g."""
-    ents = g.entities
-    names = rule.variables()
-    head = rule.head
-    for combo in itertools.product(ents, repeat=len(names)):
-        sigma = dict(zip(names, combo))
-        if (_apply(head.arg1, sigma), head.predicate, _apply(head.arg2, sigma)) == head_triple and all(
-            (_apply(a.arg1, sigma), a.predicate, _apply(a.arg2, sigma)) in g
-            for a in rule.body
-        ):
-            return True
-    return False
+def exhaustive_holding_heads(g: KnowledgeGraph, rule: HornRule) -> set:
+    """The head triples whose body holds: a triple is in the set iff some
+    substitution of the rule's variables over all entities turns the head
+    into it and every body atom into a fact of g. One enumeration answers
+    the question for every triple."""
+    p = rule.head.predicate
+    return {(s, p, o) for s, o in exhaustive_body_pairs(g, rule)}
 
 
 def permutation_canonicalize(rule: HornRule) -> HornRule:

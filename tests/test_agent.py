@@ -33,7 +33,7 @@ class ScriptedClient:
         self.max_calls = max_calls
         self.requests = []
 
-    def chat(self, messages, temperature=0.0):
+    def chat(self, messages):
         if self.max_calls is not None and self.calls >= self.max_calls:
             raise EndpointBudgetExceeded("out of calls")
         self.requests.append([dict(m) for m in messages])

@@ -545,15 +545,15 @@ def test_inspect_kg_process_loads_only_the_graph(uncle_world_file, tmp_path):
 
 def test_eval_process_loads_no_hashlib_or_thread_pool(uncle_world_file, mined_rules, tmp_path):
     # bench seeds its draws from hashes and hashes its inputs; run hashes
-    # every state
+    # every state. Template questions and one episode at a time need no pool
     bundle = tmp_path / "bundle"
     argv = ["bench", "--kg", str(uncle_world_file), "--rules", str(mined_rules),
             "--out-dir", str(bundle), "--seed", "7", "--question-backend", "template"]
-    assert modules_loaded(argv, HASHLIB) == []
+    assert modules_loaded(argv, [*HASHLIB, "concurrent.futures"]) == []
     predictions = tmp_path / "p.jsonl"
     argv = ["run", "--bundle", str(bundle), "--policy", "heuristic", "--split", "all",
             "--out", str(predictions), "--traces", str(tmp_path / "t.jsonl")]
-    assert modules_loaded(argv, HASHLIB) == []
+    assert modules_loaded(argv, [*HASHLIB, "concurrent.futures"]) == []
     argv = ["eval", "--bundle", str(bundle), "--predictions", str(predictions),
             "--split", "all", "--out", str(tmp_path / "report.json")]
     assert modules_loaded(argv, [*HASHLIB, "concurrent.futures"]) == []
